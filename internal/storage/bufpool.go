@@ -7,7 +7,7 @@ import (
 
 // chunkBufPool recycles transfer-sized scratch buffers — one chunk
 // plus a byte, so an oversized body is detectable without growing —
-// for the front-end request reader and the client download path.
+// for the ingress readers and the client download path.
 // Steady-state transfer then allocates only the bytes that outlive
 // the request: the stored copy on the server and the assembled file
 // on the client.

@@ -47,8 +47,9 @@ func multiHas(s ChunkStore, sums []Sum) []bool {
 // operations are worth tracing: the context carries the request's
 // span (see internal/tracing) and the store records child spans for
 // the time it spends — replication fan-out, segment appends, fsync
-// waits, reads. Stores with nanosecond-scale operations (MemStore)
-// skip it; a span would cost more than the work it measures.
+// waits, reads. The same context carries the proof that an ingress
+// already verified a put's bytes (see verifyPut), which is why even
+// the stores with nothing worth a span implement it.
 type CtxStore interface {
 	// PutCtx is Put under the context's trace.
 	PutCtx(ctx context.Context, sum Sum, data []byte) error
@@ -167,8 +168,14 @@ func (m *MemStore) shard(sum Sum) *memShard {
 
 // Put implements ChunkStore. The data slice is copied.
 func (m *MemStore) Put(sum Sum, data []byte) error {
-	if SumBytes(data) != sum {
-		return errBadDigest
+	return m.PutCtx(context.Background(), sum, data)
+}
+
+// PutCtx implements CtxStore; the context matters only for the proof
+// that spares an already-verified put its hash.
+func (m *MemStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
+	if _, err := verifyPut(ctx, sum, data); err != nil {
+		return err
 	}
 	m.puts.Add(1)
 	m.bytesStored.Add(int64(len(data)))
@@ -199,6 +206,9 @@ func (m *MemStore) Get(sum Sum) ([]byte, error) {
 	}
 	return data, nil
 }
+
+// GetCtx implements CtxStore.
+func (m *MemStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) { return m.Get(sum) }
 
 // GetReaderCtx implements ReaderStore: the reader wraps the resident
 // slice without copying — chunk payloads are content-immutable, so

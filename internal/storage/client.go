@@ -731,7 +731,24 @@ func (c *Client) StoreFile(name string, data []byte) (res StoreResult, err error
 	budget.span = c.Tracer.StartRoot(tracing.CompClient, tracing.SpanStoreFile)
 	budget.span.AnnotateInt("bytes", int64(len(data)))
 	defer func() { budget.span.EndErr(err) }()
-	fileSum := SumBytes(data)
+	// The chunk digests are needed only if the dedup check says
+	// "upload", but the transfer window's other goroutines are idle
+	// until then: they hash chunks while this one hashes the file and
+	// asks. A window of one keeps the whole sequence serial.
+	up := newUpload(data)
+	var fileSum Sum
+	if len(up.sums) == 1 {
+		// One chunk: its digest is the file's.
+		up.hashAll()
+		fileSum = up.sums[0]
+	} else {
+		up.start(c.window(len(up.sums)) - 1)
+		// On any early return — error, or a Duplicate verdict — the
+		// hashers stop at the next chunk boundary and let go of the
+		// caller's bytes before StoreFile returns.
+		defer up.cancel()
+		fileSum = SumBytes(data)
+	}
 	shard := c.metaShardFor(c.UserID)
 	var check StoreCheckResponse
 	err = c.postMetaJSON(shard, "/meta/store-check", StoreCheckRequest{
@@ -751,13 +768,12 @@ func (c *Client) StoreFile(name string, data []byte) (res StoreResult, err error
 		return StoreResult{}, fmt.Errorf("storage: metadata server assigned no front-end")
 	}
 
-	chunkSums := SplitSums(data)
-	chunkStrs := make([]string, len(chunkSums))
-	byDigest := make(map[string]int, len(chunkSums))
-	for i, s := range chunkSums {
+	up.hashAll()
+	chunkStrs := make([]string, len(up.sums))
+	for i, s := range up.sums {
 		chunkStrs[i] = s.String()
-		if _, ok := byDigest[chunkStrs[i]]; !ok {
-			byDigest[chunkStrs[i]] = i
+		if _, ok := up.byDigest[chunkStrs[i]]; !ok {
+			up.byDigest[chunkStrs[i]] = i
 		}
 	}
 	opReq := FileOpRequest{
@@ -801,7 +817,7 @@ func (c *Client) StoreFile(name string, data []byte) (res StoreResult, err error
 			return res, nil
 		}
 
-		lastErr = c.sendChunks(check.FrontEnd, check.URL, todo, byDigest, chunkSums, data, budget, &res)
+		lastErr = c.sendChunks(check.FrontEnd, check.URL, todo, up, budget, &res)
 		if lastErr == nil {
 			return res, nil
 		}
@@ -810,6 +826,87 @@ func (c *Client) StoreFile(name string, data []byte) (res StoreResult, err error
 		}
 	}
 	return res, lastErr
+}
+
+// upload is one file being stored: its bytes and, per chunk, the
+// mcsbin/1 frame header (digest, length, CRC) — everything either
+// dialect needs to send a chunk, computed in a single visit to each
+// chunk. The hashing can be spread over goroutines: workers claim
+// chunk indices from a shared counter and fill disjoint slots, so the
+// result is the same whatever the interleaving.
+type upload struct {
+	data     []byte
+	sums     []Sum
+	hdrs     []byte         // len(sums) frame headers, back to back
+	byDigest map[string]int // hex digest -> first chunk index carrying it
+
+	next atomic.Int64 // next unclaimed chunk index
+	stop atomic.Bool  // set by cancel; checked at chunk boundaries
+	wg   sync.WaitGroup
+}
+
+func newUpload(data []byte) *upload {
+	n := (len(data) + ChunkSize - 1) / ChunkSize
+	return &upload{
+		data:     data,
+		sums:     make([]Sum, n),
+		hdrs:     make([]byte, n*recHeaderSize),
+		byDigest: make(map[string]int, n),
+	}
+}
+
+// chunk returns chunk i's bytes.
+func (u *upload) chunk(i int) []byte {
+	lo := i * ChunkSize
+	hi := lo + ChunkSize
+	if hi > len(u.data) {
+		hi = len(u.data)
+	}
+	return u.data[lo:hi]
+}
+
+// hdr returns chunk i's frame header.
+func (u *upload) hdr(i int) []byte { return u.hdrs[i*recHeaderSize : (i+1)*recHeaderSize] }
+
+// hashLoop claims and hashes chunks until none are left or the upload
+// is cancelled. The CRC runs right behind the MD5 it depends on (the
+// checksum covers the digest), while the chunk is still cache-warm.
+func (u *upload) hashLoop() {
+	for !u.stop.Load() {
+		i := int(u.next.Add(1)) - 1
+		if i >= len(u.sums) {
+			return
+		}
+		p := u.chunk(i)
+		u.sums[i] = SumBytes(p)
+		encodeHeader(u.hdr(i), u.sums[i], uint32(len(p)), p)
+	}
+}
+
+// start hashes chunks on n background goroutines (none for n < 1).
+func (u *upload) start(n int) {
+	for ; n > 0; n-- {
+		u.wg.Add(1)
+		go func() {
+			defer u.wg.Done()
+			u.hashLoop()
+		}()
+	}
+}
+
+// hashAll returns once every chunk is hashed: the caller works through
+// whatever the background goroutines have not claimed, then waits for
+// them.
+func (u *upload) hashAll() {
+	u.hashLoop()
+	u.wg.Wait()
+}
+
+// cancel abandons the hashing at the next chunk boundary and waits for
+// the background goroutines to let go of the caller's bytes.
+func (u *upload) cancel() {
+	u.stop.Store(true)
+	u.wg.Wait()
 }
 
 // DefaultParallel is the chunk-transfer window used when
@@ -836,9 +933,9 @@ func (c *Client) window(chunks int) int {
 // keeping up to the configured window in flight. Success counters
 // fold into res; the returned error is the one from the lowest chunk
 // position, so reporting does not depend on goroutine interleaving.
-func (c *Client) sendChunks(frontend, url string, todo []string, byDigest map[string]int, chunkSums []Sum, data []byte, budget *retryBudget, res *StoreResult) error {
+func (c *Client) sendChunks(frontend, url string, todo []string, up *upload, budget *retryBudget, res *StoreResult) error {
 	if w := c.window(len(todo)); w > 1 && c.binHost(frontend) {
-		if err := c.sendChunksBin(frontend, url, todo, byDigest, chunkSums, data, budget, res, w); err == nil {
+		if err := c.sendChunksBin(frontend, url, todo, up, budget, res, w); err == nil {
 			return nil
 		}
 		// Any batched-upload failure degrades to the per-chunk JSON
@@ -848,20 +945,16 @@ func (c *Client) sendChunks(frontend, url string, todo []string, byDigest map[st
 	}
 	var sent, sentBytes int64
 	send := func(j int) error {
-		i, ok := byDigest[todo[j]]
+		i, ok := up.byDigest[todo[j]]
 		if !ok {
 			return fmt.Errorf("storage: front-end wants unknown chunk %s", todo[j])
 		}
-		lo := i * ChunkSize
-		hi := lo + ChunkSize
-		if hi > len(data) {
-			hi = len(data)
-		}
-		if err := c.putChunk(frontend, url, chunkSums[i], data[lo:hi], budget); err != nil {
+		p := up.chunk(i)
+		if err := c.putChunk(frontend, url, up.sums[i], p, budget); err != nil {
 			return fmt.Errorf("chunk %d: %w", i, err)
 		}
 		atomic.AddInt64(&sent, 1)
-		atomic.AddInt64(&sentBytes, int64(hi-lo))
+		atomic.AddInt64(&sentBytes, int64(len(p)))
 		return nil
 	}
 
@@ -908,22 +1001,14 @@ func batchSize(n, w int) int {
 // batching them into /v1/bin/put requests that the window runs in
 // parallel. Counters fold into res only when every batch lands, so a
 // fallback to the JSON path never double-counts.
-func (c *Client) sendChunksBin(frontend, url string, todo []string, byDigest map[string]int, chunkSums []Sum, data []byte, budget *retryBudget, res *StoreResult, w int) error {
+func (c *Client) sendChunksBin(frontend, url string, todo []string, up *upload, budget *retryBudget, res *StoreResult, w int) error {
 	idx := make([]int, len(todo))
 	for j, d := range todo {
-		i, ok := byDigest[d]
+		i, ok := up.byDigest[d]
 		if !ok {
 			return fmt.Errorf("storage: front-end wants unknown chunk %s", d)
 		}
 		idx[j] = i
-	}
-	slice := func(i int) []byte {
-		lo := i * ChunkSize
-		hi := lo + ChunkSize
-		if hi > len(data) {
-			hi = len(data)
-		}
-		return data[lo:hi]
 	}
 	per := batchSize(len(idx), w)
 	var batches [][]int
@@ -939,7 +1024,7 @@ func (c *Client) sendChunksBin(frontend, url string, todo []string, byDigest map
 	}
 	var sent, sentBytes int64
 	err := runWindow(w, len(batches), func(b int) error {
-		n, err := c.putChunkBatch(frontend, url, batches[b], chunkSums, slice, budget)
+		n, err := c.putChunkBatch(frontend, url, batches[b], up, budget)
 		if err != nil {
 			return err
 		}
@@ -1037,31 +1122,27 @@ func (c *Client) putChunk(frontend, url string, sum Sum, data []byte, budget *re
 // the batch exactly like a single bigger chunk transfer. Retries
 // re-send the whole batch — chunk PUTs deduplicate by content, so
 // re-sending frames the server already committed is harmless.
-func (c *Client) putChunkBatch(frontend, url string, ids []int, chunkSums []Sum, slice func(int) []byte, budget *retryBudget) (int64, error) {
-	// Zero-copy body: frame headers are encoded once (the CRC pass over
-	// each payload happens here), then every attempt streams the
-	// headers interleaved with the caller's payload slices — the file
-	// bytes are never staged into a batch buffer.
-	var total, wire int64
-	hdrs := make([]byte, len(ids)*recHeaderSize)
-	for k, i := range ids {
-		p := slice(i)
-		encodeHeader(hdrs[k*recHeaderSize:(k+1)*recHeaderSize], chunkSums[i], uint32(len(p)), p)
-		total += int64(len(p))
+func (c *Client) putChunkBatch(frontend, url string, ids []int, up *upload, budget *retryBudget) (int64, error) {
+	// Zero-copy body: the frame headers were encoded when the chunks
+	// were hashed, and every attempt streams them interleaved with the
+	// caller's payload slices — the file bytes are neither staged into a
+	// batch buffer nor scanned again.
+	var total int64
+	for _, i := range ids {
+		total += int64(len(up.chunk(i)))
 	}
 	count := appendBinCount(nil, len(ids))
-	wire = int64(len(count)) + int64(len(hdrs)) + total
+	wire := int64(len(count)) + int64(len(ids))*recHeaderSize + total
 	body := func() io.Reader {
 		parts := make([]io.Reader, 0, 1+2*len(ids))
 		parts = append(parts, bytes.NewReader(count))
-		for k, i := range ids {
-			parts = append(parts, bytes.NewReader(hdrs[k*recHeaderSize:(k+1)*recHeaderSize]))
-			parts = append(parts, bytes.NewReader(slice(i)))
+		for _, i := range ids {
+			parts = append(parts, bytes.NewReader(up.hdr(i)), bytes.NewReader(up.chunk(i)))
 		}
 		return io.MultiReader(parts...)
 	}
 	sp := budget.span.StartChild(tracing.CompClient, tracing.SpanChunkPut)
-	sp.Annotate("chunk", chunkSums[ids[0]].String())
+	sp.Annotate("chunk", up.sums[ids[0]].String())
 	sp.Annotate("dialect", BinV1)
 	sp.AnnotateInt("count", int64(len(ids)))
 	sp.AnnotateInt("bytes", total)
@@ -1195,6 +1276,11 @@ func (c *Client) RetrieveFile(url string) (out []byte, err error) {
 				return nil, err
 			}
 		}
+	}
+	// A one-chunk file's digest is its chunk's, which the fetch above
+	// already verified; only multi-chunk files need the second pass.
+	if len(sums) == 1 && op.ChunkMD5s[0] == res.FileMD5 {
+		return buf, nil
 	}
 	if got := SumBytes(buf); got.String() != res.FileMD5 {
 		return nil, fmt.Errorf("storage: retrieved content hash mismatch")

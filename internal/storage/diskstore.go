@@ -90,10 +90,14 @@ func (o *DiskStoreOptions) setDefaults() {
 	}
 }
 
-// recLoc addresses one live record.
+// recLoc addresses one live record. lsn is the append LSN an fsync
+// must cover before the record may be acknowledged or reported present
+// (zero for records recovered at open, which are durable by
+// construction).
 type recLoc struct {
-	seg uint32
 	off int64
+	lsn int64
+	seg uint32
 	n   uint32 // payload length
 }
 
@@ -362,26 +366,30 @@ func maxLSN(v *atomic.Int64, lsn int64) {
 	}
 }
 
-// appendLocked writes one record to the active segment, rotating
-// first if it is full, and returns the record's location and the LSN
-// an fsync must cover for it to be durable (caller holds mu).
-func (ds *DiskStore) appendLocked(sum Sum, length uint32, payload []byte) (recLoc, int64, error) {
+// appendLocked writes one record — its 24-byte header, then the
+// payload exactly as handed in, no staging copy — to the active
+// segment, rotating first if it is full (caller holds mu). A crash
+// between the two writes leaves a header without its payload, which
+// recovery discards like any other torn tail.
+func (ds *DiskStore) appendLocked(hdr, payload []byte) (recLoc, error) {
 	if ds.active.size >= ds.opts.SegmentSize {
 		if err := ds.sealActiveLocked(); err != nil {
-			return recLoc{}, 0, err
+			return recLoc{}, err
 		}
 	}
 	seg := ds.active
-	rs := recordSize(length)
-	buf := make([]byte, rs)
-	encodeHeader(buf[:recHeaderSize], sum, length, payload)
-	copy(buf[recHeaderSize:], payload)
-	if _, err := seg.f.WriteAt(buf, seg.size); err != nil {
-		return recLoc{}, 0, err
+	if _, err := seg.f.WriteAt(hdr, seg.size); err != nil {
+		return recLoc{}, err
 	}
-	loc := recLoc{seg: seg.id, off: seg.size, n: length}
+	if len(payload) > 0 {
+		if _, err := seg.f.WriteAt(payload, seg.size+recHeaderSize); err != nil {
+			return recLoc{}, err
+		}
+	}
+	rs := recHeaderSize + int64(len(payload))
+	loc := recLoc{seg: seg.id, off: seg.size, n: uint32(len(payload)), lsn: ds.appendLSN.Add(rs)}
 	seg.size += rs
-	return loc, ds.appendLSN.Add(rs), nil
+	return loc, nil
 }
 
 // syncTo blocks until an fsync has covered lsn. Writers arriving
@@ -423,11 +431,16 @@ func (ds *DiskStore) Put(sum Sum, data []byte) error {
 // PutCtx implements CtxStore: the locked append and the group-commit
 // fsync wait are separate spans, so a slow write shows whether the
 // time went to lock contention / segment I/O or to riding someone
-// else's fsync group.
+// else's fsync group. A put whose context proves an ingress already
+// verified these bytes (see verifyPut) is appended as received —
+// carried header, caller's payload — and one that belongs to a request
+// with a sync group leaves its fsync to the request.
 func (ds *DiskStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
-	if SumBytes(data) != sum {
-		return errBadDigest
+	v, err := verifyPut(ctx, sum, data)
+	if err != nil {
+		return err
 	}
+	hdr := v.header(sum, data)
 	ds.puts.Add(1)
 	ds.bytesStored.Add(int64(len(data)))
 
@@ -438,26 +451,29 @@ func (ds *DiskStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 		app.End()
 		return fmt.Errorf("storage: diskstore: closed")
 	}
-	if _, ok := ds.index[sum]; ok {
-		ds.mu.Unlock()
-		app.End()
-		ds.dedupHits.Add(1)
-		return nil
+	loc, dup := ds.index[sum]
+	if !dup {
+		if loc, err = ds.appendLocked(hdr[:], data); err != nil {
+			ds.mu.Unlock()
+			app.EndErr(err)
+			return err
+		}
+		ds.index[sum] = loc
+		ds.segs[loc.seg].live += recordSize(loc.n)
+		ds.dataBytes += int64(len(data))
 	}
-	loc, lsn, err := ds.appendLocked(sum, uint32(len(data)), data)
-	if err != nil {
-		ds.mu.Unlock()
-		app.EndErr(err)
-		return err
-	}
-	ds.index[sum] = loc
-	ds.segs[loc.seg].live += recordSize(loc.n)
-	ds.dataBytes += int64(len(data))
 	ds.mu.Unlock()
 	app.End()
-
+	if dup {
+		ds.dedupHits.Add(1)
+	}
+	// A dedup hit waits as well: the copy it found may still be owed its
+	// writer's fsync, and this put must not be acknowledged ahead of it.
+	if deferSync(ctx, ds, loc.lsn) {
+		return nil
+	}
 	fs := tracing.ChildFromContext(ctx, tracing.CompDisk, tracing.SpanDiskFsync)
-	err = ds.syncTo(lsn)
+	err = ds.syncTo(loc.lsn)
 	fs.EndErr(err)
 	return err
 }
@@ -473,6 +489,16 @@ func (ds *DiskStore) GetCtx(ctx context.Context, sum Sum) (_ []byte, err error) 
 	if sp := tracing.ChildFromContext(ctx, tracing.CompDisk, tracing.SpanDiskRead); sp != nil {
 		defer func() { sp.EndErr(err) }()
 	}
+	rec, err := ds.record(sum)
+	if err != nil {
+		return nil, err
+	}
+	return rec[recHeaderSize:], nil
+}
+
+// record reads sum's whole on-disk record, header and payload, and
+// checks it against the stored CRC.
+func (ds *DiskStore) record(sum Sum) ([]byte, error) {
 	ds.mu.RLock()
 	loc, ok := ds.index[sum]
 	if !ok {
@@ -493,7 +519,7 @@ func (ds *DiskStore) GetCtx(ctx context.Context, sum Sum) (_ []byte, err error) 
 	if binary.LittleEndian.Uint32(buf[20:24]) != crc {
 		return nil, fmt.Errorf("storage: diskstore: on-disk corruption for %s", sum)
 	}
-	return buf[recHeaderSize:], nil
+	return buf, nil
 }
 
 // GetReaderCtx implements ReaderStore: it returns a streaming view
@@ -545,12 +571,14 @@ func (ds *DiskStore) GetReaderCtx(ctx context.Context, sum Sum) (_ *ChunkReader,
 	return newDiskReader(seg.f, loc.off, int64(loc.n), stored, hdrCRC, release), nil
 }
 
-// Has implements ChunkStore.
+// Has implements ChunkStore. A record still waiting for its fsync is
+// not reported: Has answers "may an upload that needs this chunk be
+// committed", and acknowledged must mean durable.
 func (ds *DiskStore) Has(sum Sum) bool {
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
-	_, ok := ds.index[sum]
-	return ok
+	loc, ok := ds.index[sum]
+	return ok && (ds.opts.NoSync || loc.lsn <= ds.syncedLSN.Load())
 }
 
 // Stats implements ChunkStore. Chunks/Bytes are rebuilt from the
@@ -583,7 +611,9 @@ func (ds *DiskStore) Delete(sum Sum) error {
 		ds.mu.Unlock()
 		return ErrNotFound
 	}
-	_, lsn, err := ds.appendLocked(sum, tombstoneLen, nil)
+	var hdr [recHeaderSize]byte
+	encodeHeader(hdr[:], sum, tombstoneLen, nil)
+	tomb, err := ds.appendLocked(hdr[:], nil)
 	if err != nil {
 		ds.mu.Unlock()
 		return err
@@ -593,7 +623,7 @@ func (ds *DiskStore) Delete(sum Sum) error {
 	ds.dataBytes -= int64(loc.n)
 	ds.segs[ds.active.id].dead += recHeaderSize // the tombstone itself is never live
 	ds.mu.Unlock()
-	return ds.syncTo(lsn)
+	return ds.syncTo(tomb.lsn)
 }
 
 // compactableLocked lists sealed segments whose live ratio is below
@@ -659,7 +689,7 @@ func (ds *DiskStore) compactSegment(id uint32) error {
 
 	var maxLSNCopied int64
 	for _, r := range live {
-		data, err := ds.Get(r.sum)
+		raw, err := ds.record(r.sum)
 		if err != nil {
 			if err == ErrNotFound {
 				continue // deleted since the snapshot
@@ -672,16 +702,20 @@ func (ds *DiskStore) compactSegment(id uint32) error {
 			ds.mu.Unlock() // deleted or already moved; nothing to do
 			continue
 		}
-		loc, lsn, err := ds.appendLocked(r.sum, uint32(len(data)), data)
+		// The record moves verbatim, stored CRC included.
+		loc, err := ds.appendLocked(raw[:recHeaderSize], raw[recHeaderSize:])
 		if err != nil {
 			ds.mu.Unlock()
 			return err
 		}
+		maxLSNCopied = loc.lsn
+		// The original stays on disk until the copies are synced, so the
+		// chunk is exactly as durable as it was before the move.
+		loc.lsn = r.loc.lsn
 		ds.index[r.sum] = loc
 		ds.segs[loc.seg].live += recordSize(loc.n)
 		ds.deadenLocked(r.loc)
 		ds.mu.Unlock()
-		maxLSNCopied = lsn
 	}
 	// The copies must be durable before the originals disappear,
 	// otherwise a crash right after the unlink could lose live chunks.

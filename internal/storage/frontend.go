@@ -230,8 +230,16 @@ func (f *FrontEnd) record(r *http.Request, typ trace.ReqType, bytes int64, start
 	if f.sink == nil && f.cfg.Metrics == nil {
 		return
 	}
+	f.recordAt(r, typ, bytes, started, f.cfg.Now().Sub(started), tsrv)
+}
+
+// recordAt is record for a request whose elapsed time the caller
+// measured itself (batch members, logged after the batch's fsync).
+func (f *FrontEnd) recordAt(r *http.Request, typ trace.ReqType, bytes int64, started time.Time, elapsed, tsrv time.Duration) {
+	if f.sink == nil && f.cfg.Metrics == nil {
+		return
+	}
 	dev, devID, userID, rtt, proxied := reqIdentity(r)
-	elapsed := f.cfg.Now().Sub(started)
 	if fm := f.cfg.Metrics; fm != nil {
 		// elapsed equals the log's TransferTime (Proc - Server), so the
 		// scraped histogram matches what mcsanalyze computes from the log.
@@ -538,19 +546,13 @@ func (f *FrontEnd) handleReplicaChunk(w http.ResponseWriter, r *http.Request, su
 	case http.MethodPut:
 		scratch := getChunkBuf()
 		defer putChunkBuf(scratch)
-		n, overflow, err := readBody(r.Body, *scratch)
+		fr, err := ingestBody(r.Body, *scratch, sum)
 		if err != nil {
-			writeAPIError(w, r, http.StatusBadRequest, err)
+			writeAPIError(w, r, ingressErrStatus(err), err)
 			return
 		}
-		data := (*scratch)[:n]
-		if overflow || len(data) > ChunkSize {
-			writeAPIError(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("%w: chunk exceeds %d bytes", ErrTooLarge, ChunkSize))
-			return
-		}
-		if err := PutCtx(r.Context(), f.local, sum, data); err != nil {
-			writeAPIError(w, r, http.StatusBadRequest, err)
+		if err := PutCtx(withVerified(r.Context(), fr), f.local, sum, fr.payload); err != nil {
+			writeAPIError(w, r, storeErrStatus(err), err)
 			return
 		}
 		writeJSON(w, FileOpResponse{OK: true})
@@ -615,27 +617,18 @@ func (f *FrontEnd) handleClusterChunks(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *FrontEnd) putChunk(w http.ResponseWriter, r *http.Request, sum Sum, started time.Time) {
-	// The body lands in a pooled chunk-sized buffer: the store copies
-	// what it keeps, so the hot upload path allocates only that copy.
+	// The body lands in a pooled chunk-sized buffer and is verified as
+	// it arrives; the stores below take the frame as verified and keep
+	// (or write out) what they need of it.
 	scratch := getChunkBuf()
 	defer putChunkBuf(scratch)
-	n, overflow, err := readBody(r.Body, *scratch)
+	fr, err := ingestBody(r.Body, *scratch, sum)
 	if err != nil {
-		f.fail(w, r, http.StatusBadRequest, err, trace.ChunkStore)
+		f.fail(w, r, ingressErrStatus(err), err, trace.ChunkStore)
 		return
 	}
-	data := (*scratch)[:n]
-	if overflow || len(data) > ChunkSize {
-		f.fail(w, r, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("%w: chunk exceeds %d bytes", ErrTooLarge, ChunkSize), trace.ChunkStore)
-		return
-	}
-	if err := PutCtx(r.Context(), f.store, sum, data); err != nil {
-		code := http.StatusBadRequest
-		if IsUnavailable(err) {
-			code = http.StatusServiceUnavailable
-		}
-		f.fail(w, r, code, err, trace.ChunkStore)
+	if err := PutCtx(withVerified(r.Context(), fr), f.store, sum, fr.payload); err != nil {
+		f.fail(w, r, storeErrStatus(err), err, trace.ChunkStore)
 		return
 	}
 	tsrv := f.upstream()
@@ -662,7 +655,7 @@ func (f *FrontEnd) putChunk(w http.ResponseWriter, r *http.Request, sum Sum, sta
 		}
 	}
 
-	f.record(r, trace.ChunkStore, int64(len(data)), started, tsrv)
+	f.record(r, trace.ChunkStore, int64(len(fr.payload)), started, tsrv)
 	writeJSON(w, FileOpResponse{OK: true})
 }
 
@@ -717,13 +710,27 @@ func (f *FrontEnd) streamChunk(w http.ResponseWriter, r *http.Request, rd *Chunk
 	}
 }
 
-// binErrStatus maps a frame/batch decode error onto its HTTP status;
-// classifyAPIError then renders the matching typed envelope code.
-func binErrStatus(err error) int {
+// ingressErrStatus maps an ingress check's rejection (body, frame or
+// batch decode) onto its HTTP status; classifyAPIError then renders
+// the matching typed envelope code. Everything an ingress rejects is
+// the sender's fault: 4xx, not retryable.
+func ingressErrStatus(err error) int {
 	if errors.Is(err, ErrTooLarge) {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
+}
+
+// storeErrStatus maps a failed put of verified bytes onto its HTTP
+// status. The handler owns verification, so whatever the store returns
+// — a full disk, a write error, a store closed mid-drain, a missed
+// quorum — is the server's trouble: 5xx, and the client retries or
+// fails over.
+func storeErrStatus(err error) int {
+	if IsUnavailable(err) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
 }
 
 // upstreamBatch samples one upstream delay per batched chunk but
@@ -764,7 +771,7 @@ func (f *FrontEnd) handleBinGet(w http.ResponseWriter, r *http.Request) {
 	}
 	sums, err := decodeBinGetRequest(r.Body, binMaxBatch)
 	if err != nil {
-		f.fail(w, r, binErrStatus(err), err, trace.ChunkRetrieve)
+		f.fail(w, r, ingressErrStatus(err), err, trace.ChunkRetrieve)
 		return
 	}
 	store := f.store
@@ -840,13 +847,16 @@ func (f *FrontEnd) handleBinGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBinPut accepts a batched binary chunk upload: count frames,
-// each verified (CRC during the streaming read, then MD5 against the
-// frame digest) and stored before the next is read. Any bad frame
-// fails the whole request closed with the typed envelope — nothing
-// has been written to the response yet — and the client falls back to
-// per-chunk JSON PUTs, which are idempotent over whatever this batch
-// already stored. The ?url= query ties the chunks to their pending
-// upload exactly like PUT /v1/chunk/{md5}.
+// each verified (CRC and MD5 during the streaming read) and handed to
+// the store, as verified, before the next is read. The batch owes one
+// group-commit fsync, waited for after the last frame and before
+// anything is acknowledged: no response byte, no pending-upload
+// progress and no commit precedes it. Any bad frame fails the whole
+// request closed with the typed envelope — nothing has been written to
+// the response yet — and the client falls back to per-chunk JSON PUTs,
+// which are idempotent over whatever this batch already stored. The
+// ?url= query ties the chunks to their pending upload exactly like
+// PUT /v1/chunk/{md5}.
 func (f *FrontEnd) handleBinPut(w http.ResponseWriter, r *http.Request) {
 	started := f.cfg.Now()
 	if r.Method != http.MethodPost {
@@ -855,7 +865,7 @@ func (f *FrontEnd) handleBinPut(w http.ResponseWriter, r *http.Request) {
 	}
 	count, err := decodeBinCount(r.Body, binMaxBatch)
 	if err != nil {
-		f.fail(w, r, binErrStatus(err), err, trace.ChunkStore)
+		f.fail(w, r, ingressErrStatus(err), err, trace.ChunkStore)
 		return
 	}
 	store := f.store
@@ -863,37 +873,45 @@ func (f *FrontEnd) handleBinPut(w http.ResponseWriter, r *http.Request) {
 	if replica {
 		store = f.local
 	}
+	ctx, group := withSyncGroup(r.Context())
+	// A put still in flight when this handler returns (a replication
+	// straggler) must find the group closed and sync for itself.
+	defer group.close()
 	scratch := getChunkBuf()
 	defer putChunkBuf(scratch)
-	sums := make([]Sum, 0, count)
+	sums := make([]Sum, count)
+	sizes := make([]int64, count)
+	ends := make([]time.Time, count)
 	tsrvs := f.upstreamBatch(count)
-	prev := started
 	for i := 0; i < count; i++ {
-		fr, err := readBinFrame(r.Body, *scratch)
+		bf, err := readBinFrame(r.Body, *scratch)
 		if err != nil {
-			f.fail(w, r, binErrStatus(err), err, trace.ChunkStore)
+			f.fail(w, r, ingressErrStatus(err), err, trace.ChunkStore)
 			return
 		}
-		if fr.notFound {
-			f.fail(w, r, http.StatusBadRequest, fmt.Errorf("storage: mcsbin: not-found frame in put batch"), trace.ChunkStore)
+		fr, err := bf.verified()
+		if err != nil {
+			f.fail(w, r, ingressErrStatus(err), err, trace.ChunkStore)
 			return
 		}
-		if fr.got != fr.sum {
-			f.fail(w, r, http.StatusBadRequest,
-				fmt.Errorf("%w: frame payload hashes to %s, header says %s", ErrBadDigest, fr.got, fr.sum), trace.ChunkStore)
+		if err := PutCtx(withVerified(ctx, fr), store, bf.sum, fr.payload); err != nil {
+			f.fail(w, r, storeErrStatus(err), err, trace.ChunkStore)
 			return
 		}
-		if err := PutCtx(r.Context(), store, fr.sum, fr.payload); err != nil {
-			code := http.StatusBadRequest
-			if IsUnavailable(err) {
-				code = http.StatusServiceUnavailable
-			}
-			f.fail(w, r, code, err, trace.ChunkStore)
-			return
-		}
-		sums = append(sums, fr.sum)
-		f.record(r, trace.ChunkStore, int64(len(fr.payload)), prev, tsrvs[i])
-		prev = f.cfg.Now()
+		sums[i], sizes[i], ends[i] = bf.sum, int64(len(fr.payload)), f.cfg.Now()
+	}
+	if err := group.wait(ctx); err != nil {
+		f.fail(w, r, storeErrStatus(err), err, trace.ChunkStore)
+		return
+	}
+	// Per-chunk Table 1 logs with additive elapsed shares; the shared
+	// fsync wait lands on the last chunk, so the batch accounts for the
+	// same wall time as n single requests.
+	ends[count-1] = f.cfg.Now()
+	prev := started
+	for i := range sums {
+		f.recordAt(r, trace.ChunkStore, sizes[i], prev, ends[i].Sub(prev), tsrvs[i])
+		prev = ends[i]
 	}
 
 	if url := r.URL.Query().Get("url"); url != "" && !replica {

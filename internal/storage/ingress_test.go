@@ -1,0 +1,819 @@
+package storage
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"mcloud/internal/trace"
+)
+
+// ctxOnlyStore is the shape of a third-party decorator (and of the
+// benchmark's traced stack): it forwards the ChunkStore methods and
+// PutCtx/GetCtx, nothing else. The proof and the sync group must
+// survive it. hashedBelow accumulates the MD5 passes made underneath
+// its PutCtx (meaningful when puts do not overlap).
+type ctxOnlyStore struct {
+	ChunkStore
+	hashedBelow atomic.Int64
+}
+
+func (s *ctxOnlyStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
+	before := hashPasses.Load()
+	err := PutCtx(ctx, s.ChunkStore, sum, data)
+	s.hashedBelow.Add(hashPasses.Load() - before)
+	return err
+}
+
+func (s *ctxOnlyStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) {
+	return GetCtx(ctx, s.ChunkStore, sum)
+}
+
+// ingressService serves store from one front-end plus a metadata
+// server and returns a client of it.
+func ingressService(t *testing.T, store ChunkStore, parallel int) *Client {
+	t.Helper()
+	meta := NewMetadata()
+	feSrv := httptest.NewServer(NewFrontEnd(FrontEndConfig{Store: store, Meta: meta}).Handler())
+	metaSrv := httptest.NewServer(meta.Handler())
+	t.Cleanup(feSrv.Close)
+	t.Cleanup(metaSrv.Close)
+	meta.AddFrontEnd(feSrv.URL)
+	return &Client{MetaURL: metaSrv.URL, UserID: 1, DeviceID: 1, Device: trace.Android, Parallel: parallel}
+}
+
+// TestIngressHashesOncePerNode pins the pass count: a 4 MB store costs
+// the client two MD5 passes (file, chunks) and every node that ends up
+// holding the bytes exactly one — at its ingress, none in the stores.
+func TestIngressHashesOncePerNode(t *testing.T) {
+	const size = 4 << 20
+	clientPasses := int64(2 * size)
+
+	for _, parallel := range []int{1, 2} { // JSON chunk PUTs, then bin/put batches
+		t.Run(fmt.Sprintf("cached-disk/parallel=%d", parallel), func(t *testing.T) {
+			ds, _ := newDiskStore(t, DiskStoreOptions{})
+			wrap := &ctxOnlyStore{ChunkStore: ds}
+			client := ingressService(t, NewCachedStore(wrap, 64<<20), parallel)
+			data := chunkedData(t, uint64(parallel), size)
+			fsyncs := ds.DiskStats().Fsyncs
+
+			before := hashPasses.Load()
+			if _, err := client.StoreFile("a.bin", data); err != nil {
+				t.Fatal(err)
+			}
+			if got := hashPasses.Load() - before - clientPasses; got != size {
+				t.Fatalf("server hashed %d bytes for a %d-byte store, want exactly one pass", got, size)
+			}
+			if n := wrap.hashedBelow.Load(); parallel == 1 && n != 0 {
+				t.Fatalf("DiskStore hashed %d bytes of already-verified puts", n)
+			}
+			if n := ds.DiskStats().Fsyncs - fsyncs; parallel == 2 && n > 2 {
+				t.Fatalf("%d fsyncs for 2 batches; the deferred-sync group did not survive the wrapper", n)
+			}
+			for _, sum := range SplitSums(data) {
+				if !ds.Has(sum) {
+					t.Fatalf("chunk %s not durable after the ack", sum)
+				}
+			}
+		})
+	}
+
+	t.Run("cluster", func(t *testing.T) {
+		nodes, meta := newTestCluster(t, 3, 3, 2)
+		metaSrv := httptest.NewServer(meta.Handler())
+		defer metaSrv.Close()
+		meta.AddFrontEnd(nodes[0].url)
+		client := &Client{MetaURL: metaSrv.URL, UserID: 1, DeviceID: 1, Device: trace.Android, Parallel: 2}
+		data := chunkedData(t, 3, size)
+
+		before := hashPasses.Load()
+		if _, err := client.StoreFile("a.bin", data); err != nil {
+			t.Fatal(err)
+		}
+		// W=2 acks while the third replica is still in flight.
+		sums := SplitSums(data) // (test-side hashing, subtracted below)
+		deadline := time.Now().Add(5 * time.Second)
+		for _, nd := range nodes {
+			for _, sum := range sums {
+				for !nd.local.Has(sum) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s never received %s", nd.url, sum)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}
+		if got := hashPasses.Load() - before - clientPasses - size; got != 3*size {
+			t.Fatalf("3 nodes hashed %d bytes for a %d-byte store, want one pass each", got, size)
+		}
+	})
+
+	t.Run("tiered-migrate", func(t *testing.T) {
+		cold, _ := newDiskStore(t, DiskStoreOptions{})
+		clock := newClock(time.Unix(0, 0))
+		ts := NewTieredStore(NewMemStore(), cold, time.Hour, clock.Now)
+		client := ingressService(t, ts, 2)
+		data := chunkedData(t, 4, size)
+
+		before := hashPasses.Load()
+		if _, err := client.StoreFile("a.bin", data); err != nil {
+			t.Fatal(err)
+		}
+		clock.Add(2 * time.Hour)
+		if n, err := ts.Migrate(); err != nil || n != size/ChunkSize {
+			t.Fatalf("Migrate = %d, %v", n, err)
+		}
+		if got := hashPasses.Load() - before - clientPasses; got != size {
+			t.Fatalf("server hashed %d bytes across ingest and migration, want %d", got, size)
+		}
+		for i, sum := range SplitSums(data) {
+			got, err := cold.Get(sum) // CRC-checked read of the migrated record
+			if err != nil || !bytes.Equal(got, data[i*ChunkSize:(i+1)*ChunkSize]) {
+				t.Fatalf("chunk %d after migration: %v", i, err)
+			}
+		}
+	})
+}
+
+// TestPutWithoutProofIsVerified is the fail-safe rule: proof is only
+// trusted for exactly the digest and length it vouches for; every
+// other put is hashed as it always was.
+func TestPutWithoutProofIsVerified(t *testing.T) {
+	disk, _ := newDiskStore(t, DiskStoreOptions{})
+	tierCold, _ := newDiskStore(t, DiskStoreOptions{})
+	file, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := map[string]ChunkStore{
+		"DiskStore":   disk,
+		"MemStore":    NewMemStore(),
+		"FileStore":   file,
+		"TieredStore": NewTieredStore(NewMemStore(), tierCold, time.Hour, nil),
+		"CachedStore": NewCachedStore(NewMemStore(), 1<<20),
+	}
+	good := []byte("the bytes the digest names")
+	evil := []byte("the bytes the digest namez") // same length
+	sum := SumBytes(good)
+	for name, s := range stores {
+		if err := s.Put(sum, evil); !errors.Is(err, ErrBadDigest) {
+			t.Errorf("%s.Put(wrong digest) = %v, want ErrBadDigest", name, err)
+		}
+		// Proof for the right digest and length, but other bytes were
+		// verified: binding is to (digest, length), so this is the one
+		// case proof can be abused — and only from inside the package.
+		// Proof for a different digest or length must not help.
+		for what, fr := range map[string]*frame{
+			"other digest": sealFrame(SumBytes(evil), evil),
+			"other length": sealFrame(sum, good[:len(good)-1]),
+		} {
+			if err := PutCtx(withVerified(context.Background(), fr), s, sum, evil); !errors.Is(err, ErrBadDigest) {
+				t.Errorf("%s.PutCtx(proof for %s) = %v, want ErrBadDigest", name, what, err)
+			}
+		}
+		if s.Has(sum) {
+			t.Errorf("%s holds a chunk it should have rejected", name)
+		}
+		before := hashPasses.Load()
+		if err := PutCtx(withVerified(context.Background(), sealFrame(sum, good)), s, sum, good); err != nil {
+			t.Errorf("%s.PutCtx(verified) = %v", name, err)
+		}
+		if n := hashPasses.Load() - before; n != 0 {
+			t.Errorf("%s hashed %d bytes of a verified put", name, n)
+		}
+		if got, err := s.Get(sum); err != nil || !bytes.Equal(got, good) {
+			t.Errorf("%s read-back: %v", name, err)
+		}
+	}
+}
+
+// TestSyncGroup pins the deferred-sync contract: puts under a group
+// are appended but neither synced nor reported until the group is
+// waited on; one fsync then covers them all; and a put that misses the
+// group — no group in its context, or one already closed — syncs
+// inline.
+func TestSyncGroup(t *testing.T) {
+	ds, _ := newDiskStore(t, DiskStoreOptions{})
+	put := func(ctx context.Context, i int) Sum {
+		data := testChunk(21, i)
+		sum := SumBytes(data)
+		if err := ds.PutCtx(ctx, sum, data); err != nil {
+			t.Fatal(err)
+		}
+		return sum
+	}
+	base := ds.DiskStats().Fsyncs
+
+	ctx, group := withSyncGroup(context.Background())
+	var sums []Sum
+	for i := 0; i < 5; i++ {
+		sums = append(sums, put(ctx, i))
+	}
+	if n := ds.DiskStats().Fsyncs - base; n != 0 {
+		t.Fatalf("%d fsyncs before the group was waited on", n)
+	}
+	for _, sum := range sums {
+		if ds.Has(sum) {
+			t.Fatal("Has reports a record no fsync covers yet")
+		}
+		if _, err := ds.Get(sum); err != nil {
+			t.Fatalf("unsynced record unreadable: %v", err)
+		}
+	}
+	// A second writer of the same content must not be acknowledged
+	// ahead of the first writer's fsync: its dedup hit syncs.
+	if err := ds.Put(sums[0], testChunk(21, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if n := ds.DiskStats().Fsyncs - base; n != 1 {
+		t.Fatalf("dedup hit on an unsynced record issued %d fsyncs, want 1", n)
+	}
+	sums = append(sums, put(ctx, 5))
+	if err := group.wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := ds.DiskStats().Fsyncs - base; n != 2 {
+		t.Fatalf("%d fsyncs after the wait, want 2 (dedup hit, group)", n)
+	}
+	for _, sum := range sums {
+		if !ds.Has(sum) {
+			t.Fatal("record missing after the group's fsync")
+		}
+	}
+
+	// The group is closed now: a straggler syncs for itself.
+	late := put(ctx, 6)
+	if n := ds.DiskStats().Fsyncs - base; n != 3 || !ds.Has(late) {
+		t.Fatalf("late put: %d fsyncs, Has=%v; want an inline sync", n, ds.Has(late))
+	}
+	// And so does a put whose wrapper dropped the context.
+	plain := testChunk(21, 7)
+	if err := ds.Put(SumBytes(plain), plain); err != nil {
+		t.Fatal(err)
+	}
+	if n := ds.DiskStats().Fsyncs - base; n != 4 {
+		t.Fatalf("plain Put: %d fsyncs, want 4", n)
+	}
+
+	// A layer that publishes a put the moment it returns hides the
+	// group from the store below it.
+	hot, _ := newDiskStore(t, DiskStoreOptions{})
+	ts := NewTieredStore(hot, NewMemStore(), time.Hour, nil)
+	ctx, _ = withSyncGroup(context.Background())
+	data := testChunk(21, 8)
+	if err := ts.PutCtx(ctx, SumBytes(data), data); err != nil {
+		t.Fatal(err)
+	}
+	if !hot.Has(SumBytes(data)) {
+		t.Fatal("TieredStore reports a chunk its hot tier has not synced")
+	}
+}
+
+// binBatch renders a /v1/bin/put body from ready-made frames.
+func binBatch(frames ...[]byte) []byte {
+	body := appendBinCount(nil, len(frames))
+	for _, f := range frames {
+		body = append(body, f...)
+	}
+	return body
+}
+
+// doChunkReq sends one request and returns the decoded error (nil on
+// 200).
+func doChunkReq(t *testing.T, method, url string, body []byte, replica bool) error {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(APIHeader, APIV1)
+	if replica {
+		req.Header.Set(ReplicaHeader, "1")
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		io.Copy(io.Discard, resp.Body)
+		return nil
+	}
+	return decodeError(resp)
+}
+
+// corruptFrame renders a frame for data damaged in the given way and
+// reports the digest its header claims.
+func corruptFrame(how string, data []byte) (frame []byte, claimed Sum) {
+	sum := SumBytes(data)
+	switch how {
+	case "flipped-bit": // damaged after framing: the CRC catches it
+		frame = appendBinFrame(nil, sum, data)
+		frame[recHeaderSize+len(data)/2] ^= 0x10
+		return frame, sum
+	case "wrong-digest": // consistent CRC over a header naming other content
+		claimed = SumBytes([]byte("some other content"))
+		return appendBinFrame(nil, claimed, data), claimed
+	case "wrong-crc":
+		frame = appendBinFrame(nil, sum, data)
+		frame[20] ^= 0x01
+		return frame, sum
+	}
+	panic(how)
+}
+
+// TestIngressCorruptionMatrix sends every kind of damaged chunk at
+// every ingress of a 3-node cluster. Each is refused with the typed
+// bad_digest error, and afterwards no node holds either the digest the
+// sender claimed or the digest of the bytes it actually sent — the
+// fan-out never starts on an unverified frame, so there is nothing to
+// poison, replicas included.
+func TestIngressCorruptionMatrix(t *testing.T) {
+	nodes, _ := newTestCluster(t, 3, 3, 2)
+	seed := uint64(0)
+	check := func(t *testing.T, err error, sums ...Sum) {
+		t.Helper()
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.Code != CodeBadDigest || ae.Status != http.StatusBadRequest || ae.Retryable {
+			t.Fatalf("got %v, want a 400 bad_digest envelope", err)
+		}
+		time.Sleep(20 * time.Millisecond) // anything wrongly fanned out would land by now
+		for _, nd := range nodes {
+			for _, sum := range sums {
+				if nd.local.Has(sum) {
+					t.Fatalf("%s holds %s after the rejection", nd.url, sum)
+				}
+			}
+		}
+	}
+	for _, replica := range []bool{false, true} {
+		for _, how := range []string{"flipped-bit", "wrong-digest", "wrong-crc"} {
+			t.Run(fmt.Sprintf("bin-put/replica=%v/%s", replica, how), func(t *testing.T) {
+				seed++
+				_, good := replChunk(1000+seed, 3000)
+				_, data := replChunk(2000+seed, 5000)
+				bad, claimed := corruptFrame(how, data)
+				body := binBatch(appendBinFrame(nil, SumBytes(good), good), bad)
+				err := doChunkReq(t, http.MethodPost, nodes[0].url+"/v1/bin/put", body, replica)
+				check(t, err, claimed, SumBytes(bad[recHeaderSize:]))
+			})
+		}
+		for _, how := range []string{"flipped-bit", "wrong-digest"} {
+			t.Run(fmt.Sprintf("json-put/replica=%v/%s", replica, how), func(t *testing.T) {
+				seed++
+				claimed, data := replChunk(3000+seed, 5000)
+				if how == "flipped-bit" {
+					data[100] ^= 0x10
+				} else {
+					claimed = SumBytes([]byte("some other content"))
+				}
+				err := doChunkReq(t, http.MethodPut, nodes[0].url+"/v1/chunk/"+claimed.String(), data, replica)
+				check(t, err, claimed, SumBytes(data))
+			})
+		}
+	}
+
+	// Rebalance stream: the one holder of an under-replicated chunk
+	// serves it damaged. The rebalancer refuses it at its own ingress,
+	// reports the failure, and leaves the other owners untouched. (A
+	// fresh cluster: the census must see this chunk only.)
+	nodes, _ = newTestCluster(t, 3, 3, 2)
+	for _, bin := range []bool{true, false} {
+		for _, how := range []string{"flipped-bit", "wrong-digest", "wrong-crc"} {
+			if !bin && how == "wrong-crc" {
+				continue // the JSON dialect carries no CRC
+			}
+			t.Run(fmt.Sprintf("rebalance/bin=%v/%s", bin, how), func(t *testing.T) {
+				seed++
+				sum, data := replChunk(4000+seed, 5000)
+				holder := nodes[1]
+				if err := holder.local.Put(sum, data); err != nil {
+					t.Fatal(err)
+				}
+				holder.handler.set(damageReads(holder.fe, bin, how))
+				defer holder.up()
+				var logs []string
+				rb := &Rebalancer{Seed: nodes[0].url, Logf: func(f string, a ...interface{}) {
+					logs = append(logs, fmt.Sprintf(f, a...))
+				}}
+				rep, err := rb.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Errors == 0 || rep.Replicated != 0 {
+					t.Fatalf("report %+v, want the damaged fetch counted as an error", rep)
+				}
+				if !strings.Contains(strings.Join(logs, "\n"), ErrBadDigest.Error()) {
+					t.Fatalf("rebalancer logs lack the bad-digest rejection:\n%s", strings.Join(logs, "\n"))
+				}
+				for _, nd := range nodes {
+					if nd != holder && nd.local.Has(sum) {
+						t.Fatalf("%s received the damaged chunk", nd.url)
+					}
+				}
+				holder.local.Delete(sum) // keep later passes' census clean
+			})
+		}
+	}
+}
+
+// damageReads wraps a node's handler so every chunk it serves arrives
+// damaged: the binary dialect's frame in the given way, the JSON
+// dialect's body with a flipped bit. With bin false the node also
+// stops advertising mcsbin/1, so peers read it over JSON.
+func damageReads(next http.Handler, bin bool, how string) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		isBinGet := r.URL.Path == "/v1/bin/get"
+		isChunkGet := r.Method == http.MethodGet && isChunkReq(r)
+		rec := httptest.NewRecorder()
+		next.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		switch {
+		case rec.Code != http.StatusOK:
+		case isBinGet:
+			body, _ = corruptFrame(how, body[recHeaderSize:])
+		case isChunkGet:
+			body[len(body)/2] ^= 0x10
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		if !bin {
+			w.Header().Del(BinHeader)
+		}
+		w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	})
+}
+
+// failingStore accepts nothing: every put fails the way a full or
+// closing disk does.
+type failingStore struct {
+	ChunkStore
+	err error
+}
+
+func (s failingStore) Put(Sum, []byte) error                     { return s.err }
+func (s failingStore) PutCtx(context.Context, Sum, []byte) error { return s.err }
+
+// TestStoreFailureIsNotTheClientsFault: only the handler's own digest
+// and size checks are 4xx. Whatever the store returns for verified
+// bytes is a retryable 5xx, on all three chunk-PUT ingress handlers,
+// so clients retry or fail over and the fan-out repairs the sick owner
+// instead of treating it as a protocol error.
+func TestStoreFailureIsNotTheClientsFault(t *testing.T) {
+	sum, data := replChunk(77, 4000)
+	frame := appendBinFrame(nil, sum, data)
+	for _, tc := range []struct {
+		err    error
+		status int
+		code   string
+	}{
+		{errors.New("write seg-00000003.mseg: no space left on device"), http.StatusInternalServerError, CodeInternal},
+		{fmt.Errorf("%w: 1/3 owner acks", ErrUnavailable), http.StatusServiceUnavailable, CodeUnavailable},
+	} {
+		fe := NewFrontEnd(FrontEndConfig{Store: failingStore{NewMemStore(), tc.err}, Meta: NewMetadata()})
+		srv := httptest.NewServer(fe.Handler())
+		for name, send := range map[string]func(replica bool) error{
+			"PUT /v1/chunk": func(replica bool) error {
+				return doChunkReq(t, http.MethodPut, srv.URL+"/v1/chunk/"+sum.String(), data, replica)
+			},
+			"POST /v1/bin/put": func(replica bool) error {
+				return doChunkReq(t, http.MethodPost, srv.URL+"/v1/bin/put", binBatch(frame), replica)
+			},
+		} {
+			for _, replica := range []bool{false, true} {
+				err := send(replica)
+				var ae *APIError
+				if !errors.As(err, &ae) || ae.Status != tc.status || ae.Code != tc.code || !ae.Retryable || !retryable(err) {
+					t.Errorf("%s (replica=%v) over a store failing with %q: got %v, want retryable %d %s",
+						name, replica, tc.err, err, tc.status, tc.code)
+				}
+			}
+		}
+		srv.Close()
+	}
+}
+
+// TestFanoutQueuesOwnerWithFailingStore: an owner whose store fails
+// its replica write answers 500, the write still reaches quorum on the
+// other two, and the sick owner lands in the repair queue.
+func TestFanoutQueuesOwnerWithFailingStore(t *testing.T) {
+	nodes, _ := newTestCluster(t, 3, 3, 2)
+	sick := nodes[2]
+	sick.handler.set(NewFrontEnd(FrontEndConfig{
+		Store: sick.rs,
+		Local: failingStore{sick.local, errors.New("no space left on device")},
+		Meta:  NewMetadata(),
+	}).Handler())
+
+	sum, data := replChunk(78, 4000)
+	if err := nodes[0].rs.Put(sum, data); err != nil {
+		t.Fatalf("put with one sick owner: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for nodes[0].rs.Underreplicated() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("repair queue depth %d, want the sick owner queued", nodes[0].rs.Underreplicated())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if sick.local.Has(sum) || !nodes[0].local.Has(sum) || !nodes[1].local.Has(sum) {
+		t.Fatal("chunk placement does not match the acks")
+	}
+	sick.up()
+	time.Sleep(60 * time.Millisecond) // breaker cooldown
+	if n := nodes[0].rs.RepairNow(); n != 1 || !sick.local.Has(sum) {
+		t.Fatalf("RepairNow = %d, sick owner Has = %v", n, sick.local.Has(sum))
+	}
+}
+
+// reqLog records the order requests reach a server.
+type reqLog struct {
+	mu   sync.Mutex
+	seen []string
+}
+
+func (l *reqLog) wrap(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		l.mu.Lock()
+		l.seen = append(l.seen, r.Method+" "+r.URL.Path)
+		l.mu.Unlock()
+		next.ServeHTTP(w, r)
+	})
+}
+
+// TestConcurrentHashingIsDeterministic (run under -race): the chunk
+// digests are filled by several goroutines, yet the committed
+// ChunkMD5s order and the StoreResult equal the serial client's, and a
+// serial client's request sequence is exactly the protocol order.
+func TestConcurrentHashingIsDeterministic(t *testing.T) {
+	data := chunkedData(t, 31, 5*ChunkSize+12345)
+	want := SplitSums(data)
+
+	run := func(parallel int) (StoreResult, []Sum, []string) {
+		store := NewMemStore()
+		meta := NewMetadata()
+		log := &reqLog{}
+		feSrv := httptest.NewServer(log.wrap(NewFrontEnd(FrontEndConfig{Store: store, Meta: meta}).Handler()))
+		metaSrv := httptest.NewServer(log.wrap(meta.Handler()))
+		defer feSrv.Close()
+		defer metaSrv.Close()
+		meta.AddFrontEnd(feSrv.URL)
+		client := &Client{MetaURL: metaSrv.URL, UserID: 9, DeviceID: 9, Device: trace.Android, Parallel: parallel}
+		res, err := client.StoreFile("d.bin", data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fm, err := meta.Lookup(0, SumBytes(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.URL = "" // minted per service instance
+		return res, fm.ChunkMD5s, log.seen
+	}
+
+	serialRes, serialSums, serialReqs := run(1)
+	if !reflect.DeepEqual(serialSums, want) {
+		t.Fatalf("serial client committed %v, want %v", serialSums, want)
+	}
+	wantReqs := []string{"GET /v1/meta/shards", "POST /v1/meta/store-check", "POST /v1/op/store"}
+	for _, s := range want {
+		wantReqs = append(wantReqs, "PUT /v1/chunk/"+s.String())
+	}
+	if !reflect.DeepEqual(serialReqs, wantReqs) {
+		t.Fatalf("serial client request sequence:\n got %v\nwant %v", serialReqs, wantReqs)
+	}
+	for _, parallel := range []int{2, 4, 8} {
+		res, sums, reqs := run(parallel)
+		if !reflect.DeepEqual(res, serialRes) || !reflect.DeepEqual(sums, want) {
+			t.Fatalf("parallel=%d: result %+v chunks %v differ from the serial client's %+v %v",
+				parallel, res, sums, serialRes, want)
+		}
+		if !reflect.DeepEqual(reqs[:3], wantReqs[:3]) {
+			t.Fatalf("parallel=%d: handshake order %v", parallel, reqs[:3])
+		}
+	}
+}
+
+// TestDedupHitStopsChunkHashers: a Duplicate verdict abandons the
+// chunk hashing at the next chunk boundary, and StoreFile does not
+// return while a hasher still reads the caller's buffer (the write
+// below is a data race otherwise).
+func TestDedupHitStopsChunkHashers(t *testing.T) {
+	up := newUpload(chunkedData(t, 32, 6*ChunkSize))
+	up.next.Store(2) // as if two chunks were already claimed
+	before := hashPasses.Load()
+	up.cancel()
+	up.start(3)
+	up.hashAll()
+	if n := hashPasses.Load() - before; n != 0 {
+		t.Fatalf("hashed %d bytes after the cancel", n)
+	}
+
+	client := ingressService(t, NewMemStore(), 4)
+	data := chunkedData(t, 33, 6*ChunkSize)
+	if _, err := client.StoreFile("first.bin", data); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		res, err := client.StoreFile(fmt.Sprintf("again-%d.bin", i), data)
+		if err != nil || !res.Deduplicated {
+			t.Fatalf("re-store: %+v, %v", res, err)
+		}
+		data[0] ^= 0xFF // the buffer is the caller's again
+		data[0] ^= 0xFF
+	}
+}
+
+// TestVerbatimSegmentFormat pins the on-disk format: the segment bytes
+// the verbatim append path writes — carried header, caller's payload,
+// via either dialect's ingress or a plain Put — are byte-identical to
+// the reference encoder's frames for the same chunks in the same
+// order.
+func TestVerbatimSegmentFormat(t *testing.T) {
+	ds, dir := newDiskStore(t, DiskStoreOptions{})
+	srv := httptest.NewServer(NewFrontEnd(FrontEndConfig{Store: NewCachedStore(ds, 1<<20), Meta: NewMetadata()}).Handler())
+	defer srv.Close()
+
+	var want []byte
+	chunk := func(i int) (Sum, []byte) {
+		data := testChunk(41, i)
+		want = appendBinFrame(want, SumBytes(data), data)
+		return SumBytes(data), data
+	}
+	var frames [][]byte
+	for i := 0; i < 4; i++ {
+		sum, data := chunk(i)
+		frames = append(frames, appendBinFrame(nil, sum, data))
+	}
+	if err := doChunkReq(t, http.MethodPost, srv.URL+"/v1/bin/put", binBatch(frames...), false); err != nil {
+		t.Fatal(err)
+	}
+	sum, data := chunk(4)
+	if err := doChunkReq(t, http.MethodPut, srv.URL+"/v1/chunk/"+sum.String(), data, false); err != nil {
+		t.Fatal(err)
+	}
+	sum, data = chunk(5)
+	if err := ds.Put(sum, data); err != nil {
+		t.Fatal(err)
+	}
+	var tomb [recHeaderSize]byte
+	encodeHeader(tomb[:], sum, tombstoneLen, nil)
+	want = append(want, tomb[:]...)
+	if err := ds.Delete(sum); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := os.ReadFile(filepath.Join(dir, segName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("segment is %d bytes, reference encoding %d; first difference at %d",
+			len(got), len(want), firstDiff(got, want))
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// TestBinPutSIGKILLRecovery extends the crash test to batched uploads
+// with one fsync per batch: a child process serves a front-end over a
+// DiskStore and uploads bin/put batches to it, printing an ack only
+// once a batch's response arrives; the parent SIGKILLs it mid-stream,
+// reopens the directory, and every chunk of every acknowledged batch
+// must come back byte-identical (a torn tail from the batch in flight
+// is tolerated).
+func TestBinPutSIGKILLRecovery(t *testing.T) {
+	const seed, perBatch = 0xB17C, 4
+	if dir := os.Getenv("MCS_BINPUT_CRASH_DIR"); dir != "" {
+		binPutCrashChild(dir, seed, perBatch)
+		return
+	}
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestBinPutSIGKILLRecovery$")
+	cmd.Env = append(os.Environ(), "MCS_BINPUT_CRASH_DIR="+dir)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	acked := -1
+	sc := bufio.NewScanner(stdout)
+	for sc.Scan() {
+		var b int
+		if _, err := fmt.Sscanf(sc.Text(), "acked batch %d", &b); err == nil {
+			acked = b
+			if b >= 25 {
+				break // enough durable state; kill mid-stream
+			}
+		}
+	}
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	cmd.Wait()
+	if acked < 0 {
+		t.Fatal("child acknowledged no batch before dying")
+	}
+
+	ds, err := OpenDiskStore(dir, DiskStoreOptions{SegmentSize: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	lost, corrupted := 0, 0
+	for i := 0; i < (acked+1)*perBatch; i++ {
+		data := testChunk(seed, i)
+		got, err := ds.Get(SumBytes(data))
+		if err != nil {
+			lost++
+		} else if !bytes.Equal(got, data) {
+			corrupted++
+		}
+	}
+	if lost != 0 || corrupted != 0 {
+		t.Fatalf("of %d chunks in %d acknowledged batches: %d lost, %d corrupted", (acked+1)*perBatch, acked+1, lost, corrupted)
+	}
+	st := ds.DiskStats()
+	t.Logf("SIGKILL recovery: %d acknowledged batches of %d, 0 lost, 0 corrupted (%d torn bytes truncated)",
+		acked+1, perBatch, st.Truncated)
+}
+
+// binPutCrashChild is the SIGKILL victim: it uploads deterministic
+// batches to its own front-end forever, acknowledging each only once
+// the server has, until the parent kills it.
+func binPutCrashChild(dir string, seed int64, perBatch int) {
+	ds, err := OpenDiskStore(dir, DiskStoreOptions{SegmentSize: 64 << 10})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	srv := httptest.NewServer(NewFrontEnd(FrontEndConfig{Store: ds, Meta: NewMetadata()}).Handler())
+	for b := 0; ; b++ {
+		var frames [][]byte
+		for i := b * perBatch; i < (b+1)*perBatch; i++ {
+			data := testChunk(seed, i)
+			frames = append(frames, appendBinFrame(nil, SumBytes(data), data))
+		}
+		resp, err := http.Post(srv.URL+"/v1/bin/put", binContentType, bytes.NewReader(binBatch(frames...)))
+		if err != nil || resp.StatusCode != http.StatusOK {
+			fmt.Fprintln(os.Stderr, "batch failed:", err, resp)
+			os.Exit(1)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if st := ds.DiskStats(); st.Fsyncs > int64(b+1)+int64(st.Segments) {
+			// One fsync per batch plus one per sealed segment: anything
+			// more means the batch did not share its fsync.
+			fmt.Fprintf(os.Stderr, "%d fsyncs after %d batches\n", ds.DiskStats().Fsyncs, b+1)
+			os.Exit(1)
+		}
+		fmt.Printf("acked batch %d\n", b)
+	}
+}
+
+// TestCarriedCRCDetectsCorruptionBelowIngress: the stored checksum is
+// the one the ingress verified, not one recomputed over whatever
+// reached the disk layer — so bytes damaged between the two fail the
+// record's read-back check instead of being blessed.
+func TestCarriedCRCDetectsCorruptionBelowIngress(t *testing.T) {
+	ds, _ := newDiskStore(t, DiskStoreOptions{})
+	sum, data := replChunk(55, 4000)
+	fr := sealFrame(sum, append([]byte(nil), data...))
+	fr.payload[1234] ^= 0x04 // damaged after the ingress checked it
+	if err := ds.PutCtx(withVerified(context.Background(), fr), sum, fr.payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.Get(sum); err == nil || !strings.Contains(err.Error(), "corruption") {
+		t.Fatalf("Get of a record damaged below the ingress = %v, want the CRC to catch it", err)
+	}
+}

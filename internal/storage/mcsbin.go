@@ -2,14 +2,11 @@ package storage
 
 import (
 	"bytes"
-	"crypto/md5"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"net/http"
-	"sync"
 )
 
 // mcsbin/1 is the negotiated binary chunk dialect for the hot transfer
@@ -56,18 +53,26 @@ const binContentType = "application/x-mcsbin1"
 // request body on the sending side (16 × 512 KB = 8 MB worst case).
 const binMaxBatch = 16
 
-// md5Pool recycles MD5 states for the streaming frame decode: batched
-// transfers verify a digest per frame, and the pool keeps that from
-// allocating a fresh hasher per chunk.
-var md5Pool = sync.Pool{New: func() any { return md5.New() }}
-
 // binFrame is one decoded frame. payload aliases the scratch buffer
 // handed to readBinFrame, valid until the buffer's next use.
 type binFrame struct {
+	frame
 	sum      Sum
-	payload  []byte
 	got      Sum // MD5 of payload, computed during the streaming read
 	notFound bool
+}
+
+// verified returns the frame as an ingress accepts it: a data frame
+// whose payload hashes to the digest its header names (readBinFrame
+// already checked the CRC).
+func (f *binFrame) verified() (*frame, error) {
+	if f.notFound {
+		return nil, fmt.Errorf("storage: mcsbin: not-found frame where a data frame was expected")
+	}
+	if f.got != f.sum {
+		return nil, fmt.Errorf("%w: frame payload hashes to %s, header says %s", ErrBadDigest, f.got, f.sum)
+	}
+	return &f.frame, nil
 }
 
 // readBinFrame decodes one frame from r into buf. The payload CRC and
@@ -79,15 +84,15 @@ type binFrame struct {
 // refuses the bytes.
 func readBinFrame(r io.Reader, buf []byte) (binFrame, error) {
 	var f binFrame
-	var hdr [recHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, f.hdr[:]); err != nil {
 		return f, fmt.Errorf("storage: mcsbin: truncated frame header: %w", io.ErrUnexpectedEOF)
 	}
-	copy(f.sum[:], hdr[:16])
-	length := binary.LittleEndian.Uint32(hdr[16:20])
-	want := binary.LittleEndian.Uint32(hdr[20:24])
+	f.sum = f.digest()
+	length := binary.LittleEndian.Uint32(f.hdr[16:20])
+	want := binary.LittleEndian.Uint32(f.hdr[20:24])
+	crc := crc32.ChecksumIEEE(f.hdr[:20])
 	if length == tombstoneLen {
-		if crc32.ChecksumIEEE(hdr[:20]) != want {
+		if crc != want {
 			return f, fmt.Errorf("%w: mcsbin not-found frame checksum mismatch", ErrBadDigest)
 		}
 		f.notFound = true
@@ -96,30 +101,15 @@ func readBinFrame(r io.Reader, buf []byte) (binFrame, error) {
 	if length > ChunkSize || int(length) > len(buf) {
 		return f, fmt.Errorf("%w: mcsbin frame declares %d payload bytes", ErrTooLarge, length)
 	}
-	payload := buf[:length]
-	crc := crc32.ChecksumIEEE(hdr[:20])
-	h := md5Pool.Get().(hash.Hash)
-	h.Reset()
-	defer md5Pool.Put(h)
-	for off := 0; off < int(length); {
-		n, rerr := r.Read(payload[off:])
-		if n > 0 {
-			crc = crc32.Update(crc, crc32.IEEETable, payload[off:off+n])
-			h.Write(payload[off : off+n])
-			off += n
-		}
-		if off >= int(length) {
-			break
-		}
-		if rerr != nil {
-			return f, fmt.Errorf("storage: mcsbin: truncated frame payload (%d of %d bytes): %w", off, length, io.ErrUnexpectedEOF)
-		}
+	n, got, _ := readHashed(r, buf[:length], &crc)
+	if n < int(length) {
+		return f, fmt.Errorf("storage: mcsbin: truncated frame payload (%d of %d bytes): %w", n, length, io.ErrUnexpectedEOF)
 	}
 	if crc != want {
 		return f, fmt.Errorf("%w: mcsbin frame checksum mismatch for %s", ErrBadDigest, f.sum)
 	}
-	h.Sum(f.got[:0])
-	f.payload = payload
+	f.got = got
+	f.payload = buf[:length]
 	return f, nil
 }
 
@@ -128,14 +118,6 @@ func appendBinCount(dst []byte, n int) []byte {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], uint32(n))
 	return append(dst, b[:]...)
-}
-
-// appendBinFrame appends one data frame.
-func appendBinFrame(dst []byte, sum Sum, payload []byte) []byte {
-	var hdr [recHeaderSize]byte
-	encodeHeader(hdr[:], sum, uint32(len(payload)), payload)
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
 }
 
 // appendBinNotFound appends a not-found frame for sum.
@@ -193,54 +175,88 @@ func decodeBinGetRequest(r io.Reader, max int) ([]Sum, error) {
 // server.
 func binAdvertised(h http.Header) bool { return h.Get(BinHeader) == BinV1 }
 
-// --- single-chunk helpers (replication fan-out, rebalancer) ------------
+// --- single-chunk replica transfers (replication fan-out, rebalancer) ---
 
-// binGetOneReq builds a single-chunk binary GET request against node.
-func binGetOneReq(node string, sum Sum) (*http.Request, error) {
-	req, err := http.NewRequest(http.MethodPost, node+"/v1/bin/get", bytes.NewReader(encodeBinGet([]Sum{sum})))
+// replicaReq builds a cluster-internal request: it acts on the target
+// node's local store and is never forwarded again.
+func replicaReq(method, node, path string, body io.Reader) (*http.Request, error) {
+	req, err := http.NewRequest(method, node+path, body)
 	if err != nil {
 		return nil, err
 	}
+	req.Header.Set(APIHeader, APIV1)
+	req.Header.Set(ReplicaHeader, "1")
+	return req, nil
+}
+
+// replicaGetReq builds the request that reads one chunk from node's
+// local store, over mcsbin/1 when the node speaks it.
+func replicaGetReq(node string, sum Sum, bin bool) (*http.Request, error) {
+	if !bin {
+		return replicaReq(http.MethodGet, node, "/v1/chunk/"+sum.String(), nil)
+	}
+	req, err := replicaReq(http.MethodPost, node, "/v1/bin/get", bytes.NewReader(encodeBinGet([]Sum{sum})))
+	if err == nil {
+		req.Header.Set("Content-Type", binContentType)
+	}
+	return req, err
+}
+
+// replicaPutReq builds the request that writes one verified frame to
+// node's local store. Over mcsbin/1 the frame streams as it stands —
+// count prefix and header from a 28-byte prologue, then the payload
+// slice itself — so N replicas of one chunk share one payload buffer
+// and nobody re-encodes or re-checksums it. Either way the receiver is
+// its own ingress and verifies once.
+func replicaPutReq(node string, f *frame, bin bool) (*http.Request, error) {
+	if !bin {
+		return replicaReq(http.MethodPut, node, "/v1/chunk/"+f.digest().String(), bytes.NewReader(f.payload))
+	}
+	prologue := appendBinCount(make([]byte, 0, 4+recHeaderSize), 1)
+	prologue = append(prologue, f.hdr[:]...)
+	body := func() (io.ReadCloser, error) {
+		return io.NopCloser(io.MultiReader(bytes.NewReader(prologue), bytes.NewReader(f.payload))), nil
+	}
+	rc, _ := body()
+	req, err := replicaReq(http.MethodPost, node, "/v1/bin/put", rc)
+	if err != nil {
+		return nil, err
+	}
+	req.ContentLength = int64(len(prologue) + len(f.payload))
+	req.GetBody = body
 	req.Header.Set("Content-Type", binContentType)
 	return req, nil
 }
 
-// binPutOneReq builds a single-chunk binary PUT request against node.
-func binPutOneReq(node string, sum Sum, data []byte) (*http.Request, error) {
-	body := make([]byte, 4, 4+recHeaderSize+len(data))
-	binary.LittleEndian.PutUint32(body, 1)
-	body = appendBinFrame(body, sum, data)
-	req, err := http.NewRequest(http.MethodPost, node+"/v1/bin/put", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", binContentType)
-	return req, nil
-}
-
-// binReadOneFrame consumes a single-chunk binary GET response: it
-// verifies the frame CRC during the read and the MD5 against the
-// requested digest, returning an owned copy of the payload. The CRC
-// travels from the sender's segment file, so disk corruption on the
-// far side fails here instead of propagating.
-func binReadOneFrame(resp *http.Response, sum Sum) ([]byte, error) {
+// readReplicaFrame is the ingress for the response to a replicaGetReq:
+// the bytes are verified once, as they come off the socket — frame CRC
+// and MD5 over mcsbin/1 (the CRC travels from the sender's segment
+// file, so disk corruption on the far side fails here instead of
+// propagating), MD5 over JSON — and returned as a verified frame with
+// an owned copy of the payload.
+func readReplicaFrame(resp *http.Response, sum Sum, bin bool) (*frame, error) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeError(resp)
 	}
 	scratch := getChunkBuf()
 	defer putChunkBuf(scratch)
-	f, err := readBinFrame(resp.Body, *scratch)
+	if !bin {
+		fr, err := ingestBody(resp.Body, *scratch, sum)
+		if err != nil {
+			return nil, err
+		}
+		return fr.own(), nil
+	}
+	bf, err := readBinFrame(resp.Body, *scratch)
 	if err != nil {
 		return nil, err
 	}
-	if f.notFound {
+	if bf.notFound {
 		return nil, ErrNotFound
 	}
-	if f.sum != sum || f.got != sum {
+	if bf.sum != sum || bf.got != sum {
 		return nil, fmt.Errorf("%w: mcsbin frame digest mismatch for %s", ErrBadDigest, sum)
 	}
-	out := make([]byte, len(f.payload))
-	copy(out, f.payload)
-	return out, nil
+	return bf.own(), nil
 }

@@ -293,3 +293,12 @@ func TestClusterMixedDialect(t *testing.T) {
 		}
 	}
 }
+
+// appendBinFrame is the reference frame encoder: header from
+// encodeHeader, payload copied behind it.
+func appendBinFrame(dst []byte, sum Sum, payload []byte) []byte {
+	var hdr [recHeaderSize]byte
+	encodeHeader(hdr[:], sum, uint32(len(payload)), payload)
+	dst = append(dst, hdr[:]...)
+	return append(dst, payload...)
+}

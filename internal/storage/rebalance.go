@@ -55,13 +55,13 @@ func (rb *Rebalancer) binNode(node string) bool { return rb.binNodes[node] }
 type RebalanceReport struct {
 	Nodes      int `json:"nodes"`
 	Replicas   int `json:"replicas"`
-	Chunks     int `json:"chunks"`      // distinct chunks seen
-	Copies     int `json:"copies"`      // replica copies seen
-	Replicated int `json:"replicated"`  // missing owner copies created
-	Pruned     int `json:"pruned"`      // misplaced copies removed
-	Misplaced  int `json:"misplaced"`   // copies on non-owner nodes
-	Errors     int `json:"errors"`      // failed transfers (chunk left as-is)
-	Unlistable int `json:"unlistable"`  // nodes whose store cannot enumerate
+	Chunks     int `json:"chunks"`     // distinct chunks seen
+	Copies     int `json:"copies"`     // replica copies seen
+	Replicated int `json:"replicated"` // missing owner copies created
+	Pruned     int `json:"pruned"`     // misplaced copies removed
+	Misplaced  int `json:"misplaced"`  // copies on non-owner nodes
+	Errors     int `json:"errors"`     // failed transfers (chunk left as-is)
+	Unlistable int `json:"unlistable"` // nodes whose store cannot enumerate
 }
 
 func (rb *Rebalancer) logf(format string, args ...interface{}) {
@@ -138,7 +138,7 @@ func (rb *Rebalancer) Run() (RebalanceReport, error) {
 		for _, o := range owners {
 			ownerSet[o] = true
 		}
-		var data []byte
+		var fr *frame
 		ok := true
 		for _, o := range owners {
 			if have[o] {
@@ -149,16 +149,16 @@ func (rb *Rebalancer) Run() (RebalanceReport, error) {
 				rep.Replicated++
 				continue
 			}
-			if data == nil {
-				data = rb.fetchFrom(have, sum)
-				if data == nil {
+			if fr == nil {
+				fr = rb.fetchFrom(have, sum)
+				if fr == nil {
 					rb.logf("rebalance: no live copy of %s", sum)
 					rep.Errors++
 					ok = false
 					break
 				}
 			}
-			if err := rb.putTo(o, sum, data); err != nil {
+			if err := rb.putTo(o, fr); err != nil {
 				rb.logf("rebalance: copy %s -> %s: %v", sum, o, err)
 				rep.Errors++
 				ok = false
@@ -251,18 +251,8 @@ func (rb *Rebalancer) confirmOwners(ring *cluster.Ring, n int, cands []pruneCand
 
 // --- wire calls (replica dialect: local-store semantics) ---------------
 
-func (rb *Rebalancer) replicaReq(method, node, path string, body io.Reader) (*http.Request, error) {
-	req, err := http.NewRequest(method, node+path, body)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(APIHeader, APIV1)
-	req.Header.Set(ReplicaHeader, "1")
-	return req, nil
-}
-
 func (rb *Rebalancer) clusterInfo(node string) (*ClusterInfo, error) {
-	req, err := rb.replicaReq(http.MethodGet, node, "/v1/cluster/info", nil)
+	req, err := replicaReq(http.MethodGet, node, "/v1/cluster/info", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +273,7 @@ func (rb *Rebalancer) clusterInfo(node string) (*ClusterInfo, error) {
 }
 
 func (rb *Rebalancer) listChunks(node string) ([]ChunkInfo, error) {
-	req, err := rb.replicaReq(http.MethodGet, node, "/v1/cluster/chunks", nil)
+	req, err := replicaReq(http.MethodGet, node, "/v1/cluster/chunks", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -303,35 +293,19 @@ func (rb *Rebalancer) listChunks(node string) ([]ChunkInfo, error) {
 	return chunks, nil
 }
 
-// fetchFrom reads the chunk from any census holder, verifying the
-// digest; nil when no holder answers with intact bytes.
-func (rb *Rebalancer) fetchFrom(have map[string]bool, sum Sum) []byte {
+// fetchFrom is the rebalancer's ingress: it reads the chunk from any
+// census holder, verifying it once as it arrives; nil when no holder
+// answers with intact bytes. Over mcsbin/1 the frame header — the CRC
+// from the holder's segment file — is kept for the re-stream.
+func (rb *Rebalancer) fetchFrom(have map[string]bool, sum Sum) *frame {
 	nodes := make([]string, 0, len(have))
 	for n := range have {
 		nodes = append(nodes, n)
 	}
 	sort.Strings(nodes)
 	for _, node := range nodes {
-		if rb.binNode(node) {
-			req, err := binGetOneReq(node, sum)
-			if err != nil {
-				continue
-			}
-			req.Header.Set(APIHeader, APIV1)
-			req.Header.Set(ReplicaHeader, "1")
-			resp, err := rb.client().Do(req)
-			if err != nil {
-				continue
-			}
-			data, err := binReadOneFrame(resp, sum)
-			resp.Body.Close()
-			if err != nil {
-				rb.logf("rebalance: binary fetch from %s failed for %s: %v", node, sum, err)
-				continue
-			}
-			return data
-		}
-		req, err := rb.replicaReq(http.MethodGet, node, "/v1/chunk/"+sum.String(), nil)
+		bin := rb.binNode(node)
+		req, err := replicaGetReq(node, sum, bin)
 		if err != nil {
 			continue
 		}
@@ -339,32 +313,20 @@ func (rb *Rebalancer) fetchFrom(have map[string]bool, sum Sum) []byte {
 		if err != nil {
 			continue
 		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, ChunkSize+1))
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
+		fr, err := readReplicaFrame(resp, sum, bin)
+		if err != nil {
+			rb.logf("rebalance: fetch of %s from %s failed: %v", sum, node, err)
 			continue
 		}
-		if len(data) > ChunkSize || SumBytes(data) != sum {
-			rb.logf("rebalance: %s returned corrupt bytes for %s", node, sum)
-			continue
-		}
-		return data
+		return fr
 	}
 	return nil
 }
 
-func (rb *Rebalancer) putTo(node string, sum Sum, data []byte) error {
-	var req *http.Request
-	var err error
-	if rb.binNode(node) {
-		req, err = binPutOneReq(node, sum, data)
-		if err == nil {
-			req.Header.Set(APIHeader, APIV1)
-			req.Header.Set(ReplicaHeader, "1")
-		}
-	} else {
-		req, err = rb.replicaReq(http.MethodPut, node, "/v1/chunk/"+sum.String(), bytes.NewReader(data))
-	}
+// putTo re-streams a verified frame to node as it stands; the node is
+// its own ingress and verifies once.
+func (rb *Rebalancer) putTo(node string, fr *frame) error {
+	req, err := replicaPutReq(node, fr, rb.binNode(node))
 	if err != nil {
 		return err
 	}
@@ -381,7 +343,7 @@ func (rb *Rebalancer) putTo(node string, sum Sum, data []byte) error {
 }
 
 func (rb *Rebalancer) deleteFrom(node string, sum Sum) error {
-	req, err := rb.replicaReq(http.MethodDelete, node, "/v1/chunk/"+sum.String(), nil)
+	req, err := replicaReq(http.MethodDelete, node, "/v1/chunk/"+sum.String(), nil)
 	if err != nil {
 		return err
 	}
@@ -403,7 +365,7 @@ func (rb *Rebalancer) statNode(node string, sums []Sum) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	req, err := rb.replicaReq(http.MethodPost, node, "/v1/op/stat", bytes.NewReader(body))
+	req, err := replicaReq(http.MethodPost, node, "/v1/op/stat", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}

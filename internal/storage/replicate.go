@@ -128,17 +128,17 @@ func NewReplicatedStore(cfg ReplicatedConfig) (*ReplicatedStore, error) {
 		health = cluster.NewHealth(0, 0)
 	}
 	rs := &ReplicatedStore{
-		self:    cfg.Self,
-		ring:    ring,
-		n:       n,
-		w:       w,
+		self:       cfg.Self,
+		ring:       ring,
+		n:          n,
+		w:          w,
 		local:      cfg.Local,
 		http:       httpc,
 		health:     health,
 		disableBin: cfg.DisableBin,
 		repairQ:    make(map[Sum]map[string]bool),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
 	}
 	every := cfg.RepairEvery
 	if every == 0 {
@@ -196,17 +196,25 @@ func (rs *ReplicatedStore) PutCtx(ctx context.Context, sum Sum, data []byte) (er
 	if len(owners) == 1 && owners[0] == rs.self {
 		return PutCtx(ctx, rs.local, sum, data)
 	}
+	// A put that reaches the fan-out unverified is checked here, once,
+	// rather than by every owner's store.
+	v, err := verifyPut(ctx, sum, data)
+	if err != nil {
+		return err
+	}
 	fanout := tracing.ChildFromContext(ctx, tracing.CompReplicate, tracing.SpanFanout)
 	fanout.AnnotateInt("replicas", int64(len(owners)))
 	fanout.AnnotateInt("quorum", int64(rs.w))
 	defer func() { fanout.EndErr(err) }()
 	ctx = tracing.NewContext(ctx, fanout)
 
-	// Copy the payload: the caller may recycle its (pooled) buffer as
-	// soon as we return, but straggler replica sends — and the
-	// background drain after a quorum ack — keep reading it.
-	buf := make([]byte, len(data))
-	copy(buf, data)
+	// One owned copy of the payload, shared by every owner's write: the
+	// caller may recycle its (pooled) buffer as soon as we return, but
+	// straggler replica sends — and the background drain after a quorum
+	// ack — keep reading it. The header, CRC included, is the one the
+	// ingress verified; no owner's send re-encodes or re-checksums.
+	fr := &frame{hdr: v.header(sum, data), payload: append([]byte(nil), data...)}
+	ctx = withVerified(ctx, fr)
 
 	start := time.Now()
 	type result struct {
@@ -215,7 +223,7 @@ func (rs *ReplicatedStore) PutCtx(ctx context.Context, sum Sum, data []byte) (er
 	}
 	results := make(chan result, len(owners))
 	for _, o := range owners {
-		go func(o string) { results <- result{o, rs.putReplica(ctx, o, sum, buf)} }(o)
+		go func(o string) { results <- result{o, rs.putReplica(ctx, o, fr)} }(o)
 	}
 
 	needed := rs.w
@@ -282,7 +290,7 @@ func (rs *ReplicatedStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) 
 	}
 	var firstErr error
 	for _, o := range rs.health.Order(remote) {
-		data, err := rs.getReplica(ctx, o, sum)
+		fr, err := rs.getReplica(ctx, o, sum)
 		if err == nil {
 			if o != owners[0] {
 				rs.met.GetFailover()
@@ -291,12 +299,12 @@ func (rs *ReplicatedStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) 
 				// Read repair: this node owns the chunk but missed it
 				// (it was down during the write, or the chunk predates a
 				// membership change).
-				if rs.local.Put(sum, data) == nil {
+				if PutCtx(withVerified(ctx, fr), rs.local, sum, fr.payload) == nil {
 					rs.met.Repair()
 					rs.dropMissing(sum, rs.self)
 				}
 			}
-			return data, nil
+			return fr.payload, nil
 		}
 		if IsNotFound(err) {
 			continue // a healthy replica missing the chunk; try the next
@@ -476,24 +484,18 @@ func (rs *ReplicatedStore) RepairNow() int {
 
 	repaired := 0
 	for sum, targets := range work {
-		var data []byte
+		var fr *frame
 		for _, node := range targets {
 			if node != rs.self && !rs.health.Alive(node) {
 				continue
 			}
-			if data == nil {
-				data = rs.fetchAny(sum)
-				if data == nil {
+			if fr == nil {
+				fr = rs.fetchAny(sum)
+				if fr == nil {
 					break // no live copy right now; retry next sweep
 				}
 			}
-			var err error
-			if node == rs.self {
-				err = rs.local.Put(sum, data)
-			} else {
-				err = rs.putReplica(context.Background(), node, sum, data)
-			}
-			if err == nil {
+			if rs.putReplica(withVerified(context.Background(), fr), node, fr) == nil {
 				rs.dropMissing(sum, node)
 				rs.met.Repair()
 				repaired++
@@ -503,18 +505,18 @@ func (rs *ReplicatedStore) RepairNow() int {
 	return repaired
 }
 
-// fetchAny returns the chunk bytes from the nearest live copy, nil
+// fetchAny returns the chunk, framed, from the nearest live copy, nil
 // when none answers.
-func (rs *ReplicatedStore) fetchAny(sum Sum) []byte {
+func (rs *ReplicatedStore) fetchAny(sum Sum) *frame {
 	if data, err := rs.local.Get(sum); err == nil {
-		return data
+		return sealFrame(sum, data)
 	}
 	for _, o := range rs.health.Order(rs.Owners(sum)) {
 		if o == rs.self {
 			continue
 		}
-		if data, err := rs.getReplica(context.Background(), o, sum); err == nil {
-			return data
+		if fr, err := rs.getReplica(context.Background(), o, sum); err == nil {
+			return fr
 		}
 	}
 	return nil
@@ -537,16 +539,6 @@ var replicaHTTPClient = &http.Client{
 		MaxIdleConnsPerHost: 16,
 		IdleConnTimeout:     90 * time.Second,
 	},
-}
-
-func (rs *ReplicatedStore) replicaReq(method, node, path string, body io.Reader) (*http.Request, error) {
-	req, err := http.NewRequest(method, node+path, body)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(APIHeader, APIV1)
-	req.Header.Set(ReplicaHeader, "1")
-	return req, nil
 }
 
 // do runs one replica sub-request with health accounting. Every
@@ -592,28 +584,25 @@ func (rs *ReplicatedStore) binPeer(node string) bool {
 	return ok
 }
 
-// putReplica writes one chunk to one owner. The local owner writes
-// through the context (disk spans land under the fan-out barrier);
-// a remote owner gets a replica-put span whose ID rides the request
-// headers, so the remote handler span joins as its child.
-func (rs *ReplicatedStore) putReplica(ctx context.Context, node string, sum Sum, data []byte) (err error) {
+// putReplica writes one verified frame to one owner; ctx carries its
+// proof. The local owner writes through the context (disk spans land
+// under the fan-out barrier); a remote owner gets a replica-put span
+// whose ID rides the request headers, so the remote handler span joins
+// as its child. A remote is its own ingress: it receives the frame as
+// it stands (header verbatim on the binary dialect) and verifies once.
+func (rs *ReplicatedStore) putReplica(ctx context.Context, node string, fr *frame) (err error) {
+	sum := fr.digest()
 	if node == rs.self {
-		return PutCtx(ctx, rs.local, sum, data)
+		return PutCtx(ctx, rs.local, sum, fr.payload)
 	}
 	sp := tracing.ChildFromContext(ctx, tracing.CompReplicate, tracing.SpanReplicaPut)
 	sp.Annotate("node", node)
 	defer func() { sp.EndErr(err) }()
-	var req *http.Request
-	if rs.binPeer(node) {
+	bin := rs.binPeer(node)
+	if bin {
 		sp.Annotate("dialect", BinV1)
-		req, err = binPutOneReq(node, sum, data)
-		if err == nil {
-			req.Header.Set(APIHeader, APIV1)
-			req.Header.Set(ReplicaHeader, "1")
-		}
-	} else {
-		req, err = rs.replicaReq(http.MethodPut, node, "/v1/chunk/"+sum.String(), bytes.NewReader(data))
 	}
+	req, err := replicaPutReq(node, fr, bin)
 	if err != nil {
 		return err
 	}
@@ -631,34 +620,18 @@ func (rs *ReplicatedStore) putReplica(ctx context.Context, node string, sum Sum,
 	return nil
 }
 
-// getReplica reads one chunk from one remote owner, verifying the
-// digest so a corrupt replica is never propagated.
-func (rs *ReplicatedStore) getReplica(ctx context.Context, node string, sum Sum) (_ []byte, err error) {
+// getReplica is the ingress for a chunk read from one remote owner: it
+// verifies the bytes once, as they come off the socket, so a corrupt
+// replica is never propagated, and returns them as a verified frame.
+func (rs *ReplicatedStore) getReplica(ctx context.Context, node string, sum Sum) (_ *frame, err error) {
 	sp := tracing.ChildFromContext(ctx, tracing.CompReplicate, tracing.SpanReplicaGet)
 	sp.Annotate("node", node)
 	defer func() { sp.EndErr(err) }()
-	if rs.binPeer(node) {
+	bin := rs.binPeer(node)
+	if bin {
 		sp.Annotate("dialect", BinV1)
-		req, err := binGetOneReq(node, sum)
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set(APIHeader, APIV1)
-		req.Header.Set(ReplicaHeader, "1")
-		sp.Inject(req.Header)
-		rs.met.ForwardGet()
-		resp, err := rs.do(node, req)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		out, err := binReadOneFrame(resp, sum)
-		if err != nil && errors.Is(err, ErrBadDigest) {
-			rs.health.ReportFailure(node)
-		}
-		return out, err
 	}
-	req, err := rs.replicaReq(http.MethodGet, node, "/v1/chunk/"+sum.String(), nil)
+	req, err := replicaGetReq(node, sum, bin)
 	if err != nil {
 		return nil, err
 	}
@@ -668,24 +641,12 @@ func (rs *ReplicatedStore) getReplica(ctx context.Context, node string, sum Sum)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	scratch := getChunkBuf()
-	defer putChunkBuf(scratch)
-	n, overflow, err := readBody(resp.Body, *scratch)
-	if err != nil {
-		return nil, err
-	}
-	data := (*scratch)[:n]
-	if overflow || SumBytes(data) != sum {
+	fr, err := readReplicaFrame(resp, sum, bin)
+	if errors.Is(err, ErrBadDigest) || errors.Is(err, ErrTooLarge) {
 		rs.health.ReportFailure(node)
-		return nil, fmt.Errorf("%w: replica %s returned corrupt bytes for %s", ErrBadDigest, node, sum)
+		err = fmt.Errorf("%w: replica %s returned corrupt bytes for %s: %v", ErrBadDigest, node, sum, err)
 	}
-	out := make([]byte, n)
-	copy(out, data)
-	return out, nil
+	return fr, err
 }
 
 // statReplica asks one owner which of the queried chunks it holds.
@@ -694,7 +655,7 @@ func (rs *ReplicatedStore) statReplica(node string, sums []Sum) ([]bool, error) 
 	if err != nil {
 		return nil, err
 	}
-	req, err := rs.replicaReq(http.MethodPost, node, "/v1/op/stat", bytes.NewReader(body))
+	req, err := replicaReq(http.MethodPost, node, "/v1/op/stat", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}

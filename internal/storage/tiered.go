@@ -98,8 +98,8 @@ func (t *TieredStore) Put(sum Sum, data []byte) error {
 // PutCtx implements CtxStore, forwarding the trace context to the
 // backing tier (the tier bookkeeping itself is memory-speed).
 func (t *TieredStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
-	if SumBytes(data) != sum {
-		return errBadDigest
+	if _, err := verifyPut(ctx, sum, data); err != nil {
+		return err
 	}
 	t.puts.Add(1)
 	t.bytesStored.Add(int64(len(data)))
@@ -113,7 +113,9 @@ func (t *TieredStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 		return nil
 	}
 
-	if err := PutCtx(ctx, t.hot, sum, data); err != nil {
+	// The placement maps report the chunk as held the moment the hot put
+	// returns, so that put must be durable by then: no deferred fsync.
+	if err := PutCtx(withoutSyncGroup(ctx), t.hot, sum, data); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -168,14 +170,19 @@ func (t *TieredStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Promote: the user is active on this content again.
-	if err := PutCtx(ctx, t.hot, sum, data); err != nil {
+	// Promote: the user is active on this content again. The cold tier
+	// checked the bytes on the way out; the hot tier need not re-hash.
+	if err := PutCtx(withVerified(ctx, sealFrame(sum, data)), t.hot, sum, data); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	s.tstats.ColdReads++
-	s.tstats.Promotions++
-	s.placedHot[sum] = true
+	if !s.placedHot[sum] {
+		// Concurrent readers of one cold chunk all copy it up, but the
+		// placement flips — and counts as a promotion — once.
+		s.tstats.Promotions++
+		s.placedHot[sum] = true
+	}
 	s.lastRead[sum] = t.now()
 	s.mu.Unlock()
 	return data, nil
@@ -304,7 +311,7 @@ func (t *TieredStore) demoteOne(s *tierShard, sum Sum, eligible func() bool) (bo
 		}
 		return false, err
 	}
-	if err := t.cold.Put(sum, data); err != nil {
+	if err := PutCtx(withVerified(context.Background(), sealFrame(sum, data)), t.cold, sum, data); err != nil {
 		s.mu.Unlock()
 		return false, err
 	}
