@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,8 +28,9 @@ import (
 // under a deadline and retries transient failures with exponential
 // backoff (see RetryPolicy); chunk uploads are idempotent re-PUTs;
 // interrupted uploads resume from the front-end's missing-chunk set
-// instead of restarting the file; downloads verify each chunk's MD5
-// and re-fetch corrupted ones.
+// instead of restarting the file; downloads check every chunk as it
+// arrives, re-fetch corrupted ones, and verify the assembled file
+// against its MD5.
 type Client struct {
 	MetaURL  string // base URL of the metadata server
 	UserID   uint64
@@ -54,9 +54,10 @@ type Client struct {
 	MaxResumes int
 	// Parallel is the chunk-transfer window: how many chunk PUTs/GETs
 	// one file operation keeps in flight. 0 means DefaultParallel; 1
-	// restores strictly sequential transfers. When InterChunkDelay is
-	// set the client always transfers sequentially, since the delay
-	// models the sequential inter-chunk gaps of §4.
+	// keeps one request in flight at a time (a retrieve still batches
+	// its chunks into it). When InterChunkDelay is set the
+	// client transfers one chunk per request, sequentially, since the
+	// delay models the sequential inter-chunk gaps of §4.
 	Parallel int
 	// Metrics, when non-nil, receives retry/resume/refetch counters
 	// (see NewClientMetrics). May be shared across clients.
@@ -1040,10 +1041,13 @@ func (c *Client) sendChunksBin(frontend, url string, todo []string, up *upload, 
 	return nil
 }
 
-// runWindow runs fn(0..n-1) on w goroutines, keeping at most w calls
-// in flight. On failure the remaining indices are abandoned (calls
-// already in flight complete, and their side effects count) and the
-// error from the lowest failing index is returned.
+// runWindow runs fn(0..n-1) on w goroutines, the caller's among them,
+// keeping at most w calls in flight. On failure the remaining indices
+// are abandoned (calls already in flight complete, and their side
+// effects count) and the error from the lowest failing index is
+// returned. The caller works rather than waits: a window of one costs
+// no goroutine hand-off, which a one-chunk retrieve would pay on every
+// small file.
 func runWindow(w, n int, fn func(int) error) error {
 	var (
 		next   atomic.Int64
@@ -1054,26 +1058,32 @@ func runWindow(w, n int, fn func(int) error) error {
 		wg     sync.WaitGroup
 	)
 	next.Store(-1)
-	for k := 0; k < w; k++ {
+	worker := func() {
+		for !failed.Load() {
+			j := int(next.Add(1))
+			if j >= n {
+				return
+			}
+			if err := fn(j); err != nil {
+				failed.Store(true)
+				mu.Lock()
+				if minErr == nil || j < minJ {
+					minJ, minErr = j, err
+				}
+				mu.Unlock()
+				return
+			}
+		}
+	}
+	for k := 1; k < w; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !failed.Load() {
-				j := int(next.Add(1))
-				if j >= n {
-					return
-				}
-				if err := fn(j); err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if minErr == nil || j < minJ {
-						minJ, minErr = j, err
-					}
-					mu.Unlock()
-					return
-				}
-			}
+			worker()
 		}()
+	}
+	if w > 0 {
+		worker()
 	}
 	wg.Wait()
 	return minErr
@@ -1169,314 +1179,4 @@ func (c *Client) putChunkBatch(frontend, url string, ids []int, up *upload, budg
 		})
 	sp.EndErr(err)
 	return total, err
-}
-
-// RetrieveFile downloads the file behind a service URL and returns its
-// contents: URL resolution at the metadata server, a file retrieval
-// operation request, then sequential chunk retrieval requests. Each
-// chunk is verified against its digest and re-fetched on corruption;
-// the assembled file is verified against the file hash.
-func (c *Client) RetrieveFile(url string) (out []byte, err error) {
-	budget := c.newBudget()
-	budget.span = c.Tracer.StartRoot(tracing.CompClient, tracing.SpanRetrieveFile)
-	budget.span.Annotate("url", url)
-	defer func() {
-		budget.span.AnnotateInt("bytes", int64(len(out)))
-		budget.span.EndErr(err)
-	}()
-	// A URL is a shareable capability: it lives on the shard of the
-	// user who STORED it, which the requester's own hash says nothing
-	// about. Try our shard first (own files, the common case), then
-	// scatter the resolve across the remaining shards on a miss.
-	own := c.metaShardFor(c.UserID)
-	var res ResolveResponse
-	err = c.postMetaJSON(own, "/meta/resolve", ResolveRequest{UserID: c.UserID, URL: url}, &res, budget)
-	if errors.Is(err, ErrNotFound) {
-		for s := 0; s < c.metaShardMap().NumShards(); s++ {
-			if s == own {
-				continue
-			}
-			err = c.postMetaJSON(s, "/meta/resolve", ResolveRequest{UserID: c.UserID, URL: url}, &res, budget)
-			if !errors.Is(err, ErrNotFound) {
-				break
-			}
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	if res.FrontEnd == "" {
-		return nil, fmt.Errorf("storage: metadata server assigned no front-end")
-	}
-
-	var op FileOpResponse
-	err = c.postJSON(res.FrontEnd, "/op/retrieve", FileOpRequest{
-		UserID:   c.UserID,
-		DeviceID: c.DeviceID,
-		Device:   c.Device.String(),
-		FileMD5:  res.FileMD5,
-		Size:     res.Size,
-		Shard:    res.Shard,
-	}, &op, budget)
-	if err != nil {
-		return nil, err
-	}
-
-	sums := make([]Sum, len(op.ChunkMD5s))
-	for i, s := range op.ChunkMD5s {
-		if sums[i], err = ParseSum(s); err != nil {
-			return nil, err
-		}
-	}
-
-	var buf []byte
-	if w := c.window(len(sums)); w <= 1 {
-		buf = make([]byte, 0, res.Size)
-		for i, sum := range sums {
-			if i > 0 && c.InterChunkDelay != nil {
-				time.Sleep(c.InterChunkDelay())
-			}
-			data, err := c.getChunk(res.FrontEnd, sum, budget, nil)
-			if err != nil {
-				return nil, fmt.Errorf("chunk %d: %w", i, err)
-			}
-			buf = append(buf, data...)
-		}
-	} else {
-		// Concurrent chunks assemble at fixed offsets: every chunk but
-		// the last is exactly ChunkSize by construction (SplitSums), so
-		// the layout is known up front from the metadata size.
-		n := int64(len(sums))
-		if res.Size <= (n-1)*ChunkSize || res.Size > n*ChunkSize {
-			return nil, fmt.Errorf("storage: metadata size %d inconsistent with %d chunks", res.Size, n)
-		}
-		buf = make([]byte, res.Size)
-		rest := c.retrieveBin(res.FrontEnd, sums, buf, res.Size, budget, w)
-		if len(rest) > 0 {
-			if w > len(rest) {
-				w = len(rest)
-			}
-			err = runWindow(w, len(rest), func(k int) error {
-				i := rest[k]
-				lo := int64(i) * ChunkSize
-				hi := lo + ChunkSize
-				if hi > res.Size {
-					hi = res.Size
-				}
-				data, err := c.getChunk(res.FrontEnd, sums[i], budget, buf[lo:lo:hi])
-				if err != nil {
-					return fmt.Errorf("chunk %d: %w", i, err)
-				}
-				if int64(len(data)) != hi-lo {
-					return fmt.Errorf("chunk %d: storage: chunk length %d does not fit file layout", i, len(data))
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	// A one-chunk file's digest is its chunk's, which the fetch above
-	// already verified; only multi-chunk files need the second pass.
-	if len(sums) == 1 && op.ChunkMD5s[0] == res.FileMD5 {
-		return buf, nil
-	}
-	if got := SumBytes(buf); got.String() != res.FileMD5 {
-		return nil, fmt.Errorf("storage: retrieved content hash mismatch")
-	}
-	return buf, nil
-}
-
-// retrieveBin fetches as many chunks as possible over the binary
-// dialect, writing verified payloads straight into their slots of the
-// assembled file, and returns the indices the per-chunk JSON path
-// must still fetch (everything, when no target speaks the dialect).
-// Chunks are grouped by their routed primary; hosts not yet seen
-// advertising mcsbin/1 keep their chunks on the fallback path. Batch
-// failures degrade, never abort: the fallback path has per-chunk
-// retries and front-end failover.
-func (c *Client) retrieveBin(frontend string, sums []Sum, buf []byte, size int64, budget *retryBudget, w int) []int {
-	rest := make([]int, 0, len(sums))
-	if c.DisableBin || c.LegacyAPI {
-		for i := range sums {
-			rest = append(rest, i)
-		}
-		return rest
-	}
-	byHost := make(map[string][]int)
-	for i, sum := range sums {
-		t := c.chunkTarget(frontend, sum)
-		if !c.binHost(t) {
-			rest = append(rest, i)
-			continue
-		}
-		byHost[t] = append(byHost[t], i)
-	}
-	hosts := make([]string, 0, len(byHost))
-	for h := range byHost {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	type batch struct {
-		host string
-		ids  []int
-	}
-	var batches []batch
-	for _, h := range hosts {
-		ids := byHost[h]
-		per := batchSize(len(ids), w)
-		for lo := 0; lo < len(ids); lo += per {
-			hi := lo + per
-			if hi > len(ids) {
-				hi = len(ids)
-			}
-			batches = append(batches, batch{h, ids[lo:hi]})
-		}
-	}
-	if len(batches) == 0 {
-		return rest
-	}
-	if w > len(batches) {
-		w = len(batches)
-	}
-	var mu sync.Mutex
-	runWindow(w, len(batches), func(b int) error {
-		missed := c.getChunkBatch(batches[b].host, batches[b].ids, sums, buf, size, budget)
-		if len(missed) > 0 {
-			mu.Lock()
-			rest = append(rest, missed...)
-			mu.Unlock()
-		}
-		return nil
-	})
-	sort.Ints(rest)
-	return rest
-}
-
-// getChunkBatch fetches one batch of chunks from host over the binary
-// dialect. Frame payloads land directly in their file slots — the CRC
-// and MD5 verification happen during that single copy off the socket.
-// It returns the indices still unfetched: the whole batch after an
-// exhausted retry, or the individual chunks the host answered
-// not-found frames for (the fallback path then walks the replicas).
-func (c *Client) getChunkBatch(host string, ids []int, sums []Sum, buf []byte, size int64, budget *retryBudget) []int {
-	req := make([]Sum, len(ids))
-	for k, i := range ids {
-		req[k] = sums[i]
-	}
-	body := encodeBinGet(req)
-	sp := budget.span.StartChild(tracing.CompClient, tracing.SpanChunkGet)
-	sp.Annotate("chunk", sums[ids[0]].String())
-	sp.Annotate("dialect", BinV1)
-	sp.AnnotateInt("count", int64(len(ids)))
-	var missed []int
-	var got int64
-	err := c.doRetry(budget, sp,
-		func() (*http.Request, error) {
-			r, err := http.NewRequest(http.MethodPost, host+"/v1/bin/get", bytes.NewReader(body))
-			if err != nil {
-				return nil, err
-			}
-			r.Header.Set("Content-Type", binContentType)
-			c.setIdentity(r)
-			c.setAPIVersion(r, host)
-			return r, nil
-		},
-		func(resp *http.Response) error {
-			defer resp.Body.Close()
-			c.noteBin(host, resp.Header)
-			if resp.StatusCode != http.StatusOK {
-				return decodeError(resp)
-			}
-			missed = missed[:0]
-			got = 0
-			for _, i := range ids {
-				lo := int64(i) * ChunkSize
-				hi := lo + ChunkSize
-				if hi > size {
-					hi = size
-				}
-				f, err := readBinFrame(resp.Body, buf[lo:hi])
-				if err != nil {
-					c.Metrics.refetch()
-					return &corruptError{err: err}
-				}
-				if f.notFound {
-					missed = append(missed, i)
-					continue
-				}
-				if f.sum != sums[i] || f.got != sums[i] || int64(len(f.payload)) != hi-lo {
-					c.Metrics.refetch()
-					return &corruptError{err: fmt.Errorf("mcsbin frame mismatch for chunk %d", i)}
-				}
-				got += int64(len(f.payload))
-			}
-			return nil
-		})
-	sp.AnnotateInt("bytes", got)
-	sp.EndErr(err)
-	if err != nil {
-		return ids
-	}
-	return missed
-}
-
-// getChunk downloads and verifies one chunk; truncated or corrupted
-// bodies count as transient failures and are re-fetched. The body is
-// read into a pooled scratch buffer and the verified bytes are
-// appended into dst (in place when dst has the capacity — the
-// concurrent download path passes the chunk's slot in the assembled
-// file, making the steady-state read allocation-free).
-func (c *Client) getChunk(frontend string, sum Sum, budget *retryBudget, dst []byte) ([]byte, error) {
-	var out []byte
-	tries, base := 0, frontend
-	sp := budget.span.StartChild(tracing.CompClient, tracing.SpanChunkGet)
-	sp.Annotate("chunk", sum.String())
-	err := c.doRetry(budget, sp,
-		func() (*http.Request, error) {
-			// The first attempt goes straight to the chunk's primary
-			// owner when the client knows the ring (saving the
-			// forwarding hop); retries fall back to the assigned
-			// front-end, which can serve from any live replica.
-			tries++
-			base = frontend
-			if tries == 1 {
-				base = c.chunkTarget(frontend, sum)
-			}
-			req, err := http.NewRequest(http.MethodGet, c.apiPath(base, "/chunk/"+sum.String()), nil)
-			if err != nil {
-				return nil, err
-			}
-			c.setIdentity(req)
-			c.setAPIVersion(req, base)
-			return req, nil
-		},
-		func(resp *http.Response) error {
-			defer resp.Body.Close()
-			if c.checkLegacy(base, resp) {
-				io.Copy(io.Discard, resp.Body)
-				return errLegacyRetry
-			}
-			if resp.StatusCode != http.StatusOK {
-				return decodeError(resp)
-			}
-			scratch := getChunkBuf()
-			defer putChunkBuf(scratch)
-			n, overflow, err := readBody(resp.Body, *scratch)
-			if err != nil {
-				c.Metrics.refetch()
-				return &corruptError{err: err}
-			}
-			data := (*scratch)[:n]
-			if overflow || SumBytes(data) != sum {
-				c.Metrics.refetch()
-				return &corruptError{err: fmt.Errorf("chunk digest mismatch (%d bytes)", n)}
-			}
-			out = append(dst[:0], data...)
-			return nil
-		})
-	sp.AnnotateInt("bytes", int64(len(out)))
-	sp.EndErr(err)
-	return out, err
 }

@@ -16,57 +16,26 @@ import (
 // 150 MB retrieval costs one allocation instead of one per chunk plus
 // a final assembly copy.
 type Download struct {
-	c        *Client
-	frontend string
-	sums     []Sum
-	size     int64
-	buf      []byte // the assembling file
-	have     []bool // per-chunk completion
-	done     int    // chunks fetched so far
+	c    *Client
+	p    *retrievePlan
+	buf  []byte // the assembling file
+	have []bool // per-chunk completion
+	done int    // chunks fetched so far
 }
 
 // NewDownload resolves url and issues the file retrieval operation
-// request, returning a Download ready to Resume.
+// request exactly as RetrieveFile does, returning a Download ready to
+// Resume.
 func (c *Client) NewDownload(url string) (*Download, error) {
-	budget := c.newBudget()
-	var res ResolveResponse
-	if err := c.postJSON(c.MetaURL, "/meta/resolve", ResolveRequest{UserID: c.UserID, URL: url}, &res, budget); err != nil {
-		return nil, err
-	}
-	if res.FrontEnd == "" {
-		return nil, fmt.Errorf("storage: metadata server assigned no front-end")
-	}
-	var op FileOpResponse
-	err := c.postJSON(res.FrontEnd, "/op/retrieve", FileOpRequest{
-		UserID:   c.UserID,
-		DeviceID: c.DeviceID,
-		Device:   c.Device.String(),
-		FileMD5:  res.FileMD5,
-		Size:     res.Size,
-	}, &op, budget)
+	p, err := c.openRetrieve(url, c.newBudget())
 	if err != nil {
 		return nil, err
 	}
-	sums := make([]Sum, len(op.ChunkMD5s))
-	for i, s := range op.ChunkMD5s {
-		if sums[i], err = ParseSum(s); err != nil {
-			return nil, err
-		}
-	}
-	// Every chunk but the last is exactly ChunkSize by construction
-	// (SplitSums), so the in-place layout is known up front — reject
-	// metadata that contradicts it before allocating.
-	n := int64(len(sums))
-	if n > 0 && (res.Size <= (n-1)*ChunkSize || res.Size > n*ChunkSize) {
-		return nil, fmt.Errorf("storage: metadata size %d inconsistent with %d chunks", res.Size, n)
-	}
 	return &Download{
-		c:        c,
-		frontend: res.FrontEnd,
-		sums:     sums,
-		size:     res.Size,
-		buf:      make([]byte, res.Size),
-		have:     make([]bool, len(sums)),
+		c:    c,
+		p:    p,
+		buf:  make([]byte, p.size),
+		have: make([]bool, len(p.sums)),
 	}, nil
 }
 
@@ -74,10 +43,10 @@ func (c *Client) NewDownload(url string) (*Download, error) {
 func (d *Download) Done() int { return d.done }
 
 // Total reports the chunk count of the file.
-func (d *Download) Total() int { return len(d.sums) }
+func (d *Download) Total() int { return len(d.p.sums) }
 
 // Complete reports whether every chunk has arrived.
-func (d *Download) Complete() bool { return d.done == len(d.sums) }
+func (d *Download) Complete() bool { return d.done == len(d.p.sums) }
 
 // Resume fetches the remaining chunks sequentially, stopping at the
 // first error; already-fetched chunks are never re-transferred. Call
@@ -85,26 +54,17 @@ func (d *Download) Complete() bool { return d.done == len(d.sums) }
 // gets a fresh retry budget.
 func (d *Download) Resume() error {
 	budget := d.c.newBudget()
-	for i := range d.sums {
+	for i := range d.p.sums {
 		if d.have[i] {
 			continue
 		}
 		if d.done > 0 && d.c.InterChunkDelay != nil {
 			time.Sleep(d.c.InterChunkDelay())
 		}
-		lo := int64(i) * ChunkSize
-		hi := lo + ChunkSize
-		if hi > d.size {
-			hi = d.size
-		}
-		// getChunk reads into a pooled scratch buffer and copies the
+		// getSlot reads into a pooled scratch buffer and copies the
 		// verified bytes straight into this chunk's slot of the file.
-		data, err := d.c.getChunk(d.frontend, d.sums[i], budget, d.buf[lo:lo:hi])
-		if err != nil {
-			return fmt.Errorf("chunk %d/%d: %w", i+1, len(d.sums), err)
-		}
-		if int64(len(data)) != hi-lo {
-			return fmt.Errorf("chunk %d/%d: chunk length %d does not fit file layout", i+1, len(d.sums), len(data))
+		if err := d.c.getSlot(d.p, d.buf, i, budget); err != nil {
+			return fmt.Errorf("chunk %d/%d: %w", i+1, len(d.p.sums), err)
 		}
 		d.have[i] = true
 		d.done++
@@ -113,11 +73,16 @@ func (d *Download) Resume() error {
 }
 
 // Bytes returns the assembled file; it errors if the download is
-// incomplete. The slice is the download's internal assembly buffer
-// (no final copy); it stays valid after the Download is dropped.
+// incomplete or does not hash to the file digest metadata holds — the
+// check RetrieveFile makes. The slice is the download's internal
+// assembly buffer (no final copy); it stays valid after the Download
+// is dropped.
 func (d *Download) Bytes() ([]byte, error) {
 	if !d.Complete() {
-		return nil, fmt.Errorf("storage: download incomplete (%d/%d chunks)", d.done, len(d.sums))
+		return nil, fmt.Errorf("storage: download incomplete (%d/%d chunks)", d.done, len(d.p.sums))
+	}
+	if SumBytes(d.buf) != d.p.file {
+		return nil, errFileDigest
 	}
 	return d.buf, nil
 }

@@ -884,7 +884,7 @@ func (f *FrontEnd) handleBinPut(w http.ResponseWriter, r *http.Request) {
 	ends := make([]time.Time, count)
 	tsrvs := f.upstreamBatch(count)
 	for i := 0; i < count; i++ {
-		bf, err := readBinFrame(r.Body, *scratch)
+		bf, err := readBinFrame(r.Body, *scratch, true)
 		if err != nil {
 			f.fail(w, r, ingressErrStatus(err), err, trace.ChunkStore)
 			return

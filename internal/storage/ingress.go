@@ -116,6 +116,16 @@ func readHashed(r io.Reader, buf []byte, crc *uint32) (n int, sum Sum, err error
 	h := md5Pool.Get().(hash.Hash)
 	h.Reset()
 	defer md5Pool.Put(h)
+	n, err = readChecked(r, buf, crc, h)
+	hashPasses.Add(int64(n))
+	h.Sum(sum[:0])
+	return n, sum, err
+}
+
+// readChecked fills buf from r until buf is full or r is exhausted,
+// folding the running CRC-32 (crc non-nil) and h (non-nil) into the
+// read loop.
+func readChecked(r io.Reader, buf []byte, crc *uint32, h hash.Hash) (n int, err error) {
 	for n < len(buf) && err == nil {
 		var k int
 		k, err = r.Read(buf[n:])
@@ -123,16 +133,16 @@ func readHashed(r io.Reader, buf []byte, crc *uint32) (n int, sum Sum, err error
 			if crc != nil {
 				*crc = crc32.Update(*crc, crc32.IEEETable, buf[n:n+k])
 			}
-			h.Write(buf[n : n+k])
+			if h != nil {
+				h.Write(buf[n : n+k])
+			}
 			n += k
 		}
 	}
-	hashPasses.Add(int64(n))
-	h.Sum(sum[:0])
 	if err == io.EOF {
 		err = nil
 	}
-	return n, sum, err
+	return n, err
 }
 
 // ingestBody is the ingress for a bare chunk body (JSON-dialect PUT,

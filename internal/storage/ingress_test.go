@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -13,12 +14,15 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mcloud/internal/faults"
+	"mcloud/internal/metrics"
 	"mcloud/internal/trace"
 )
 
@@ -815,5 +819,458 @@ func TestCarriedCRCDetectsCorruptionBelowIngress(t *testing.T) {
 	}
 	if _, err := ds.Get(sum); err == nil || !strings.Contains(err.Error(), "corruption") {
 		t.Fatalf("Get of a record damaged below the ingress = %v, want the CRC to catch it", err)
+	}
+}
+
+// retrieveRig is one front-end over a MemStore with its metadata
+// server and a client of it. It records the digests each bin/get and
+// JSON chunk GET asked for, and damage, when set, rewrites the first
+// chunk response it serves.
+type retrieveRig struct {
+	client *Client
+	store  *MemStore
+	meta   *Metadata
+
+	mu      sync.Mutex
+	asked   [][]Sum  // per bin/get request, in arrival order
+	jsonGot []string // per JSON chunk GET, in arrival order
+	damage  func(bin bool, body []byte)
+	damaged atomic.Bool
+}
+
+func newRetrieveRig(t *testing.T, parallel int) *retrieveRig {
+	t.Helper()
+	rig := &retrieveRig{store: NewMemStore(), meta: NewMetadata()}
+	next := NewFrontEnd(FrontEndConfig{Store: rig.store, Meta: rig.meta}).Handler()
+	feSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		bin := r.URL.Path == "/v1/bin/get"
+		switch {
+		case bin:
+			body, _ := io.ReadAll(r.Body)
+			sums, err := decodeBinGetRequest(bytes.NewReader(body), binMaxBatch)
+			if err != nil {
+				t.Error(err)
+			}
+			rig.mu.Lock()
+			rig.asked = append(rig.asked, sums)
+			rig.mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		case r.Method == http.MethodGet && isChunkReq(r):
+			rig.mu.Lock()
+			rig.jsonGot = append(rig.jsonGot, trimChunkPath(r.URL.Path))
+			rig.mu.Unlock()
+		default:
+			next.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		next.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if rec.Code == http.StatusOK && rig.damage != nil && rig.damaged.CompareAndSwap(false, true) {
+			rig.damage(bin, body)
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}))
+	metaSrv := httptest.NewServer(rig.meta.Handler())
+	t.Cleanup(feSrv.Close)
+	t.Cleanup(metaSrv.Close)
+	rig.meta.AddFrontEnd(feSrv.URL)
+	pol := fastRetry
+	rig.client = &Client{
+		MetaURL: metaSrv.URL, UserID: 5, DeviceID: 5, Device: trace.Android,
+		Parallel: parallel, Retry: &pol, Metrics: NewClientMetrics(metrics.NewRegistry()),
+	}
+	return rig
+}
+
+// upload stores data through the client and forgets the requests that
+// took.
+func (rig *retrieveRig) upload(t *testing.T, data []byte) string {
+	t.Helper()
+	res, err := rig.client.StoreFile("r.bin", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.mu.Lock()
+	rig.asked, rig.jsonGot = nil, nil
+	rig.mu.Unlock()
+	return res.URL
+}
+
+// requests returns what the bin/get and JSON chunk GET requests asked
+// for so far.
+func (rig *retrieveRig) requests() (asked [][]Sum, jsonGot []string) {
+	rig.mu.Lock()
+	defer rig.mu.Unlock()
+	return append([][]Sum(nil), rig.asked...), append([]string(nil), rig.jsonGot...)
+}
+
+func lens(batches [][]Sum) []int {
+	out := make([]int, len(batches))
+	for i, b := range batches {
+		out[i] = len(b)
+	}
+	return out
+}
+
+// flipFirstPayloadBit damages the first chunk of a response after
+// framing: the frame CRC catches it on the binary dialect, the chunk
+// MD5 on JSON.
+func flipFirstPayloadBit(bin bool, body []byte) {
+	if bin {
+		body[recHeaderSize+100] ^= 0x10
+	} else {
+		body[100] ^= 0x10
+	}
+}
+
+// forgeFirstFrame replaces the first frame's payload with other bytes
+// of the same length under a header that still names the requested
+// digest, with a CRC that matches: consistent as far as the transport
+// can tell, wrong content.
+func forgeFirstFrame(_ bool, body []byte) {
+	var sum Sum
+	copy(sum[:], body[:16])
+	n := binary.LittleEndian.Uint32(body[16:20])
+	payload := body[recHeaderSize : recHeaderSize+int(n)]
+	for k := range payload {
+		payload[k] ^= 0xA5
+	}
+	encodeHeader(body[:recHeaderSize], sum, n, payload)
+}
+
+// retrieveGoroutines counts the goroutines still running retrieve code.
+func retrieveGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("(*retrieval)")) || bytes.Contains(g, []byte("storage.runWindow")) {
+			n++
+		}
+	}
+	return n
+}
+
+// checkNoRetrieveGoroutines fails if a goroutine a retrieve started is
+// still alive shortly after the retrieve returned (the grace covers a
+// goroutine between its last statement and its exit).
+func checkNoRetrieveGoroutines(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for retrieveGoroutines() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d retrieve goroutines outlived the call", retrieveGoroutines())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRetrieveCorruptionMatrix damages retrieves in every way the read
+// path must survive, at windows 1 and 2, over the binary dialect and
+// the JSON fallback. A damaged chunk is caught where it arrives (frame
+// CRC, or chunk MD5 on JSON) and re-fetched; a forged frame that the
+// transport cannot tell from a good one is caught by the file digest,
+// located, and re-fetched; metadata whose chunk list disagrees with
+// its file digest fails with no bytes. No retrieve goroutine outlives
+// its call on any of these paths (run under -race).
+func TestRetrieveCorruptionMatrix(t *testing.T) {
+	const size = 5*ChunkSize + 4321
+	seed := uint64(0)
+	for _, parallel := range []int{1, 2} {
+		for _, dialect := range []string{"bin", "json"} {
+			rig := func(t *testing.T) *retrieveRig {
+				seed++
+				rig := newRetrieveRig(t, parallel)
+				rig.client.DisableBin = dialect == "json"
+				return rig
+			}
+			name := fmt.Sprintf("parallel=%d/%s/", parallel, dialect)
+
+			t.Run(name+"flipped-bit", func(t *testing.T) {
+				rig := rig(t)
+				data := chunkedData(t, 500+seed, size)
+				url := rig.upload(t, data)
+				rig.damage = flipFirstPayloadBit
+				got, err := rig.client.RetrieveFile(url)
+				if err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("retrieve after a flipped bit: %v (equal %v)", err, bytes.Equal(got, data))
+				}
+				if !rig.damaged.Load() || rig.client.Metrics.Stats().Refetches < 1 {
+					t.Fatalf("damaged %v, refetches %d", rig.damaged.Load(), rig.client.Metrics.Stats().Refetches)
+				}
+				// Caught by the CRC inside the batch and retried there:
+				// one more bin/get than there are batches, no JSON GET.
+				if asked, jsonGot := rig.requests(); dialect == "bin" && (len(asked) != parallel+1 || len(jsonGot) != 0) {
+					t.Fatalf("bin/get %d, JSON GET %d; want %d and 0", len(asked), len(jsonGot), parallel+1)
+				}
+				checkNoRetrieveGoroutines(t)
+			})
+
+			if dialect == "bin" {
+				t.Run(name+"forged-frame", func(t *testing.T) {
+					rig := rig(t)
+					data := chunkedData(t, 500+seed, size)
+					url := rig.upload(t, data)
+					rig.damage = forgeFirstFrame
+					got, err := rig.client.RetrieveFile(url)
+					if err != nil || !bytes.Equal(got, data) {
+						t.Fatalf("retrieve after a forged frame: %v (equal %v)", err, bytes.Equal(got, data))
+					}
+					if !rig.damaged.Load() || rig.client.Metrics.Stats().Refetches < 1 {
+						t.Fatalf("damaged %v, refetches %d", rig.damaged.Load(), rig.client.Metrics.Stats().Refetches)
+					}
+					// The CRC passed, so no batch retried; the file digest
+					// caught it and exactly the forged chunk was re-fetched.
+					if asked, jsonGot := rig.requests(); len(asked) != parallel || len(jsonGot) != 1 {
+						t.Fatalf("bin/get %d, JSON GET %d; want %d and 1", len(asked), len(jsonGot), parallel)
+					}
+					checkNoRetrieveGoroutines(t)
+				})
+			}
+
+			t.Run(name+"chunk-list-disagrees", func(t *testing.T) {
+				rig := rig(t)
+				for _, chunks := range []int{1, 3} {
+					data := chunkedData(t, 900+seed+uint64(chunks), (chunks-1)*ChunkSize+777)
+					claimed := append([]byte(nil), data...)
+					claimed[0] ^= 0xFF
+					chk, err := rig.meta.StoreCheck(StoreCheckRequest{
+						UserID: 5, Name: "liar.bin", Size: int64(len(data)), FileMD5: SumBytes(claimed).String(),
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sums := SplitSums(data)
+					for i, sum := range sums {
+						if err := rig.store.Put(sum, data[i*ChunkSize:min((i+1)*ChunkSize, len(data))]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := rig.meta.Commit(0, chk.URL, sums); err != nil {
+						t.Fatal(err)
+					}
+					got, err := rig.client.RetrieveFile(chk.URL)
+					if !errors.Is(err, errFileDigest) || got != nil {
+						t.Fatalf("%d chunks: RetrieveFile = %d bytes, %v; want no bytes and a digest error", chunks, len(got), err)
+					}
+					checkNoRetrieveGoroutines(t)
+				}
+			})
+		}
+	}
+}
+
+// TestRetrieveHashesEachByteOnce pins the read path's pass count with
+// the always-on counter: a retrieve of N bytes over mcsbin/1 hashes
+// exactly N (the fold into the file digest; frames are CRC-checked
+// only), at any window and any chunk count. Over the per-chunk JSON
+// fallback each chunk is MD5-checked as it arrives and then folded, so
+// that path hashes 2N.
+func TestRetrieveHashesEachByteOnce(t *testing.T) {
+	for _, parallel := range []int{1, 2} {
+		for _, json := range []bool{false, true} {
+			client := ingressService(t, NewMemStore(), parallel)
+			client.DisableBin = json
+			passes := int64(1)
+			if json {
+				passes = 2
+			}
+			for _, size := range []int{4 << 20, ChunkSize + 12345, 40000} {
+				data := chunkedData(t, uint64(size+parallel), size)
+				res, err := client.StoreFile(fmt.Sprintf("p%d.bin", size), data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := hashPasses.Load()
+				got, err := client.RetrieveFile(res.URL)
+				if err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("retrieve: %v", err)
+				}
+				if n := hashPasses.Load() - before; n != passes*int64(size) {
+					t.Errorf("parallel=%d json=%v: a %d-byte retrieve hashed %d bytes (%.2f passes), want %d",
+						parallel, json, size, n, float64(n)/float64(size), passes)
+				}
+			}
+		}
+	}
+}
+
+// TestBatchRetryFetchesOnlyMissing: a transport that cuts every bin/get
+// response after three frames makes each attempt land three more
+// chunks; every retry asks for exactly the chunks that have not landed,
+// and a batch that runs out of attempts hands only those to the JSON
+// fallback. Run under -race: a re-requested landed slot would be
+// rewritten while the fold reads it.
+func TestBatchRetryFetchesOnlyMissing(t *testing.T) {
+	const frames = 3
+	for _, attempts := range []int{4, 2} {
+		t.Run(fmt.Sprintf("attempts=%d", attempts), func(t *testing.T) {
+			rig := newRetrieveRig(t, 1)
+			rig.client.Retry.MaxAttempts = attempts
+			data := chunkedData(t, 71, 8*ChunkSize)
+			url := rig.upload(t, data)
+			rig.client.HTTP = &http.Client{Transport: faults.NewTransport(faults.Scenario{
+				Seed:          1,
+				TruncateRate:  1,
+				TruncateAfter: frames * (recHeaderSize + ChunkSize),
+				PathPrefix:    "/v1/bin/get",
+			}, nil)}
+			got, err := rig.client.RetrieveFile(url)
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("retrieve through a cutting transport: %v", err)
+			}
+
+			sums := SplitSums(data)
+			var want [][]Sum
+			for lo := 0; lo < len(sums) && len(want) < attempts; lo += frames {
+				want = append(want, sums[lo:])
+			}
+			var wantJSON []string
+			for _, s := range sums[min(attempts*frames, len(sums)):] {
+				wantJSON = append(wantJSON, s.String())
+			}
+			asked, jsonGot := rig.requests()
+			if !reflect.DeepEqual(asked, want) {
+				t.Errorf("bin/get requests asked for %d, want %d: each retry must list only the chunks not landed", lens(asked), lens(want))
+			}
+			if !reflect.DeepEqual(jsonGot, wantJSON) {
+				t.Errorf("JSON fallback fetched %v, want %v", jsonGot, wantJSON)
+			}
+			checkNoRetrieveGoroutines(t)
+		})
+	}
+}
+
+// TestInterChunkDelayPacesEachChunk: the modelled client processing
+// time separates consecutive chunks, so on a ring a paced retrieve
+// still requests its chunks one at a time in file order, whichever
+// host each chunk routes to and whichever dialect that host is known
+// to speak, and hashes each byte once over mcsbin/1 (twice over JSON).
+func TestInterChunkDelayPacesEachChunk(t *testing.T) {
+	nodes, meta := newTestCluster(t, 3, 3, 2)
+	metaSrv := httptest.NewServer(meta.Handler())
+	t.Cleanup(metaSrv.Close)
+	meta.AddFrontEnd(nodes[0].url)
+	var (
+		mu      sync.Mutex
+		order   [][]Sum // per client chunk request, in arrival order
+		viaJSON = map[Sum]bool{}
+		paced   atomic.Int64
+	)
+	for _, nd := range nodes {
+		fe := nd.fe
+		nd.handler.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var asked []Sum
+			switch {
+			case r.Header.Get(ReplicaHeader) != "":
+			case r.URL.Path == "/v1/bin/get":
+				body, _ := io.ReadAll(r.Body)
+				asked, _ = decodeBinGetRequest(bytes.NewReader(body), binMaxBatch)
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			case r.Method == http.MethodGet && isChunkReq(r):
+				sum, _ := ParseSum(trimChunkPath(r.URL.Path))
+				asked = []Sum{sum}
+			}
+			if asked != nil {
+				mu.Lock()
+				order = append(order, asked)
+				if r.Method == http.MethodGet {
+					viaJSON[asked[0]] = true
+				}
+				mu.Unlock()
+			}
+			fe.ServeHTTP(w, r)
+		}))
+	}
+	client := &Client{
+		MetaURL: metaSrv.URL, UserID: 9, DeviceID: 9, Device: trace.Android, Parallel: 4,
+		InterChunkDelay: func() time.Duration { paced.Add(1); return 0 },
+	}
+	// Ports, and so ring positions, differ per run: pick data whose
+	// chunks grouping by host would reorder, and leave one host that is
+	// not the front-end (the client hears mcsbin/1 from that on every
+	// operation) on the JSON path.
+	var (
+		data     []byte
+		sums     []Sum
+		targets  []string
+		jsonHost string
+	)
+	for seed := uint64(83); jsonHost == ""; seed++ {
+		data = chunkedData(t, seed, 8*ChunkSize+99)
+		sums, targets = SplitSums(data), nil
+		interleaved := false
+		for i, s := range sums {
+			targets = append(targets, client.chunkTarget(nodes[0].url, s))
+			interleaved = interleaved || i > 0 && targets[i] < targets[i-1]
+		}
+		for _, h := range targets {
+			if interleaved && h != nodes[0].url {
+				jsonHost = h
+				break
+			}
+		}
+	}
+	res, err := client.StoreFile("paced.bin", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// W=2 acks with the third replica in flight; let it land, so no
+	// server-side replica read hashes bytes during the retrieve.
+	deadline := time.Now().Add(5 * time.Second)
+	for _, nd := range nodes {
+		for _, s := range sums {
+			for !nd.local.Has(s) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s never received chunk %s", nd.url, s)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	for _, nd := range nodes {
+		if nd.url != jsonHost {
+			h := http.Header{}
+			h.Set(BinHeader, BinV1)
+			client.noteBin(nd.url, h)
+		}
+	}
+	mu.Lock()
+	order, viaJSON = nil, map[Sum]bool{}
+	mu.Unlock()
+	paced.Store(0)
+
+	before := hashPasses.Load()
+	got, err := client.RetrieveFile(res.URL)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("paced retrieve: %v", err)
+	}
+	passes := hashPasses.Load() - before
+	var want [][]Sum
+	wantJSON := map[Sum]bool{}
+	wantPasses := int64(len(data))
+	for i, s := range sums {
+		want = append(want, []Sum{s})
+		if targets[i] == jsonHost {
+			wantJSON[s] = true
+			wantPasses += min(ChunkSize, int64(len(data)-i*ChunkSize))
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(order, want) || paced.Load() != int64(len(want)-1) {
+		t.Fatalf("paced requests asked for %v chunks (want one each, in file order), paced %d times (want %d)",
+			lens(order), paced.Load(), len(want)-1)
+	}
+	if !reflect.DeepEqual(viaJSON, wantJSON) {
+		t.Fatalf("%d chunks took the JSON path, want the %d routed to %s", len(viaJSON), len(wantJSON), jsonHost)
+	}
+	if passes != wantPasses {
+		t.Errorf("paced retrieve hashed %d bytes, want %d", passes, wantPasses)
 	}
 }

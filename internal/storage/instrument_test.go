@@ -52,6 +52,10 @@ func TestInstrumentedServiceExposition(t *testing.T) {
 			t.Fatalf("retrieved %d bytes, want %d", len(got), len(data))
 		}
 	}
+	// A front-end counts a chunk read after its last byte is on the
+	// wire, which can be after the client returned with it: Close waits
+	// for the handlers.
+	feSrv.Close()
 
 	health := &metrics.Health{}
 	health.SetReady(true)

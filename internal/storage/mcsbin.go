@@ -58,7 +58,7 @@ const binMaxBatch = 16
 type binFrame struct {
 	frame
 	sum      Sum
-	got      Sum // MD5 of payload, computed during the streaming read
+	got      Sum // MD5 of payload, computed during the streaming read if asked for
 	notFound bool
 }
 
@@ -75,14 +75,17 @@ func (f *binFrame) verified() (*frame, error) {
 	return &f.frame, nil
 }
 
-// readBinFrame decodes one frame from r into buf. The payload CRC and
-// MD5 are both folded into the read loop — one pass over the bytes as
-// they arrive, no re-scan. Every malformed input fails closed with an
-// error wrapping a package sentinel, so the server side maps it onto
-// the typed envelope (truncation → bad_request, oversized →
-// too_large, checksum mismatch → bad_digest) and the client side
-// refuses the bytes.
-func readBinFrame(r io.Reader, buf []byte) (binFrame, error) {
+// readBinFrame decodes one frame from r into buf. The payload CRC —
+// and, with hashMD5, the payload MD5 into f.got — is folded into the
+// read loop: one pass over the bytes as they arrive, no re-scan. An
+// ingress, which is about to vouch for the frame's digest, asks for
+// the MD5; the client's read path checks only the CRC here and hashes
+// the bytes once, into the file digest (see retrieval). Every
+// malformed input fails closed with an error wrapping a package
+// sentinel, so the server side maps it onto the typed envelope
+// (truncation → bad_request, oversized → too_large, checksum mismatch
+// → bad_digest) and the client side refuses the bytes.
+func readBinFrame(r io.Reader, buf []byte, hashMD5 bool) (binFrame, error) {
 	var f binFrame
 	if _, err := io.ReadFull(r, f.hdr[:]); err != nil {
 		return f, fmt.Errorf("storage: mcsbin: truncated frame header: %w", io.ErrUnexpectedEOF)
@@ -101,14 +104,18 @@ func readBinFrame(r io.Reader, buf []byte) (binFrame, error) {
 	if length > ChunkSize || int(length) > len(buf) {
 		return f, fmt.Errorf("%w: mcsbin frame declares %d payload bytes", ErrTooLarge, length)
 	}
-	n, got, _ := readHashed(r, buf[:length], &crc)
+	var n int
+	if hashMD5 {
+		n, f.got, _ = readHashed(r, buf[:length], &crc)
+	} else {
+		n, _ = readChecked(r, buf[:length], &crc, nil)
+	}
 	if n < int(length) {
 		return f, fmt.Errorf("storage: mcsbin: truncated frame payload (%d of %d bytes): %w", n, length, io.ErrUnexpectedEOF)
 	}
 	if crc != want {
 		return f, fmt.Errorf("%w: mcsbin frame checksum mismatch for %s", ErrBadDigest, f.sum)
 	}
-	f.got = got
 	f.payload = buf[:length]
 	return f, nil
 }
@@ -248,7 +255,7 @@ func readReplicaFrame(resp *http.Response, sum Sum, bin bool) (*frame, error) {
 		}
 		return fr.own(), nil
 	}
-	bf, err := readBinFrame(resp.Body, *scratch)
+	bf, err := readBinFrame(resp.Body, *scratch, true)
 	if err != nil {
 		return nil, err
 	}

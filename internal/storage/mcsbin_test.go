@@ -22,7 +22,7 @@ func TestBinFrameRoundTrip(t *testing.T) {
 	frame := appendBinFrame(nil, sum, data)
 	buf := make([]byte, ChunkSize)
 
-	f, err := readBinFrame(bytes.NewReader(frame), buf)
+	f, err := readBinFrame(bytes.NewReader(frame), buf, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +36,19 @@ func TestBinFrameRoundTrip(t *testing.T) {
 		t.Fatal("payload mismatch after round trip")
 	}
 
+	// Without the MD5 the frame decodes the same, CRC-checked, and no
+	// byte is hashed.
+	before := hashPasses.Load()
+	f, err = readBinFrame(bytes.NewReader(frame), buf, false)
+	if err != nil || f.sum != sum || f.got != (Sum{}) || !bytes.Equal(f.payload, data) {
+		t.Fatalf("CRC-only decode: %v, got %s", err, f.got)
+	}
+	if n := hashPasses.Load() - before; n != 0 {
+		t.Fatalf("CRC-only decode hashed %d bytes", n)
+	}
+
 	nf := binNotFoundFrame(sum)
-	f, err = readBinFrame(bytes.NewReader(nf), buf)
+	f, err = readBinFrame(bytes.NewReader(nf), buf, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,27 +66,31 @@ func TestBinFrameFailsClosed(t *testing.T) {
 	frame := appendBinFrame(nil, sum, data)
 	buf := make([]byte, ChunkSize)
 
-	if _, err := readBinFrame(bytes.NewReader(frame[:10]), buf); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("truncated header: err = %v, want unexpected EOF", err)
-	}
-	if _, err := readBinFrame(bytes.NewReader(frame[:len(frame)-5]), buf); err == nil {
-		t.Fatal("truncated payload decoded without error")
-	}
-	bad := append([]byte(nil), frame...)
-	bad[recHeaderSize] ^= 0x40
-	if _, err := readBinFrame(bytes.NewReader(bad), buf); !errors.Is(err, ErrBadDigest) {
-		t.Fatalf("corrupt payload: err = %v, want bad digest", err)
-	}
-	big := append([]byte(nil), frame...)
-	binary.LittleEndian.PutUint32(big[16:20], ChunkSize+1)
-	if _, err := readBinFrame(bytes.NewReader(big), buf); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("oversized frame: err = %v, want too large", err)
-	}
-	// A corrupted not-found frame (bad header CRC) is rejected too.
-	nf := binNotFoundFrame(sum)
-	nf[0] ^= 0x01
-	if _, err := readBinFrame(bytes.NewReader(nf), buf); err == nil {
-		t.Fatal("corrupt not-found frame accepted")
+	// The read path's CRC-only decode fails closed exactly like the
+	// ingress's CRC+MD5 one.
+	for _, hashMD5 := range []bool{true, false} {
+		if _, err := readBinFrame(bytes.NewReader(frame[:10]), buf, hashMD5); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("truncated header: err = %v, want unexpected EOF", err)
+		}
+		if _, err := readBinFrame(bytes.NewReader(frame[:len(frame)-5]), buf, hashMD5); err == nil {
+			t.Fatal("truncated payload decoded without error")
+		}
+		bad := append([]byte(nil), frame...)
+		bad[recHeaderSize] ^= 0x40
+		if _, err := readBinFrame(bytes.NewReader(bad), buf, hashMD5); !errors.Is(err, ErrBadDigest) {
+			t.Fatalf("corrupt payload: err = %v, want bad digest", err)
+		}
+		big := append([]byte(nil), frame...)
+		binary.LittleEndian.PutUint32(big[16:20], ChunkSize+1)
+		if _, err := readBinFrame(bytes.NewReader(big), buf, hashMD5); !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("oversized frame: err = %v, want too large", err)
+		}
+		// A corrupted not-found frame (bad header CRC) is rejected too.
+		nf := binNotFoundFrame(sum)
+		nf[0] ^= 0x01
+		if _, err := readBinFrame(bytes.NewReader(nf), buf, hashMD5); err == nil {
+			t.Fatal("corrupt not-found frame accepted")
+		}
 	}
 
 	if _, err := decodeBinCount(bytes.NewReader([]byte{0, 0, 0, 0}), binMaxBatch); err == nil {
@@ -105,7 +120,7 @@ func FuzzBinFrame(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x00}, recHeaderSize+64))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		buf := make([]byte, 4096)
-		fr, err := readBinFrame(bytes.NewReader(b), buf)
+		fr, err := readBinFrame(bytes.NewReader(b), buf, true)
 		if err != nil {
 			return // fail-closed: malformed input errors, never panics
 		}

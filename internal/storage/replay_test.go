@@ -49,6 +49,10 @@ func TestVirtualTimeReplay(t *testing.T) {
 	if _, err := client.RetrieveFile(urls[0]); err != nil {
 		t.Fatal(err)
 	}
+	// A front-end logs a chunk read after its last byte is on the wire,
+	// which can be after the client returned with it: closing the servers waits for
+	// the handlers.
+	cleanup()
 
 	logs := col.Logs()
 	for _, l := range logs {

@@ -278,6 +278,10 @@ func TestEndToEndStoreRetrieve(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("retrieved content differs from stored content")
 	}
+	// A front-end logs a chunk read after its last byte is on the wire,
+	// which can be after the client returned with it: closing the servers waits for
+	// the handlers.
+	cleanup()
 
 	// Log accounting: 1 file-store + 3 chunk-store + 1 file-retrieve +
 	// 3 chunk-retrieve.

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mcloud/internal/cluster"
 	"mcloud/internal/randx"
 )
 
@@ -424,6 +426,76 @@ func TestDownloadUnknownURL(t *testing.T) {
 	defer cleanup()
 	if _, err := client.NewDownload("/f/doesnotexist/1"); err == nil {
 		t.Error("expected error for unknown URL")
+	}
+}
+
+// TestDownloadResolvesLikeRetrieve: NewDownload takes RetrieveFile's
+// path to a file — a comma-separated MetaURL, shard routing, the
+// cross-shard scatter for a URL another user stored on the other
+// shard, and the shard pin on the retrieval operation — and
+// Download.Bytes refuses bytes that do not hash to the file digest.
+func TestDownloadResolvesLikeRetrieve(t *testing.T) {
+	meta0, meta1 := NewMetadata(), NewMetadata()
+	srv0 := httptest.NewServer(meta0.Handler())
+	defer srv0.Close()
+	srv1 := httptest.NewServer(meta1.Handler())
+	defer srv1.Close()
+	smap, err := cluster.NewMetaShardMap(1, [][]string{{srv0.URL}, {srv1.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta0.SetShard(0, smap)
+	meta1.SetShard(1, smap)
+	store := NewMemStore()
+	feSrv := httptest.NewServer(NewFrontEnd(FrontEndConfig{Store: store, Meta: NewShardedRemoteMeta(smap, nil)}).Handler())
+	defer feSrv.Close()
+	meta0.AddFrontEnd(feSrv.URL)
+	meta1.AddFrontEnd(feSrv.URL)
+
+	pol := fastRetry
+	owner := &Client{MetaURL: srv1.URL, UserID: shardUser(t, smap, 1, nil), Retry: &pol}
+	data := chunkedData(t, 61, 3*ChunkSize+77)
+	res, err := owner.StoreFile("shared.bin", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reader := &Client{MetaURL: srv0.URL + "," + srv1.URL, UserID: shardUser(t, smap, 0, nil), Retry: &pol}
+	dl, err := reader.NewDownload(res.URL)
+	if err != nil {
+		t.Fatalf("NewDownload of a URL stored on the other shard: %v", err)
+	}
+	if err := dl.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := dl.Bytes(); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("Bytes: %v (equal %v)", err, bytes.Equal(got, data))
+	}
+	if got, err := reader.RetrieveFile(res.URL); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("RetrieveFile: %v", err)
+	}
+
+	// A commit whose chunk list disagrees with its file digest: every
+	// chunk verifies, the file does not, and Bytes says so.
+	claimed := append([]byte(nil), data...)
+	claimed[0] ^= 0xFF
+	user := shardUser(t, smap, 1, nil)
+	chk, err := meta1.StoreCheck(StoreCheckRequest{UserID: user, Name: "liar.bin", Size: int64(len(data)), FileMD5: SumBytes(claimed).String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := meta1.Commit(1, chk.URL, SplitSums(data)); err != nil {
+		t.Fatal(err)
+	}
+	dl, err = reader.NewDownload(chk.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dl.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := dl.Bytes(); !errors.Is(err, errFileDigest) || got != nil {
+		t.Fatalf("Bytes of a file that fails its digest = %d bytes, %v", len(got), err)
 	}
 }
 

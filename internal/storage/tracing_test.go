@@ -79,6 +79,10 @@ func TestTraceJoinsSingleNode(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("round trip mismatch")
 	}
+	// The front-end ends a chunk read's span after its last byte is on
+	// the wire, which can be after the client returned with it: closing
+	// the servers waits for the handlers.
+	cleanup()
 
 	ex := tracing.Export{Node: tr.Node(), Spans: tr.Snapshot(tracing.Filter{})}
 	d := assertJoined(t, ex)
@@ -126,6 +130,7 @@ func TestTraceJoinsThroughLegacyNegotiation(t *testing.T) {
 	if _, err := client.RetrieveFile(res.URL); err != nil {
 		t.Fatal(err)
 	}
+	cleanup() // wait for the handlers' spans, as above
 
 	ex := tracing.Export{Node: tr.Node(), Spans: tr.Snapshot(tracing.Filter{})}
 	d := assertJoined(t, ex)
