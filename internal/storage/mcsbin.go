@@ -2,11 +2,13 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
+	"sync"
 )
 
 // mcsbin/1 is the negotiated binary chunk dialect for the hot transfer
@@ -182,7 +184,7 @@ func decodeBinGetRequest(r io.Reader, max int) ([]Sum, error) {
 // server.
 func binAdvertised(h http.Header) bool { return h.Get(BinHeader) == BinV1 }
 
-// --- single-chunk replica transfers (replication fan-out, rebalancer) ---
+// --- replica transfers (replication fan-out, repair, rebalancer) -------
 
 // replicaReq builds a cluster-internal request: it acts on the target
 // node's local store and is never forwarded again.
@@ -209,30 +211,141 @@ func replicaGetReq(node string, sum Sum, bin bool) (*http.Request, error) {
 	return req, err
 }
 
-// replicaPutReq builds the request that writes one verified frame to
-// node's local store. Over mcsbin/1 the frame streams as it stands —
-// count prefix and header from a 28-byte prologue, then the payload
-// slice itself — so N replicas of one chunk share one payload buffer
-// and nobody re-encodes or re-checksums it. Either way the receiver is
-// its own ingress and verifies once.
-func replicaPutReq(node string, f *frame, bin bool) (*http.Request, error) {
-	if !bin {
-		return replicaReq(http.MethodPut, node, "/v1/chunk/"+f.digest().String(), bytes.NewReader(f.payload))
+// replicaChunkReq builds the JSON-dialect request that writes one
+// verified frame to node's local store; cancelling ctx cuts it short.
+func replicaChunkReq(ctx context.Context, node string, f *frame) (*http.Request, error) {
+	req, err := replicaReq(http.MethodPut, node, "/v1/chunk/"+f.digest().String(), bytes.NewReader(f.payload))
+	if err != nil {
+		return nil, err
 	}
-	prologue := appendBinCount(make([]byte, 0, 4+recHeaderSize), 1)
-	prologue = append(prologue, f.hdr[:]...)
+	return req.WithContext(ctx), nil
+}
+
+// replicaPutReq builds the mcsbin/1 request that writes q's frames to
+// node's local store. The body streams as the frames are handed over —
+// count prefix, then each carried header and its payload slice as they
+// stand — so every owner of a chunk shares one payload buffer, nobody
+// re-encodes or re-checksums it, and the owner starts writing while
+// later frames are still arriving here. The receiver is its own
+// ingress and verifies once; it answers for the whole batch after its
+// own group fsync. Cancelling ctx cuts the request short. The queue
+// keeps every frame it was handed, so the transport can replay the body
+// from the start on a fresh connection.
+func replicaPutReq(ctx context.Context, node string, q *frameQueue) (*http.Request, error) {
 	body := func() (io.ReadCloser, error) {
-		return io.NopCloser(io.MultiReader(bytes.NewReader(prologue), bytes.NewReader(f.payload))), nil
+		return io.NopCloser(&frameReader{q: q, parts: [][]byte{appendBinCount(nil, q.count)}}), nil
 	}
 	rc, _ := body()
 	req, err := replicaReq(http.MethodPost, node, "/v1/bin/put", rc)
 	if err != nil {
 		return nil, err
 	}
-	req.ContentLength = int64(len(prologue) + len(f.payload))
 	req.GetBody = body
 	req.Header.Set("Content-Type", binContentType)
-	return req, nil
+	return req.WithContext(ctx), nil
+}
+
+// frameQueue is the frames one owner receives from one request, in
+// the order they are handed over. count, the length the owner is
+// promised, is fixed before anyone reads the queue; at blocks until
+// the frame asked for has been pushed, or the queue is cut.
+type frameQueue struct {
+	count int
+
+	mu     sync.Mutex
+	cond   sync.Cond
+	frames []*frame
+	err    error
+}
+
+func newFrameQueue(frames ...*frame) *frameQueue {
+	q := &frameQueue{count: len(frames), frames: frames}
+	q.cond.L = &q.mu
+	return q
+}
+
+func (q *frameQueue) push(f *frame) {
+	q.mu.Lock()
+	q.frames = append(q.frames, f)
+	q.mu.Unlock()
+	q.cond.Broadcast()
+}
+
+// cut fails every reader still waiting for a frame.
+func (q *frameQueue) cut(err error) {
+	q.mu.Lock()
+	q.err = err
+	q.mu.Unlock()
+	q.cond.Broadcast()
+}
+
+func (q *frameQueue) at(k int) (*frame, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for k >= len(q.frames) && q.err == nil {
+		q.cond.Wait()
+	}
+	if q.err != nil {
+		return nil, q.err
+	}
+	return q.frames[k], nil
+}
+
+// frameReader reads a frameQueue as a /v1/bin/put body.
+type frameReader struct {
+	q     *frameQueue
+	next  int      // next frame to take from the queue
+	parts [][]byte // bytes taken but not yet read
+}
+
+// take moves the next frame into parts, waiting for it to be pushed;
+// io.EOF after the last.
+func (r *frameReader) take() error {
+	if r.next == r.q.count {
+		return io.EOF
+	}
+	f, err := r.q.at(r.next)
+	if err != nil {
+		return err
+	}
+	r.next++
+	r.parts = [][]byte{f.hdr[:], f.payload}
+	return nil
+}
+
+func (r *frameReader) Read(p []byte) (int, error) {
+	for len(r.parts) == 0 {
+		if err := r.take(); err != nil {
+			return 0, err
+		}
+	}
+	n := copy(p, r.parts[0])
+	if r.parts[0] = r.parts[0][n:]; len(r.parts[0]) == 0 {
+		r.parts = r.parts[1:]
+	}
+	return n, nil
+}
+
+// WriteTo hands w each header and each payload whole, as they are
+// pushed: a chunked request body then writes a frame in two calls
+// instead of one per copy buffer.
+func (r *frameReader) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	for {
+		for len(r.parts) > 0 {
+			m, err := w.Write(r.parts[0])
+			n += int64(m)
+			if err != nil {
+				return n, err
+			}
+			r.parts = r.parts[1:]
+		}
+		if err := r.take(); err == io.EOF {
+			return n, nil
+		} else if err != nil {
+			return n, err
+		}
+	}
 }
 
 // readReplicaFrame is the ingress for the response to a replicaGetReq:

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -326,7 +327,14 @@ func (rb *Rebalancer) fetchFrom(have map[string]bool, sum Sum) *frame {
 // putTo re-streams a verified frame to node as it stands; the node is
 // its own ingress and verifies once.
 func (rb *Rebalancer) putTo(node string, fr *frame) error {
-	req, err := replicaPutReq(node, fr, rb.binNode(node))
+	ctx := context.Background()
+	var req *http.Request
+	var err error
+	if rb.binNode(node) {
+		req, err = replicaPutReq(ctx, node, newFrameQueue(fr))
+	} else {
+		req, err = replicaChunkReq(ctx, node, fr)
+	}
 	if err != nil {
 		return err
 	}
