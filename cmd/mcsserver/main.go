@@ -42,7 +42,6 @@ func main() {
 		feAddrs  = flag.String("frontends", ":8081", "comma-separated front-end listen addresses")
 		logPath  = flag.String("log", "service.log", "request log output path")
 		tsrvMS   = flag.Int("tsrv", 0, "simulated upstream processing median (ms); 0 disables the extra delay")
-		metaSnap = flag.String("metasnap", "", "metadata snapshot file: loaded at startup, saved at shutdown")
 		opsAddr  = flag.String("ops", ":8090", "ops listener address for /metrics, /healthz, /readyz, /debug/vars, /debug/pprof (empty disables)")
 		cacheMB  = flag.Int("cache", 0, "read-path LRU chunk cache size in MB (0 disables)")
 		drain    = flag.Duration("drain", 15*time.Second, "max time to wait for in-flight requests at shutdown")
@@ -60,7 +59,7 @@ func main() {
 		replicas = flag.Int("replicas", 3, "replica owners per chunk in a cluster (N)")
 		quorum   = flag.Int("quorum", 2, "owner acks required before a chunk PUT is acknowledged (W)")
 		metaURL  = flag.String("metaurl", "", "remote metadata service base URL(s), comma-separated primary-first; when set this node serves no metadata itself")
-		metaDir  = flag.String("metadata-dir", "", "durable metadata directory: WAL + checkpoint with crash recovery (empty keeps metadata in RAM; supersedes -metasnap)")
+		metaDir  = flag.String("metadata-dir", "", "durable metadata directory: WAL + checkpoint with crash recovery (empty keeps metadata in RAM)")
 		metaCkpt = flag.Duration("metacheckpoint", 30*time.Second, "periodic metadata checkpoint interval (with -metadata-dir; 0 disables)")
 		metaStby = flag.String("metastandby", "", "serve metadata as a read-only standby replicating from this primary base URL")
 		metaLeas = flag.Duration("metafailover", 0, "standby lease TTL: self-promote when the primary has not answered a pull for this long (with -metastandby; 0 = manual promotion only)")
@@ -195,14 +194,6 @@ func main() {
 			fmt.Println()
 		} else {
 			meta = storage.NewMetadata()
-			if *metaSnap != "" {
-				if err := meta.LoadFile(*metaSnap); err != nil {
-					fatal(err)
-				}
-				if n := meta.Stats().Files; n > 0 {
-					fmt.Printf("mcsserver: restored %d files from %s\n", n, *metaSnap)
-				}
-			}
 		}
 		if smap != nil {
 			meta.SetShard(*metaShID, smap)
@@ -599,11 +590,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("mcsserver: metadata checkpointed at seq %d in %s\n", meta.LastSeq(), *metaDir)
-	} else if meta != nil && *metaSnap != "" {
-		if err := meta.SaveFile(*metaSnap); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("mcsserver: metadata snapshot saved to %s\n", *metaSnap)
 	}
 	if opsSrv != nil {
 		opsSrv.Close()

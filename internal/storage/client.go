@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,81 +109,13 @@ type Client struct {
 	ringMu sync.Mutex
 	rings  map[string]*cluster.Ring
 
-	// Metadata-plane routing. MetaURL parses as a comma-separated
-	// bootstrap endpoint list (primary first, standbys after). On the
-	// first metadata operation the client asks one bootstrap endpoint
-	// for the shard map (GET /v1/meta/shards) and afterwards routes
-	// each user-keyed call to the owning shard's endpoint group; a
-	// wrong_shard rejection carries the authoritative assignment and is
-	// adopted before the retry, so a stale map converges in one bounce.
-	// Unsharded and legacy servers leave metaMap nil and everything
-	// routes through the bootstrap list, exactly as before sharding.
-	metaMu     sync.Mutex
-	metaBoot   []string
-	metaMap    *cluster.MetaShardMap
-	metaTried  bool // shard-map fetch attempted (reset by a newer map sighting)
-	metaShards map[int]*clientMetaShard
-}
-
-// clientMetaShard is the client's routing state for one metadata
-// shard group: the endpoint rotation, the index of the endpoint last
-// seen acting as primary (so retries start there instead of walking
-// the configured order), and the highest fencing epoch observed in
-// X-MCS-Meta-Epoch response headers — echoed on every request to that
-// shard, so a deposed primary rejects the write instead of acking it
-// onto a forked history.
-type clientMetaShard struct {
-	mu    sync.Mutex
-	eps   []string
-	pref  int
-	epoch atomic.Uint64
-}
-
-// pick returns the endpoint for the given zero-based attempt: the
-// preferred (last-known-primary) endpoint first, then the rest in
-// rotation order.
-func (s *clientMetaShard) pick(attempt int) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eps[(s.pref+attempt)%len(s.eps)]
-}
-
-// mark pins base as the shard's preferred endpoint (ok) or, if base
-// was preferred, advances preference past it (a standby bounce or a
-// fencing rejection means it is not the primary anymore).
-func (s *clientMetaShard) mark(base string, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, e := range s.eps {
-		if e != base {
-			continue
-		}
-		if ok {
-			s.pref = i
-		} else if s.pref == i {
-			s.pref = (i + 1) % len(s.eps)
-		}
-		return
-	}
-}
-
-// observeEpoch folds a response's fencing epoch into the highest seen
-// for this shard.
-func (s *clientMetaShard) observeEpoch(h http.Header) {
-	v := h.Get(MetaEpochHeader)
-	if v == "" {
-		return
-	}
-	e, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return
-	}
-	for {
-		cur := s.epoch.Load()
-		if e <= cur || s.epoch.CompareAndSwap(cur, e) {
-			return
-		}
-	}
+	// metaRt routes metadata calls (see metaRouter). It is built on
+	// first use from MetaURL — a comma-separated bootstrap list, primary
+	// first, standbys after — and fetches the shard map from that list
+	// (GET /v1/meta/shards). Unsharded and legacy servers leave the map
+	// nil and everything routes through the bootstrap list.
+	metaOnce sync.Once
+	metaRt   *metaRouter
 }
 
 // markLegacy records that base speaks only the unversioned API.
@@ -287,25 +219,8 @@ func (c *Client) clusterRing(frontend string) *cluster.Ring {
 }
 
 func (c *Client) fetchRing(frontend string) *cluster.Ring {
-	if !c.useV1(frontend) {
-		return nil
-	}
-	req, err := http.NewRequest(http.MethodGet, frontend+"/v1/cluster/info", nil)
-	if err != nil {
-		return nil
-	}
-	req.Header.Set(APIHeader, APIV1)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if c.checkLegacy(frontend, resp) || resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
 	var info ClusterInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil || len(info.Peers) < 2 {
+	if !c.useV1(frontend) || c.getV1(frontend, "/v1/cluster/info", &info) != nil || len(info.Peers) < 2 {
 		return nil
 	}
 	ring, err := cluster.NewRing(info.Peers, 0)
@@ -313,6 +228,29 @@ func (c *Client) fetchRing(frontend string) *cluster.Ring {
 		return nil
 	}
 	return ring
+}
+
+// getV1 is one GET of a /v1 JSON resource under the per-attempt
+// deadline and without retries: the ring and shard-map fetches are
+// fast paths whose absence costs a forwarding hop or a redirect.
+func (c *Client) getV1(base, path string, out interface{}) error {
+	req, err := http.NewRequest(http.MethodGet, base+path, nil)
+	if err != nil {
+		return err
+	}
+	req.Header.Set(APIHeader, APIV1)
+	ctx, cancel := context.WithTimeout(context.TODO(), c.policy().RequestTimeout)
+	defer cancel()
+	resp, err := c.httpClient().Do(req.WithContext(ctx))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if c.checkLegacy(base, resp) || resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, resp.Body)
+		return fmt.Errorf("storage: GET %s%s: status %d", base, path, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // chunkTarget picks the host to address for one chunk: the chunk's
@@ -446,16 +384,7 @@ func (c *Client) postJSON(base, path string, in, out interface{}, budget *retryB
 		return err
 	}
 	return c.doRetry(budget, budget.span,
-		func() (*http.Request, error) {
-			req, err := http.NewRequest(http.MethodPost, c.apiPath(base, path), bytes.NewReader(body))
-			if err != nil {
-				return nil, err
-			}
-			req.Header.Set("Content-Type", "application/json")
-			c.setIdentity(req)
-			c.setAPIVersion(req, base)
-			return req, nil
-		},
+		func() (*http.Request, error) { return c.jsonRequest(base, path, body) },
 		func(resp *http.Response) error {
 			defer resp.Body.Close()
 			if c.checkLegacy(base, resp) {
@@ -475,215 +404,50 @@ func (c *Client) postJSON(base, path string, in, out interface{}, budget *retryB
 		})
 }
 
-// metaBootLocked parses MetaURL as a comma-separated endpoint list,
-// once. Callers hold c.metaMu. A single-endpoint MetaURL behaves
-// exactly as before.
-func (c *Client) metaBootLocked() []string {
-	if c.metaBoot == nil {
-		for _, e := range strings.Split(c.MetaURL, ",") {
-			e = strings.TrimRight(strings.TrimSpace(e), "/")
-			if e != "" {
-				c.metaBoot = append(c.metaBoot, e)
-			}
-		}
-		if len(c.metaBoot) == 0 {
-			c.metaBoot = []string{c.MetaURL}
-		}
+// jsonRequest builds one attempt of a JSON POST to base: the path in
+// the host's negotiated dialect, identity and version headers.
+func (c *Client) jsonRequest(base, path string, body []byte) (*http.Request, error) {
+	req, err := http.NewRequest(http.MethodPost, c.apiPath(base, path), bytes.NewReader(body))
+	if err != nil {
+		return nil, err
 	}
-	return c.metaBoot
+	req.Header.Set("Content-Type", "application/json")
+	c.setIdentity(req)
+	c.setAPIVersion(req, base)
+	return req, nil
 }
 
-// metaShardMap returns the metadata shard map, fetching it from a
-// bootstrap endpoint on first use. Nil (unsharded, legacy, or fetch
-// failure) routes every call through the bootstrap list — the
-// pre-sharding behavior — and a wrong_shard redirect still corrects
-// the routing, so the fetch is a fast path, not a correctness
-// requirement.
-func (c *Client) metaShardMap() *cluster.MetaShardMap {
-	if c.LegacyAPI {
-		return nil
-	}
-	c.metaMu.Lock()
-	if c.metaTried {
-		m := c.metaMap
-		c.metaMu.Unlock()
-		return m
-	}
-	c.metaTried = true
-	boot := append([]string(nil), c.metaBootLocked()...)
-	c.metaMu.Unlock()
-
-	fetched := c.fetchShardMap(boot)
-	c.metaMu.Lock()
-	defer c.metaMu.Unlock()
-	if fetched != nil && (c.metaMap == nil || fetched.Version >= c.metaMap.Version) {
-		c.metaMap = fetched
-	}
-	return c.metaMap
+// meta returns the client's metadata router.
+func (c *Client) meta() *metaRouter {
+	c.metaOnce.Do(func() {
+		c.metaRt = newMetaRouter(splitEndpoints(c.MetaURL), nil, c.fetchShardMap)
+	})
+	return c.metaRt
 }
 
 // fetchShardMap asks the bootstrap endpoints, in order, for the shard
-// map. Returns nil when none answered (or the server predates
-// sharding / speaks only the legacy API).
+// map. Returns nil when none answered (or the server predates sharding
+// / speaks only the legacy API).
 func (c *Client) fetchShardMap(boot []string) *cluster.MetaShardMap {
 	for _, ep := range boot {
-		if !c.useV1(ep) {
-			continue
-		}
-		req, err := http.NewRequest(http.MethodGet, ep+"/v1/meta/shards", nil)
-		if err != nil {
-			continue
-		}
-		req.Header.Set(APIHeader, APIV1)
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			continue
-		}
-		if c.checkLegacy(ep, resp) || resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			continue
-		}
 		var m cluster.MetaShardMap
-		err = json.NewDecoder(resp.Body).Decode(&m)
-		resp.Body.Close()
-		if err != nil || len(m.Shards) == 0 {
-			continue
+		if c.useV1(ep) && c.getV1(ep, "/v1/meta/shards", &m) == nil && len(m.Shards) > 0 {
+			return &m
 		}
-		return &m
 	}
 	return nil
 }
 
-// metaShardFor maps a user to the owning metadata shard (0 when the
-// plane is unsharded or the map is unknown).
-func (c *Client) metaShardFor(user uint64) int {
-	return c.metaShardMap().ShardFor(user)
-}
-
-// metaMapVersion is the version of the map the client currently holds
-// (0 when none), stamped into the X-MCS-Meta-Shard exchange header so
-// servers can count skewed clients.
-func (c *Client) metaMapVersion() uint64 {
-	c.metaMu.Lock()
-	defer c.metaMu.Unlock()
-	if c.metaMap == nil {
-		return 0
-	}
-	return c.metaMap.Version
-}
-
-// metaShardState returns (creating on first use) the routing state
-// for a shard, seeded from the shard map's endpoint group or, absent
-// a map entry, the bootstrap list.
-func (c *Client) metaShardState(shard int) *clientMetaShard {
-	c.metaMu.Lock()
-	defer c.metaMu.Unlock()
-	if s, ok := c.metaShards[shard]; ok {
-		return s
-	}
-	eps := c.metaMap.Endpoints(shard)
-	if len(eps) == 0 {
-		eps = c.metaBootLocked()
-	}
-	s := &clientMetaShard{eps: append([]string(nil), eps...)}
-	if c.metaShards == nil {
-		c.metaShards = make(map[int]*clientMetaShard)
-	}
-	c.metaShards[shard] = s
-	return s
-}
-
-// adoptMetaAssignment folds a wrong_shard redirect's authoritative
-// assignment into the routing state: the owner shard's rotation is
-// replaced with the server-provided endpoint group, and a newer map
-// version than ours schedules a shard-map refetch on the next
-// operation.
-func (c *Client) adoptMetaAssignment(a *ShardAssignment) {
-	if a == nil || len(a.Endpoints) == 0 {
-		return
-	}
-	s := c.metaShardState(a.Shard)
-	s.mu.Lock()
-	s.eps = append([]string(nil), a.Endpoints...)
-	s.pref = 0
-	s.mu.Unlock()
-	c.metaMu.Lock()
-	if c.metaMap == nil || a.MapVersion > c.metaMap.Version {
-		c.metaTried = false
-	}
-	c.metaMu.Unlock()
-}
-
 // postMetaJSON is postJSON against the metadata plane, pinned to one
-// shard: each attempt may target a different endpoint of the shard's
-// group, rotating away from nodes that answer as standby
-// (ErrNotPrimary) or fenced deposed primaries (ErrFenced), and
-// sticking to whichever endpoint last completed a call. A wrong_shard
-// rejection redirects the remaining attempts to the owner group named
-// in the response, so a client holding a stale shard map converges in
-// one bounce. Build and handle closures run sequentially per attempt
-// inside doRetry, so the captured counters are race-free.
+// shard and routed by the client's metadata router.
 func (c *Client) postMetaJSON(shard int, path string, in, out interface{}, budget *retryBudget) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	rotation := 0
-	base := ""
-	return c.doRetry(budget, budget.span,
-		func() (*http.Request, error) {
-			st := c.metaShardState(shard)
-			base = st.pick(rotation)
-			rotation++
-			req, err := http.NewRequest(http.MethodPost, c.apiPath(base, path), bytes.NewReader(body))
-			if err != nil {
-				return nil, err
-			}
-			req.Header.Set("Content-Type", "application/json")
-			if e := st.epoch.Load(); e > 0 {
-				req.Header.Set(MetaEpochHeader, strconv.FormatUint(e, 10))
-			}
-			if c.useV1(base) {
-				req.Header.Set(MetaShardHeader, FormatMetaShard(shard, c.metaMapVersion()))
-			}
-			c.setIdentity(req)
-			c.setAPIVersion(req, base)
-			return req, nil
-		},
-		func(resp *http.Response) error {
-			defer resp.Body.Close()
-			if c.checkLegacy(base, resp) {
-				io.Copy(io.Discard, resp.Body)
-				return errLegacyRetry
-			}
-			st := c.metaShardState(shard)
-			st.observeEpoch(resp.Header)
-			if resp.StatusCode != http.StatusOK {
-				err := decodeError(resp)
-				if errors.Is(err, ErrWrongShard) {
-					var ae *APIError
-					if errors.As(err, &ae) && ae.Assignment != nil {
-						c.adoptMetaAssignment(ae.Assignment)
-						// Follow the redirect: the retry goes to the
-						// owner group, not back into this rotation.
-						shard = ae.Assignment.Shard
-						rotation = 0
-					}
-				} else if errors.Is(err, ErrNotPrimary) || errors.Is(err, ErrFenced) {
-					st.mark(base, false)
-					// Restart the rotation at the advanced preference
-					// instead of letting the attempt index skip it.
-					rotation = 0
-				}
-				return err
-			}
-			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-				return &corruptError{err: err}
-			}
-			st.mark(base, true)
-			return nil
-		})
+	return c.meta().call(context.TODO(), c.exec(budget, budget.span), shard,
+		func(ep string) (*http.Request, error) { return c.jsonRequest(ep, path, body) },
+		c.checkLegacy, out)
 }
 
 // setAPIVersion advertises v1 on requests to hosts not known legacy.
@@ -754,7 +518,7 @@ func (c *Client) StoreFile(name string, data []byte) (res StoreResult, err error
 		defer up.cancel()
 		fileSum = SumBytes(data)
 	}
-	shard := c.metaShardFor(c.UserID)
+	shard := c.meta().shardFor(c.UserID)
 	var check StoreCheckResponse
 	err = c.postMetaJSON(shard, "/meta/store-check", StoreCheckRequest{
 		UserID:  c.UserID,

@@ -591,8 +591,7 @@ func (ds *DiskStore) Has(sum Sum) bool {
 }
 
 // Stats implements ChunkStore. Chunks/Bytes are rebuilt from the
-// segment scan on open; the Put counters restart at zero per process,
-// matching FileStore.
+// segment scan on open; the Put counters restart at zero per process.
 func (ds *DiskStore) Stats() StoreStats {
 	ds.mu.RLock()
 	chunks := len(ds.index)

@@ -44,23 +44,20 @@ func TestRefCounterOverRelease(t *testing.T) {
 }
 
 func TestCollectReclaimsFromDeletableStore(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds, _ := newDiskStore(t, DiskStoreOptions{})
 	data := []byte("collectable")
 	sum := SumBytes(data)
-	if err := fs.Put(sum, data); err != nil {
+	if err := ds.Put(sum, data); err != nil {
 		t.Fatal(err)
 	}
-	n, err := Collect(fs, []Sum{sum, SumBytes([]byte("missing"))})
+	n, err := Collect(ds, []Sum{sum, SumBytes([]byte("missing"))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
 		t.Errorf("reclaimed %d, want 1", n)
 	}
-	if fs.Has(sum) {
+	if ds.Has(sum) {
 		t.Error("chunk survived collection")
 	}
 }

@@ -175,14 +175,9 @@ func TestIngressHashesOncePerNode(t *testing.T) {
 func TestPutWithoutProofIsVerified(t *testing.T) {
 	disk, _ := newDiskStore(t, DiskStoreOptions{})
 	tierCold, _ := newDiskStore(t, DiskStoreOptions{})
-	file, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	stores := map[string]ChunkStore{
 		"DiskStore":   disk,
 		"MemStore":    NewMemStore(),
-		"FileStore":   file,
 		"TieredStore": NewTieredStore(NewMemStore(), tierCold, time.Hour, nil),
 		"CachedStore": NewCachedStore(NewMemStore(), 1<<20),
 	}

@@ -4,13 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mcloud/internal/cluster"
@@ -26,52 +23,22 @@ import (
 // checks (errors.Is(err, ErrNotFound)) behave exactly as with a local
 // *Metadata.
 //
-// The plane may be sharded: RemoteMeta keeps fully independent
-// routing state per shard — endpoint rotation, circuit breakers,
-// discovered primary, and highest observed epoch are all per-shard,
-// so a failover in one shard never perturbs routing to the others.
-// Every request is pinned to the shard the caller names (the pin a
-// client's store-check/resolve handshake produced); a wrong_shard
-// rejection carries the authoritative assignment, which is adopted
-// before the retry — convergence in one bounce.
-//
-// It is built to ride through a metadata-node kill and an automatic
-// failover: every request gets a per-attempt deadline, failed attempts
-// back off exponentially with deterministic jitter and honor
-// Retry-After, and attempts rotate through the shard's endpoints in
-// circuit-breaker health order. The configured order is only the
-// starting point — a node answering "not primary" or "fenced" is
-// demoted to the back of the rotation and the shard's current primary
-// is rediscovered via /v1/meta/wal/status, so after a failover
-// requests go straight to the promoted standby instead of burning a
-// round trip on the deposed primary first. The highest leadership
-// epoch seen per shard is echoed on every request, which is what
-// fences a deposed primary the moment a post-failover client talks
-// to it.
+// It routes through the same metaRouter and retries through the same
+// retryExec as the device Client, with a static shard map: every
+// request is pinned to the shard the caller names (the pin a client's
+// store-check/resolve handshake produced), attempts rotate through the
+// shard's endpoints in circuit-breaker health order, a standby bounce,
+// fencing rejection or stale epoch demotes the endpoint and rediscovers
+// the primary, and a wrong_shard rejection is followed in one bounce.
+// DefaultMetaRetry gives it enough persistence to ride through a
+// metadata-node kill and an automatic failover.
 type RemoteMeta struct {
-	http  *http.Client
-	retry RetryPolicy
-
-	shMu   sync.Mutex
-	shards map[int]*remoteShard
-	smap   *cluster.MetaShardMap // nil: unsharded, every pin falls back to boot
-	boot   []string              // bootstrap endpoints (the unsharded endpoint list)
+	http   *http.Client
+	retry  RetryPolicy
+	router *metaRouter
 
 	rngMu sync.Mutex
 	rng   *randx.Source
-}
-
-// remoteShard is the routing state for one metadata shard group.
-type remoteShard struct {
-	health *cluster.Health
-
-	epMu      sync.Mutex
-	endpoints []string // rotation order; demotions move entries back
-	preferred string   // last discovered primary ("" until known)
-	lastDisc  time.Time
-
-	epochSeen    atomic.Uint64 // highest epoch observed on any response
-	primaryEpoch atomic.Uint64 // epoch of the last discovered primary
 }
 
 // DefaultMetaRetry shapes RemoteMeta's persistence: enough attempts
@@ -92,22 +59,14 @@ var DefaultMetaRetry = RetryPolicy{
 // deployment); use NewShardedRemoteMeta for a sharded plane. httpc
 // may be nil for a shared default with sane timeouts.
 func NewRemoteMeta(baseURL string, httpc *http.Client) *RemoteMeta {
-	eps := splitEndpoints(baseURL)
-	if len(eps) == 0 {
-		eps = []string{""}
-	}
-	return newRemoteMeta(eps, nil, httpc)
+	return newRemoteMeta(splitEndpoints(baseURL), nil, httpc)
 }
 
 // NewShardedRemoteMeta returns a MetaService routing across the shard
 // groups of the given map (the -metashards wiring). Each shard's
 // endpoint list seeds that shard's rotation.
 func NewShardedRemoteMeta(smap *cluster.MetaShardMap, httpc *http.Client) *RemoteMeta {
-	var boot []string
-	if smap != nil {
-		boot = smap.Endpoints(0)
-	}
-	return newRemoteMeta(boot, smap, httpc)
+	return newRemoteMeta(smap.Endpoints(0), smap, httpc)
 }
 
 func newRemoteMeta(boot []string, smap *cluster.MetaShardMap, httpc *http.Client) *RemoteMeta {
@@ -117,9 +76,7 @@ func newRemoteMeta(boot []string, smap *cluster.MetaShardMap, httpc *http.Client
 	return &RemoteMeta{
 		http:   httpc,
 		retry:  DefaultMetaRetry,
-		shards: make(map[int]*remoteShard),
-		smap:   smap,
-		boot:   boot,
+		router: newMetaRouter(boot, smap, nil),
 		rng:    randx.Derive(0, "remotemeta"),
 	}
 }
@@ -147,90 +104,7 @@ func (m *RemoteMeta) SetRetry(pol RetryPolicy, seed uint64) {
 // ShardMap returns the map this router was configured with (nil when
 // unsharded).
 func (m *RemoteMeta) ShardMap() *cluster.MetaShardMap {
-	m.shMu.Lock()
-	defer m.shMu.Unlock()
-	return m.smap
-}
-
-// shardState returns (creating on first use) the routing state for a
-// shard: seeded from the shard map's endpoint list, falling back to
-// the bootstrap endpoints for an unsharded deployment.
-func (m *RemoteMeta) shardState(shard int) *remoteShard {
-	m.shMu.Lock()
-	defer m.shMu.Unlock()
-	if rs, ok := m.shards[shard]; ok {
-		return rs
-	}
-	eps := m.smap.Endpoints(shard)
-	if len(eps) == 0 {
-		eps = m.boot
-	}
-	rs := &remoteShard{
-		endpoints: append([]string(nil), eps...),
-		health:    cluster.NewHealth(0, 0),
-	}
-	m.shards[shard] = rs
-	return rs
-}
-
-// adoptAssignment folds a wrong_shard redirect's authoritative
-// assignment into the router: the named shard's rotation is replaced
-// with the owner group's endpoints. The next attempt lands there.
-func (m *RemoteMeta) adoptAssignment(a *ShardAssignment) {
-	if a == nil || len(a.Endpoints) == 0 {
-		return
-	}
-	rs := m.shardState(a.Shard)
-	rs.epMu.Lock()
-	rs.endpoints = append([]string(nil), a.Endpoints...)
-	rs.preferred = ""
-	rs.lastDisc = time.Time{}
-	rs.epMu.Unlock()
-}
-
-// pick chooses the endpoint for a 1-based attempt: the discovered
-// primary first when one is known, then the rest health-ordered (alive
-// before tripped, rotation order inside each class), rotated by
-// attempt so consecutive retries try different nodes.
-func (rs *remoteShard) pick(attempt int) string {
-	rs.epMu.Lock()
-	eps := append([]string(nil), rs.endpoints...)
-	pref := rs.preferred
-	rs.epMu.Unlock()
-	var ordered []string
-	if pref != "" {
-		ordered = append(ordered, pref)
-		for _, e := range eps {
-			if e != pref {
-				ordered = append(ordered, e)
-			}
-		}
-		rest := rs.health.Order(ordered[1:])
-		ordered = append(ordered[:1], rest...)
-	} else {
-		ordered = rs.health.Order(eps)
-	}
-	if len(ordered) == 0 {
-		ordered = eps
-	}
-	return ordered[(attempt-1)%len(ordered)]
-}
-
-// demote reacts to a routing signal (standby rejection, fencing, or a
-// stale epoch): ep moves to the back of the rotation and loses its
-// preferred status, so the next attempt starts somewhere else.
-func (rs *remoteShard) demote(ep string) {
-	rs.epMu.Lock()
-	defer rs.epMu.Unlock()
-	for i, e := range rs.endpoints {
-		if e == ep {
-			rs.endpoints = append(append(rs.endpoints[:i:i], rs.endpoints[i+1:]...), ep)
-			break
-		}
-	}
-	if rs.preferred == ep {
-		rs.preferred = ""
-	}
+	return m.router.shardMap()
 }
 
 // Discover probes a shard's endpoints via /v1/meta/wal/status and
@@ -239,111 +113,27 @@ func (rs *remoteShard) demote(ep string) {
 // burst of demotions costs one sweep. Returns the preferred endpoint,
 // "" when none answered as a primary.
 func (m *RemoteMeta) Discover(ctx context.Context, shard int) string {
-	rs := m.shardState(shard)
-	rs.epMu.Lock()
-	if time.Since(rs.lastDisc) < 500*time.Millisecond {
-		pref := rs.preferred
-		rs.epMu.Unlock()
-		return pref
-	}
-	rs.lastDisc = time.Now()
-	eps := append([]string(nil), rs.endpoints...)
-	rs.epMu.Unlock()
-
-	best := ""
-	var bestEpoch, bestSeq uint64
-	for _, ep := range eps {
-		st, err := m.fetchStatus(ctx, ep)
-		if err != nil {
-			continue
-		}
-		if st.Epoch > rs.epochSeen.Load() {
-			rs.epochSeen.Store(st.Epoch)
-		}
-		if st.Standby || st.Fenced {
-			continue
-		}
-		if best == "" || st.Epoch > bestEpoch || (st.Epoch == bestEpoch && st.LastSeq > bestSeq) {
-			best, bestEpoch, bestSeq = ep, st.Epoch, st.LastSeq
-		}
-	}
-	if best != "" {
-		rs.epMu.Lock()
-		rs.preferred = best
-		rs.epMu.Unlock()
-		rs.primaryEpoch.Store(bestEpoch)
-	}
-	return best
+	return m.router.discover(ctx, m.http, shard)
 }
 
 // Summary assembles the metadata-shard half of /v1/cluster/info from
 // this router's view: shard count and map version from the configured
 // map, each shard's primary from its (throttled) discovery sweep.
 func (m *RemoteMeta) Summary(ctx context.Context) *MetaShardSummary {
-	m.shMu.Lock()
-	smap := m.smap
-	m.shMu.Unlock()
+	smap := m.router.shardMap()
 	sum := &MetaShardSummary{Shards: smap.NumShards()}
 	if smap != nil {
 		sum.MapVersion = smap.Version
 	}
 	for i := 0; i < sum.Shards; i++ {
 		pref := m.Discover(ctx, i)
-		rs := m.shardState(i)
 		sum.ShardInfo = append(sum.ShardInfo, MetaShardInfo{
 			Shard:   i,
 			Primary: pref,
-			Epoch:   rs.primaryEpoch.Load(),
+			Epoch:   m.router.route(i).primaryEpoch.Load(),
 		})
 	}
 	return sum
-}
-
-// fetchStatus reads one endpoint's WAL status with a short deadline.
-func (m *RemoteMeta) fetchStatus(ctx context.Context, ep string) (MetaWALStatus, error) {
-	req, err := http.NewRequest(http.MethodGet, ep+"/v1/meta/wal/status", nil)
-	if err != nil {
-		return MetaWALStatus{}, err
-	}
-	req.Header.Set(APIHeader, APIV1)
-	sctx, cancel := context.WithTimeout(ctx, time.Second)
-	defer cancel()
-	resp, err := m.http.Do(req.WithContext(sctx))
-	if err != nil {
-		return MetaWALStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return MetaWALStatus{}, decodeError(resp)
-	}
-	var st MetaWALStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return MetaWALStatus{}, err
-	}
-	return st, nil
-}
-
-// observeEpochHeader folds a response's epoch stamp into the shard's
-// view, reporting whether the serving endpoint is behind an epoch this
-// client has already seen (a deposed primary still answering).
-func (rs *remoteShard) observeEpochHeader(h http.Header) (stale bool) {
-	v := h.Get(MetaEpochHeader)
-	if v == "" {
-		return false
-	}
-	e, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return false
-	}
-	for {
-		seen := rs.epochSeen.Load()
-		if e <= seen {
-			return e < seen
-		}
-		if rs.epochSeen.CompareAndSwap(seen, e) {
-			return false
-		}
-	}
 }
 
 func (m *RemoteMeta) jitterDraw() float64 {
@@ -352,122 +142,33 @@ func (m *RemoteMeta) jitterDraw() float64 {
 	return m.rng.Float64()
 }
 
-// postJSON runs one logical metadata operation against one shard with
-// retries. Each attempt is a span (child of the caller's trace,
-// annotated with the shard, endpoint, and the fault seen) whose
-// headers ride the request, so the metadata server's handler span
-// joins under the caller's trace.
+// postJSON runs one logical metadata operation against one shard. Each
+// attempt is a CompMeta span named op, a child of the caller's trace
+// and annotated with the shard and endpoint, whose headers ride the
+// request, so the metadata server's handler span joins under the
+// caller's trace.
 func (m *RemoteMeta) postJSON(ctx context.Context, op string, shard int, path string, in, out interface{}) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	pol := m.retry.withDefaults()
-	var lastErr error
-	rotation := 0
-	for attempt := 1; ; attempt++ {
-		rs := m.shardState(shard)
-		rotation++
-		ep := rs.pick(rotation)
+	x := retryExec{
+		http:   m.http,
+		pol:    m.retry,
+		jitter: m.jitterDraw,
+		parent: tracing.FromContext(ctx),
+		comp:   tracing.CompMeta,
+		name:   op,
+	}
+	return m.router.call(ctx, x, shard, func(ep string) (*http.Request, error) {
 		req, err := http.NewRequest(http.MethodPost, ep+path, bytes.NewReader(body))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set(APIHeader, APIV1)
-		if e := rs.epochSeen.Load(); e > 0 {
-			req.Header.Set(MetaEpochHeader, strconv.FormatUint(e, 10))
-		}
-		req.Header.Set(MetaShardHeader, FormatMetaShard(shard, m.mapVersion()))
-		att := tracing.ChildFromContext(ctx, tracing.CompMeta, op)
-		att.AnnotateInt("attempt", int64(attempt))
-		att.AnnotateInt("shard", int64(shard))
-		att.Annotate("endpoint", ep)
-		att.Inject(req.Header)
-		actx, cancel := context.WithTimeout(ctx, pol.RequestTimeout)
-		resp, err := m.http.Do(req.WithContext(actx))
-		var retryAfter time.Duration
-		stale := false
-		if err != nil {
-			rs.health.ReportFailure(ep)
-		} else {
-			// Any HTTP response means the node is up — even a 503
-			// standby rejection (routing, not node health).
-			rs.health.ReportSuccess(ep)
-			stale = rs.observeEpochHeader(resp.Header)
-			retryAfter = parseRetryAfter(resp.Header)
-			if resp.StatusCode != http.StatusOK {
-				err = decodeError(resp)
-			} else if out != nil {
-				err = json.NewDecoder(resp.Body).Decode(out)
-			}
-			resp.Body.Close()
-		}
-		cancel()
-		// A wrong_shard redirect outranks rotation: the endpoint group
-		// we hold for this shard is not the owner. Adopt the attached
-		// assignment and restart the rotation on the corrected group.
-		if errors.Is(err, ErrWrongShard) {
-			var ae *APIError
-			if errors.As(err, &ae) && ae.Assignment != nil {
-				m.adoptAssignment(ae.Assignment)
-				att.Annotate("redirect", fmt.Sprintf("shard %d", ae.Assignment.Shard))
-				// Follow the redirect: later attempts route (and stamp
-				// the exchange header) for the owner shard.
-				shard = ae.Assignment.Shard
-				rotation = 0
-			}
-		} else if stale || errors.Is(err, ErrNotPrimary) || errors.Is(err, ErrFenced) {
-			// Routing signals, distinct from node health: the node
-			// answered, but it is not (or no longer) the shard's
-			// primary. Demote it so the next attempt — and every later
-			// request — starts elsewhere, and rediscover where the
-			// primary went.
-			rs.demote(ep)
-			m.Discover(ctx, shard)
-			att.Annotate("demoted", ep)
-			// Restart the rotation: the next attempt must go to the
-			// rediscovered primary, not to whatever the pre-demotion
-			// attempt index happens to land on.
-			rotation = 0
-		}
-		if err != nil {
-			att.Annotate("fault", err.Error())
-		}
-		att.End()
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !retryable(err) {
-			return err
-		}
-		if attempt >= pol.MaxAttempts {
-			return fmt.Errorf("storage: meta %s: giving up after %d attempts: %w", op, attempt, lastErr)
-		}
-		d := pol.backoff(attempt, m.jitterDraw())
-		if retryAfter > d {
-			d = retryAfter
-		}
-		if d > pol.MaxDelay {
-			d = pol.MaxDelay
-		}
-		select {
-		case <-time.After(d):
-		case <-ctx.Done():
-			return fmt.Errorf("storage: meta %s: %w (last error: %v)", op, ctx.Err(), lastErr)
-		}
-	}
-}
-
-// mapVersion returns the configured map's version (0 when unsharded).
-func (m *RemoteMeta) mapVersion() uint64 {
-	m.shMu.Lock()
-	defer m.shMu.Unlock()
-	if m.smap == nil {
-		return 0
-	}
-	return m.smap.Version
+		return req, nil
+	}, nil, out)
 }
 
 // Commit implements MetaService.

@@ -403,39 +403,6 @@ func countPosts(inner http.Handler, n *atomic.Int64) http.Handler {
 	})
 }
 
-// TestRemoteMetaEpochStaleDemotion: an epoch header lower than one
-// already seen reads as stale (the signal that demotes an endpoint),
-// and demotion reorders the endpoint list so the next first attempt
-// goes elsewhere.
-func TestRemoteMetaEpochStaleDemotion(t *testing.T) {
-	rm := NewRemoteMeta("http://a,http://b", nil)
-	rs := rm.shardState(0)
-
-	h := http.Header{}
-	h.Set(MetaEpochHeader, "3")
-	if rs.observeEpochHeader(h) {
-		t.Fatal("first epoch observation read as stale")
-	}
-	low := http.Header{}
-	low.Set(MetaEpochHeader, "2")
-	if !rs.observeEpochHeader(low) {
-		t.Fatal("lower-than-seen epoch did not read as stale")
-	}
-	same := http.Header{}
-	same.Set(MetaEpochHeader, "3")
-	if rs.observeEpochHeader(same) {
-		t.Fatal("equal epoch read as stale")
-	}
-
-	if first := rs.pick(1); first != "http://a" {
-		t.Fatalf("initial pick = %q, want the configured head", first)
-	}
-	rs.demote("http://a")
-	if first := rs.pick(1); first != "http://b" {
-		t.Fatalf("post-demotion pick = %q, want the surviving endpoint first", first)
-	}
-}
-
 // TestPickFrontEndBreaker: the round-robin assignment skips front-ends
 // whose breaker is open, falls back to blind rotation when every one
 // is down, and re-admits a front-end the moment it reports healthy.

@@ -579,7 +579,7 @@ func (s *MetaStandby) rivalWon() (winner string, ok bool) {
 	s.mu.Unlock()
 	localEpoch, localSeq := s.meta.Epoch(), s.meta.LastSeq()
 	for _, r := range rivals {
-		st, err := fetchWALStatus(s.httpc, r)
+		st, err := fetchWALStatus(context.Background(), s.httpc, r, 2*time.Second)
 		if err != nil {
 			continue // unreachable rivals don't vote
 		}
@@ -593,14 +593,15 @@ func (s *MetaStandby) rivalWon() (winner string, ok bool) {
 	return "", false
 }
 
-// fetchWALStatus reads a metadata node's /v1/meta/wal/status.
-func fetchWALStatus(httpc *http.Client, base string) (MetaWALStatus, error) {
+// fetchWALStatus reads a metadata node's /v1/meta/wal/status within
+// timeout.
+func fetchWALStatus(ctx context.Context, httpc *http.Client, base string, timeout time.Duration) (MetaWALStatus, error) {
 	req, err := http.NewRequest(http.MethodGet, base+"/v1/meta/wal/status", nil)
 	if err != nil {
 		return MetaWALStatus{}, err
 	}
 	req.Header.Set(APIHeader, APIV1)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	resp, err := httpc.Do(req.WithContext(ctx))
 	if err != nil {

@@ -82,7 +82,8 @@ func TestClientWrongShardOneBounce(t *testing.T) {
 	}
 	pol := fastRetry
 	c := &Client{MetaURL: srv0.URL, UserID: user, Retry: &pol}
-	c.metaMap, c.metaTried = stale, true
+	r := c.meta()
+	r.smap, r.fetched = stale, true
 
 	res, err := c.StoreFile("bounce.bin", data)
 	if err != nil {
@@ -97,9 +98,9 @@ func TestClientWrongShardOneBounce(t *testing.T) {
 	if got := hits1.Load(); got != 1 {
 		t.Errorf("owner shard saw %d requests, want exactly 1", got)
 	}
-	c.metaMu.Lock()
-	refetch := !c.metaTried
-	c.metaMu.Unlock()
+	r.mu.Lock()
+	refetch := !r.fetched
+	r.mu.Unlock()
 	if !refetch {
 		t.Error("redirect carried map version 2 > stale 1, but no shard-map refetch was scheduled")
 	}
@@ -212,6 +213,15 @@ func TestRemoteMetaPerShardIsolation(t *testing.T) {
 	// dead-endpoint retries never crossed shard boundaries.
 	if got, want := ops0.Load(), int64(workers*iters); got != want {
 		t.Errorf("shard 0 endpoint saw %d POSTs, want %d (no cross-shard leakage)", got, want)
+	}
+	// Shard 1's route converged onto its live standby; shard 0's route
+	// saw none of the failover.
+	r1, r0 := rm.router.route(1), rm.router.route(0)
+	if got := r1.pick(0); got != srv1.URL {
+		t.Errorf("shard 1 routes first to %s, want the live endpoint %s", got, srv1.URL)
+	}
+	if got := r0.pick(0); got != srv0.URL || r0.health.Down() != 0 {
+		t.Errorf("shard 0 routes first to %s with %d endpoints down, want %s and none", got, r0.health.Down(), srv0.URL)
 	}
 }
 

@@ -46,11 +46,11 @@ func (p *retrievePlan) slot(buf []byte, i int) []byte {
 // common case), then scatters across the remaining shards on a miss,
 // and the operation request is pinned to the shard that answered.
 func (c *Client) openRetrieve(url string, budget *retryBudget) (*retrievePlan, error) {
-	own := c.metaShardFor(c.UserID)
+	own := c.meta().shardFor(c.UserID)
 	var res ResolveResponse
 	err := c.postMetaJSON(own, "/meta/resolve", ResolveRequest{UserID: c.UserID, URL: url}, &res, budget)
 	if errors.Is(err, ErrNotFound) {
-		for s := 0; s < c.metaShardMap().NumShards(); s++ {
+		for s := 0; s < c.meta().shardMap().NumShards(); s++ {
 			if s == own {
 				continue
 			}

@@ -106,7 +106,12 @@ type retryBudget struct {
 	span      *tracing.Span
 }
 
+// take spends one retry; a nil budget never runs out (the caller's
+// attempt cap is the only bound).
 func (b *retryBudget) take() bool {
+	if b == nil {
+		return true
+	}
 	for {
 		v := b.remaining.Load()
 		if v <= 0 {
@@ -274,35 +279,49 @@ var defaultHTTPClient = &http.Client{
 	},
 }
 
-// doRetry runs one logical request with retries: build must return a
-// fresh request per attempt (bodies are rebuilt, so PUT retries are
-// idempotent re-sends), handle consumes the response and reports
-// success or a classified failure. The call respects the per-attempt
-// deadline, exponential backoff with jitter, Retry-After hints, and
-// the operation's retry budget.
+// retryExec runs one logical request with retries: the single attempt
+// loop behind every Client request and every RemoteMeta call. Each
+// attempt gets its own deadline; failures the server or transport
+// marks transient back off exponentially with deterministic jitter,
+// stretched to any Retry-After hint and capped at MaxDelay, until the
+// attempt cap or the operation's retry budget runs out; the sleep
+// between attempts ends early when ctx does.
 //
-// Under tracing, each attempt is a span (child of parent, annotated
-// with the attempt number and the fault observed on failure) and the
-// trace headers ride the request, so the server-side handler span
-// joins to exactly the attempt that reached it.
-func (c *Client) doRetry(budget *retryBudget, parent *tracing.Span, build func() (*http.Request, error), handle func(*http.Response) error) error {
-	pol := c.policy()
-	var lastErr error
+// Each attempt is a span (comp/name, child of parent, annotated with
+// the attempt number and the fault observed on failure) whose trace
+// headers ride the request, so the server-side handler span joins to
+// exactly the attempt that reached it.
+type retryExec struct {
+	http    *http.Client
+	pol     RetryPolicy
+	budget  *retryBudget   // nil: pol.MaxAttempts is the only bound
+	metrics *ClientMetrics // nil-safe
+	jitter  func() float64 // uniform [0,1) draws for the backoff jitter
+
+	parent     *tracing.Span
+	comp, name string
+}
+
+// do runs the request: build returns a fresh request per attempt
+// (bodies are rebuilt, so PUT retries are idempotent re-sends), and
+// handle classifies the attempt's outcome — a transport failure arrives
+// as err with a nil resp, otherwise handle owns resp.Body.
+func (x retryExec) do(ctx context.Context, build func() (*http.Request, error), handle func(att *tracing.Span, resp *http.Response, err error) error) error {
 	for attempt := 1; ; attempt++ {
 		req, err := build()
 		if err != nil {
 			return err
 		}
-		att := parent.StartChild(tracing.CompClient, tracing.SpanAttempt)
+		att := x.parent.StartChild(x.comp, x.name)
 		att.AnnotateInt("attempt", int64(attempt))
 		att.Inject(req.Header)
-		ctx, cancel := context.WithTimeout(req.Context(), pol.RequestTimeout)
-		resp, err := c.httpClient().Do(req.WithContext(ctx))
+		actx, cancel := context.WithTimeout(ctx, x.pol.RequestTimeout)
+		resp, err := x.http.Do(req.WithContext(actx))
 		var retryAfter time.Duration
 		if err == nil {
 			retryAfter = parseRetryAfter(resp.Header)
-			err = handle(resp)
 		}
+		err = handle(att, resp, err)
 		cancel()
 		if err != nil {
 			att.Annotate("fault", err.Error())
@@ -310,7 +329,7 @@ func (c *Client) doRetry(budget *retryBudget, parent *tracing.Span, build func()
 		att.End()
 		if err == nil {
 			if attempt > 1 {
-				c.Metrics.recovered()
+				x.metrics.recovered()
 			}
 			return nil
 		}
@@ -322,24 +341,49 @@ func (c *Client) doRetry(budget *retryBudget, parent *tracing.Span, build func()
 			attempt--
 			continue
 		}
-		lastErr = err
 		if !retryable(err) {
 			return err
 		}
-		if attempt >= pol.MaxAttempts || !budget.take() {
-			c.Metrics.giveup()
-			return fmt.Errorf("storage: giving up after %d attempts: %w", attempt, lastErr)
+		if attempt >= x.pol.MaxAttempts || !x.budget.take() {
+			x.metrics.giveup()
+			return fmt.Errorf("storage: giving up after %d attempts: %w", attempt, err)
 		}
-		c.Metrics.retry()
-		d := pol.backoff(attempt, c.jitterDraw())
-		if retryAfter > d {
-			d = retryAfter
+		x.metrics.retry()
+		d := min(max(x.pol.backoff(attempt, x.jitter()), retryAfter), x.pol.MaxDelay)
+		select {
+		case <-time.After(d):
+		case <-ctx.Done():
+			return fmt.Errorf("storage: %w (last error: %v)", ctx.Err(), err)
 		}
-		if d > pol.MaxDelay {
-			d = pol.MaxDelay
-		}
-		time.Sleep(d)
 	}
+}
+
+// exec returns the executor for one request of a file operation: the
+// client's policy, jitter stream and metrics, the operation's budget,
+// and attempt spans under parent.
+func (c *Client) exec(budget *retryBudget, parent *tracing.Span) retryExec {
+	return retryExec{
+		http:    c.httpClient(),
+		pol:     c.policy(),
+		budget:  budget,
+		metrics: c.Metrics,
+		jitter:  c.jitterDraw,
+		parent:  parent,
+		comp:    tracing.CompClient,
+		name:    tracing.SpanAttempt,
+	}
+}
+
+// doRetry runs one front-end request through the client's executor;
+// handle sees only responses (transport failures are retried as they
+// are).
+func (c *Client) doRetry(budget *retryBudget, parent *tracing.Span, build func() (*http.Request, error), handle func(*http.Response) error) error {
+	return c.exec(budget, parent).do(context.TODO(), build, func(_ *tracing.Span, resp *http.Response, err error) error {
+		if err != nil {
+			return err
+		}
+		return handle(resp)
+	})
 }
 
 // policy resolves the effective retry policy.

@@ -14,11 +14,13 @@ import (
 	"mcloud/internal/randx"
 )
 
+// The TestFileStore* tests hold the file-backed store contract: a store
+// kept in a directory round-trips chunks, survives a reopen, dedups
+// repeated puts, rejects a wrong digest and serves concurrent duplicate
+// writes. DiskStore is the file-backed store they run against.
+
 func TestFileStorePutGetRoundTrip(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs, _ := newDiskStore(t, DiskStoreOptions{})
 	data := []byte("persistent chunk content")
 	sum := SumBytes(data)
 	if err := fs.Put(sum, data); err != nil {
@@ -41,7 +43,7 @@ func TestFileStorePutGetRoundTrip(t *testing.T) {
 
 func TestFileStoreSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
-	fs, err := NewFileStore(dir)
+	fs, err := OpenDiskStore(dir, DiskStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +56,15 @@ func TestFileStoreSurvivesReopen(t *testing.T) {
 		}
 		sums = append(sums, sum)
 	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
 	// A second store on the same directory sees everything.
-	fs2, err := NewFileStore(dir)
+	fs2, err := OpenDiskStore(dir, DiskStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fs2.Close()
 	for i, sum := range sums {
 		got, err := fs2.Get(sum)
 		if err != nil {
@@ -74,10 +80,7 @@ func TestFileStoreSurvivesReopen(t *testing.T) {
 }
 
 func TestFileStoreDedupAndDelete(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs, _ := newDiskStore(t, DiskStoreOptions{})
 	data := []byte("dup me")
 	sum := SumBytes(data)
 	for i := 0; i < 3; i++ {
@@ -101,20 +104,14 @@ func TestFileStoreDedupAndDelete(t *testing.T) {
 }
 
 func TestFileStoreRejectsWrongDigest(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs, _ := newDiskStore(t, DiskStoreOptions{})
 	if err := fs.Put(SumBytes([]byte("a")), []byte("b")); err == nil {
 		t.Error("mismatched digest accepted")
 	}
 }
 
 func TestFileStoreConcurrent(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs, _ := newDiskStore(t, DiskStoreOptions{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -499,14 +496,11 @@ func TestDownloadResolvesLikeRetrieve(t *testing.T) {
 	}
 }
 
-func TestFrontEndWithFileStoreBacking(t *testing.T) {
+func TestFrontEndWithDiskStoreBacking(t *testing.T) {
 	// The HTTP front-end works identically over the disk store.
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds, _ := newDiskStore(t, DiskStoreOptions{})
 	meta := NewMetadata()
-	fe := NewFrontEnd(FrontEndConfig{Store: fs, Meta: meta})
+	fe := NewFrontEnd(FrontEndConfig{Store: ds, Meta: meta})
 	srv := httptest.NewServer(fe.Handler())
 	defer srv.Close()
 	metaSrv := httptest.NewServer(meta.Handler())
