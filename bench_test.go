@@ -8,6 +8,7 @@ package mcloud_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -720,7 +721,7 @@ func dedupRun(seed uint64, n int, dupProb float64) storage.StoreStats {
 				data[j] = byte(src.Uint64())
 			}
 		}
-		if err := store.Put(storage.SumBytes(data), data); err != nil {
+		if err := store.PutCtx(context.Background(), storage.SumBytes(data), data); err != nil {
 			panic(err)
 		}
 	}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -265,7 +266,7 @@ func benchStore(workers int, quick bool) float64 {
 				if i >= chunks {
 					return
 				}
-				if err := store.Put(sums[i], data[i]); err != nil {
+				if err := store.PutCtx(context.Background(), sums[i], data[i]); err != nil {
 					fatal(err)
 				}
 			}
@@ -326,7 +327,7 @@ func benchDisk(workers int, quick bool) float64 {
 				if i >= chunks {
 					return
 				}
-				if err := store.Put(sums[i], data[i]); err != nil {
+				if err := store.PutCtx(context.Background(), sums[i], data[i]); err != nil {
 					fatal(err)
 				}
 			}

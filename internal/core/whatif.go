@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -61,6 +62,7 @@ type CacheStudyResult struct {
 func RunCacheStudy(cfg CacheStudyConfig) (CacheStudyResult, error) {
 	cfg = cfg.withDefaults()
 	res := CacheStudyResult{Config: cfg}
+	ctx := context.Background()
 
 	// Build the catalog once in a backing store.
 	backing := storage.NewMemStore()
@@ -73,7 +75,7 @@ func RunCacheStudy(cfg CacheStudyConfig) (CacheStudyResult, error) {
 			buf[j] = byte(content.Uint64())
 		}
 		sums[i] = storage.SumBytes(buf)
-		if err := backing.Put(sums[i], buf); err != nil {
+		if err := backing.PutCtx(ctx, sums[i], buf); err != nil {
 			return res, err
 		}
 	}
@@ -83,7 +85,7 @@ func RunCacheStudy(cfg CacheStudyConfig) (CacheStudyResult, error) {
 		cache := storage.NewCachedStore(backing, int64(frac*float64(catalogBytes)))
 		z := randx.NewZipf(src.Split(), cfg.Objects, cfg.ZipfExponent)
 		for i := 0; i < cfg.Requests; i++ {
-			if _, err := cache.Get(sums[z.Draw()-1]); err != nil {
+			if _, err := cache.GetCtx(ctx, sums[z.Draw()-1]); err != nil {
 				return res, err
 			}
 		}
@@ -154,6 +156,7 @@ type TieringStudyResult struct {
 func RunTieringStudy(cfg TieringStudyConfig) (TieringStudyResult, error) {
 	cfg = cfg.withDefaults()
 	res := TieringStudyResult{Config: cfg}
+	ctx := context.Background()
 
 	clock := time.Date(2015, 8, 3, 0, 0, 0, 0, time.UTC)
 	now := func() time.Time { return clock }
@@ -169,7 +172,7 @@ func RunTieringStudy(cfg TieringStudyConfig) (TieringStudyResult, error) {
 			buf[j] = byte(content.Uint64())
 		}
 		sums[i] = storage.SumBytes(buf)
-		if err := ts.Put(sums[i], buf); err != nil {
+		if err := ts.PutCtx(ctx, sums[i], buf); err != nil {
 			return res, err
 		}
 		readDay[i] = -1
@@ -186,7 +189,7 @@ func RunTieringStudy(cfg TieringStudyConfig) (TieringStudyResult, error) {
 		}
 		for i := range sums {
 			if readDay[i] == day {
-				if _, err := ts.Get(sums[i]); err != nil {
+				if _, err := ts.GetCtx(ctx, sums[i]); err != nil {
 					return res, err
 				}
 			}

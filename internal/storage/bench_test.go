@@ -57,7 +57,7 @@ func BenchmarkShardedStorePut(b *testing.B) {
 							if j >= chunks {
 								return
 							}
-							if err := store.Put(sums[j], data[j]); err != nil {
+							if err := store.PutCtx(bg, sums[j], data[j]); err != nil {
 								b.Error(err)
 								return
 							}

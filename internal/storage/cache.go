@@ -79,28 +79,17 @@ func (c *CachedStore) shard(sum Sum) *cacheShard {
 	return &c.shards[binary.LittleEndian.Uint32(sum[:4])&c.mask]
 }
 
-// Put writes through to the backing store; fresh content is not
+// PutCtx writes through to the backing store; fresh content is not
 // admitted to the cache (the workload is read-skewed, and uploads are
 // rarely re-read — the paper's key observation).
-func (c *CachedStore) Put(sum Sum, data []byte) error {
-	return c.backing.Put(sum, data)
-}
-
-// PutCtx implements CtxStore, forwarding the trace context through
-// the write-around path.
 func (c *CachedStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
-	return PutCtx(ctx, c.backing, sum, data)
+	return c.backing.PutCtx(ctx, sum, data)
 }
 
-// Get serves from the cache when possible, falling back to the
-// backing store and admitting the result.
-func (c *CachedStore) Get(sum Sum) ([]byte, error) {
-	return c.GetCtx(context.Background(), sum)
-}
-
-// GetCtx implements CtxStore: a cache hit records no span (it is a
-// map lookup), a miss forwards the context so the backing read's disk
-// time lands in the trace.
+// GetCtx serves from the cache when possible, falling back to the
+// backing store and admitting the result. A hit records no span (it
+// is a map lookup); a miss forwards the context so the backing read's
+// disk time lands in the trace.
 func (c *CachedStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) {
 	s := c.shard(sum)
 	s.mu.Lock()
@@ -114,7 +103,7 @@ func (c *CachedStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) {
 	}
 	s.mu.Unlock()
 
-	data, err := GetCtx(ctx, c.backing, sum)
+	data, err := c.backing.GetCtx(ctx, sum)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +138,7 @@ func (s *cacheShard) admit(sum Sum, data []byte) {
 	s.used += int64(len(data))
 }
 
-// GetReaderCtx implements ReaderStore: hits stream the cached slice
+// GetReaderCtx implements ChunkStore: hits stream the cached slice
 // without copying; misses read through GetCtx so the chunk is still
 // admitted, then serve the admitted copy from RAM. The cache tier
 // therefore trades the backing store's zero-copy disk path for

@@ -8,14 +8,16 @@ import (
 	"sync/atomic"
 )
 
-// ChunkStore is a content-addressed store of fixed-size chunks.
-// Implementations must be safe for concurrent use.
+// ChunkStore is a content-addressed store of fixed-size chunks, and
+// the one contract every tier implements. Every transfer takes the
+// request's context: it carries the request's span (see
+// internal/tracing), the proof that an ingress already verified a
+// put's bytes (see verifyPut) and the request's sync group (see
+// withSyncGroup), so a wrapper cannot forward a put or a read without
+// them. Implementations must be safe for concurrent use.
 type ChunkStore interface {
-	// Put stores data under its digest. Storing content that already
-	// exists is not an error; it increments the dedup counter.
-	Put(sum Sum, data []byte) error
-	// Get returns the chunk bytes, or ErrNotFound.
-	Get(sum Sum) ([]byte, error)
+	CtxStore
+	ReaderStore
 	// Has reports whether the chunk exists.
 	Has(sum Sum) bool
 	// Stats returns a snapshot of store counters.
@@ -43,36 +45,22 @@ func multiHas(s ChunkStore, sums []Sum) []bool {
 	return out
 }
 
-// CtxStore is an optional ChunkStore extension for stores whose
-// operations are worth tracing: the context carries the request's
-// span (see internal/tracing) and the store records child spans for
-// the time it spends — replication fan-out, segment appends, fsync
-// waits, reads. The same context carries the proof that an ingress
-// already verified a put's bytes (see verifyPut), which is why even
-// the stores with nothing worth a span implement it.
+// CtxStore is the put and get half of ChunkStore. Stores record child
+// spans under the context for the time they spend — replication
+// fan-out, segment appends, fsync waits, reads.
 type CtxStore interface {
-	// PutCtx is Put under the context's trace.
+	// PutCtx stores data under its digest. Storing content that already
+	// exists is not an error; it increments the dedup counter.
 	PutCtx(ctx context.Context, sum Sum, data []byte) error
-	// GetCtx is Get under the context's trace.
+	// GetCtx returns the chunk bytes, or ErrNotFound.
 	GetCtx(ctx context.Context, sum Sum) ([]byte, error)
 }
 
-// PutCtx stores through the context-aware path when the store has
-// one, falling back to the plain Put.
+// PutCtx is s.PutCtx(ctx, sum, data). Nothing in this module calls it;
+// it stays only for the benchmark module's tests, and goes once they
+// call the method.
 func PutCtx(ctx context.Context, s ChunkStore, sum Sum, data []byte) error {
-	if cs, ok := s.(CtxStore); ok {
-		return cs.PutCtx(ctx, sum, data)
-	}
-	return s.Put(sum, data)
-}
-
-// GetCtx reads through the context-aware path when the store has one,
-// falling back to the plain Get.
-func GetCtx(ctx context.Context, s ChunkStore, sum Sum) ([]byte, error) {
-	if cs, ok := s.(CtxStore); ok {
-		return cs.GetCtx(ctx, sum)
-	}
-	return s.Get(sum)
+	return s.PutCtx(ctx, sum, data)
 }
 
 // Ranger is an optional ChunkStore extension enumerating held chunks,
@@ -87,9 +75,9 @@ type Ranger interface {
 type StoreStats struct {
 	Chunks      int   // unique chunks held
 	Bytes       int64 // unique bytes held
-	Puts        int64 // total Put calls
-	DedupHits   int64 // Puts that found existing content
-	BytesStored int64 // total bytes offered across all Puts
+	Puts        int64 // total puts
+	DedupHits   int64 // puts that found existing content
+	BytesStored int64 // total bytes offered across all puts
 }
 
 // DedupRatio returns the fraction of offered bytes that deduplication
@@ -166,13 +154,9 @@ func (m *MemStore) shard(sum Sum) *memShard {
 	return &m.shards[binary.LittleEndian.Uint32(sum[:4])&m.mask]
 }
 
-// Put implements ChunkStore. The data slice is copied.
-func (m *MemStore) Put(sum Sum, data []byte) error {
-	return m.PutCtx(context.Background(), sum, data)
-}
-
-// PutCtx implements CtxStore; the context matters only for the proof
-// that spares an already-verified put its hash.
+// PutCtx implements ChunkStore. The data slice is copied; the context
+// matters only for the proof that spares an already-verified put its
+// hash.
 func (m *MemStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 	if _, err := verifyPut(ctx, sum, data); err != nil {
 		return err
@@ -195,8 +179,8 @@ func (m *MemStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 	return nil
 }
 
-// Get implements ChunkStore.
-func (m *MemStore) Get(sum Sum) ([]byte, error) {
+// GetCtx implements ChunkStore.
+func (m *MemStore) GetCtx(_ context.Context, sum Sum) ([]byte, error) {
 	sh := m.shard(sum)
 	sh.mu.RLock()
 	data, ok := sh.chunks[sum]
@@ -207,14 +191,11 @@ func (m *MemStore) Get(sum Sum) ([]byte, error) {
 	return data, nil
 }
 
-// GetCtx implements CtxStore.
-func (m *MemStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) { return m.Get(sum) }
-
-// GetReaderCtx implements ReaderStore: the reader wraps the resident
+// GetReaderCtx implements ChunkStore: the reader wraps the resident
 // slice without copying — chunk payloads are content-immutable, so
 // sharing is safe for the reader's lifetime.
 func (m *MemStore) GetReaderCtx(ctx context.Context, sum Sum) (*ChunkReader, error) {
-	data, err := m.Get(sum)
+	data, err := m.GetCtx(ctx, sum)
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,7 @@ import (
 // sealed segments are fsynced before rotation — is detected by the
 // checksum and truncated away.
 //
-// Durability contract: when Put returns nil the record has been
+// Durability contract: when PutCtx returns nil the record has been
 // written and covered by an fsync, so a SIGKILL at any later point
 // loses nothing acknowledged. Fsyncs are group-committed: concurrent
 // writers piggyback on one another's syncs, so the fsync rate stays
@@ -431,19 +431,15 @@ func (ds *DiskStore) syncTo(lsn int64) error {
 // stall it or fail it the way the syscall would (tests).
 var fsyncFault atomic.Pointer[func(*DiskStore) error]
 
-// Put implements ChunkStore. It returns only after the record is
-// fsync-covered, so an acknowledged chunk survives SIGKILL.
-func (ds *DiskStore) Put(sum Sum, data []byte) error {
-	return ds.PutCtx(context.Background(), sum, data)
-}
-
-// PutCtx implements CtxStore: the locked append and the group-commit
-// fsync wait are separate spans, so a slow write shows whether the
-// time went to lock contention / segment I/O or to riding someone
-// else's fsync group. A put whose context proves an ingress already
-// verified these bytes (see verifyPut) is appended as received —
-// carried header, caller's payload — and one that belongs to a request
-// with a sync group leaves its fsync to the request.
+// PutCtx implements ChunkStore. It returns only after the record is
+// fsync-covered, so an acknowledged chunk survives SIGKILL; a put that
+// belongs to a request with a sync group leaves that fsync to the
+// request. The locked append and the group-commit fsync wait are
+// separate spans, so a slow write shows whether the time went to lock
+// contention / segment I/O or to riding someone else's fsync group. A
+// put whose context proves an ingress already verified these bytes
+// (see verifyPut) is appended as received — carried header, caller's
+// payload.
 func (ds *DiskStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 	v, err := verifyPut(ctx, sum, data)
 	if err != nil {
@@ -487,13 +483,9 @@ func (ds *DiskStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 	return err
 }
 
-// Get implements ChunkStore, verifying the record checksum on the way
-// out so on-disk corruption is surfaced rather than served.
-func (ds *DiskStore) Get(sum Sum) ([]byte, error) {
-	return ds.GetCtx(context.Background(), sum)
-}
-
-// GetCtx implements CtxStore, recording the read as one span.
+// GetCtx implements ChunkStore, verifying the record checksum on the
+// way out so on-disk corruption is surfaced rather than served. The
+// read is one span.
 func (ds *DiskStore) GetCtx(ctx context.Context, sum Sum) (_ []byte, err error) {
 	if sp := tracing.ChildFromContext(ctx, tracing.CompDisk, tracing.SpanDiskRead); sp != nil {
 		defer func() { sp.EndErr(err) }()
@@ -531,7 +523,7 @@ func (ds *DiskStore) record(sum Sum) ([]byte, error) {
 	return buf, nil
 }
 
-// GetReaderCtx implements ReaderStore: it returns a streaming view
+// GetReaderCtx implements ChunkStore: it returns a streaming view
 // over the pinned record region of the segment file instead of
 // materializing the payload. The pin is held until the reader is
 // Closed, so compaction keeps the file open (and its bytes valid,

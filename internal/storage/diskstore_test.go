@@ -43,13 +43,13 @@ func TestDiskStorePutGetHasDelete(t *testing.T) {
 	if ds.Has(sum) {
 		t.Fatal("Has before Put")
 	}
-	if err := ds.Put(sum, data); err != nil {
+	if err := ds.PutCtx(bg, sum, data); err != nil {
 		t.Fatal(err)
 	}
 	if !ds.Has(sum) {
 		t.Fatal("Has after Put")
 	}
-	got, err := ds.Get(sum)
+	got, err := ds.GetCtx(bg, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestDiskStorePutGetHasDelete(t *testing.T) {
 	if err := ds.Delete(sum); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.Get(sum); err != ErrNotFound {
+	if _, err := ds.GetCtx(bg, sum); err != ErrNotFound {
 		t.Fatalf("Get after Delete: err = %v, want ErrNotFound", err)
 	}
 	if err := ds.Delete(sum); err != ErrNotFound {
@@ -69,7 +69,7 @@ func TestDiskStorePutGetHasDelete(t *testing.T) {
 
 func TestDiskStoreRejectsWrongDigest(t *testing.T) {
 	ds, _ := newDiskStore(t, DiskStoreOptions{})
-	if err := ds.Put(SumBytes([]byte("other")), []byte("data")); err != errBadDigest {
+	if err := ds.PutCtx(bg, SumBytes([]byte("other")), []byte("data")); err != errBadDigest {
 		t.Fatalf("err = %v, want errBadDigest", err)
 	}
 }
@@ -79,7 +79,7 @@ func TestDiskStoreDedupStats(t *testing.T) {
 	data := []byte("same content twice")
 	sum := SumBytes(data)
 	for i := 0; i < 2; i++ {
-		if err := ds.Put(sum, data); err != nil {
+		if err := ds.PutCtx(bg, sum, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,7 +101,7 @@ func TestDiskStoreReopen(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		data := testChunk(1, i)
 		sum := SumBytes(data)
-		if err := ds.Put(sum, data); err != nil {
+		if err := ds.PutCtx(bg, sum, data); err != nil {
 			t.Fatal(err)
 		}
 		sums = append(sums, sum)
@@ -121,7 +121,7 @@ func TestDiskStoreReopen(t *testing.T) {
 	}
 	defer ds2.Close()
 	for i, sum := range sums {
-		got, err := ds2.Get(sum)
+		got, err := ds2.GetCtx(bg, sum)
 		if i == 3 {
 			if err != ErrNotFound {
 				t.Fatalf("deleted chunk %d resurrected: err = %v", i, err)
@@ -153,7 +153,7 @@ func TestDiskStoreReopen(t *testing.T) {
 	}
 	// The store stays writable after recovery.
 	extra := testChunk(1, 999)
-	if err := ds2.Put(SumBytes(extra), extra); err != nil {
+	if err := ds2.PutCtx(bg, SumBytes(extra), extra); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -165,7 +165,7 @@ func TestDiskStoreSegmentRotation(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		data := testChunk(2, i)
 		sum := SumBytes(data)
-		if err := ds.Put(sum, data); err != nil {
+		if err := ds.PutCtx(bg, sum, data); err != nil {
 			t.Fatal(err)
 		}
 		sums = append(sums, sum)
@@ -183,7 +183,7 @@ func TestDiskStoreSegmentRotation(t *testing.T) {
 		t.Fatalf("%d files on disk, stats say %d segments", len(entries), st.Segments)
 	}
 	for i, sum := range sums {
-		got, err := ds.Get(sum)
+		got, err := ds.GetCtx(bg, sum)
 		if err != nil {
 			t.Fatalf("chunk %d: %v", i, err)
 		}
@@ -204,7 +204,7 @@ func TestDiskStoreCompaction(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		data := testChunk(3, i)
 		sum := SumBytes(data)
-		if err := ds.Put(sum, data); err != nil {
+		if err := ds.PutCtx(bg, sum, data); err != nil {
 			t.Fatal(err)
 		}
 		sums = append(sums, sum)
@@ -245,7 +245,7 @@ func TestDiskStoreCompaction(t *testing.T) {
 	check := func(ds *DiskStore) {
 		t.Helper()
 		for i, sum := range sums {
-			got, err := ds.Get(sum)
+			got, err := ds.GetCtx(bg, sum)
 			if i%4 != 0 {
 				if err != ErrNotFound {
 					t.Fatalf("deleted chunk %d: err = %v", i, err)
@@ -282,28 +282,28 @@ func TestDiskStoreGCWiring(t *testing.T) {
 
 	content := bytes.Repeat([]byte("gcpayload!"), 600)
 	fileSum := SumBytes(content)
-	resp, err := meta.StoreCheck(StoreCheckRequest{UserID: 1, Name: "gc.bin", Size: int64(len(content)), FileMD5: fileSum.String()})
+	resp, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: 1, Name: "gc.bin", Size: int64(len(content)), FileMD5: fileSum.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sums := SplitSums(content)
-	if err := ds.Put(sums[0], content); err != nil {
+	if err := ds.PutCtx(bg, sums[0], content); err != nil {
 		t.Fatal(err)
 	}
 	// Filler chunks spread across several sealed segments so the
 	// delete sweep leaves compactable ones behind.
 	for i := 0; i < 40; i++ {
 		data := testChunk(4, i)
-		if err := ds.Put(SumBytes(data), data); err != nil {
+		if err := ds.PutCtx(bg, SumBytes(data), data); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := meta.Commit(0, resp.URL, sums); err != nil {
+	if err := meta.CommitCtx(bg, 0, resp.URL, sums); err != nil {
 		t.Fatal(err)
 	}
 	rc.Acquire(sums)
 
-	n, err := DeleteFile(meta, rc, ds, 1, resp.URL)
+	n, err := DeleteFile(bg, nil, meta, rc, ds, 1, resp.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestDiskStoreGCWiring(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ {
 		data := testChunk(4, i)
-		got, err := ds.Get(SumBytes(data))
+		got, err := ds.GetCtx(bg, SumBytes(data))
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("filler chunk %d lost after GC compaction: %v", i, err)
 		}
@@ -347,7 +347,7 @@ func TestDiskStoreTornTail(t *testing.T) {
 	for i := 0; i < n; i++ {
 		data := testChunk(5, i)
 		sum := SumBytes(data)
-		if err := ds.Put(sum, data); err != nil {
+		if err := ds.PutCtx(bg, sum, data); err != nil {
 			t.Fatal(err)
 		}
 		chunks = append(chunks, data)
@@ -388,7 +388,7 @@ func TestDiskStoreTornTail(t *testing.T) {
 			}
 			defer rs.Close()
 			for i := range sums {
-				got, err := rs.Get(sums[i])
+				got, err := rs.GetCtx(bg, sums[i])
 				if ends[i] <= tc.cut {
 					if err != nil {
 						t.Fatalf("surviving chunk %d: %v", i, err)
@@ -411,10 +411,10 @@ func TestDiskStoreTornTail(t *testing.T) {
 			}
 			// Appends resume cleanly on the healed tail.
 			extra := testChunk(5, 1000)
-			if err := rs.Put(SumBytes(extra), extra); err != nil {
+			if err := rs.PutCtx(bg, SumBytes(extra), extra); err != nil {
 				t.Fatal(err)
 			}
-			if got, err := rs.Get(SumBytes(extra)); err != nil || !bytes.Equal(got, extra) {
+			if got, err := rs.GetCtx(bg, SumBytes(extra)); err != nil || !bytes.Equal(got, extra) {
 				t.Fatalf("post-recovery Put unreadable: %v", err)
 			}
 		})
@@ -438,7 +438,7 @@ func TestDiskStoreTornTailFuzzSeed(t *testing.T) {
 	for i := 0; i < n; i++ {
 		data := testChunk(6, i)
 		sum := SumBytes(data)
-		if err := ds.Put(sum, data); err != nil {
+		if err := ds.PutCtx(bg, sum, data); err != nil {
 			t.Fatal(err)
 		}
 		chunks = append(chunks, data)
@@ -464,7 +464,7 @@ func TestDiskStoreTornTailFuzzSeed(t *testing.T) {
 			t.Fatalf("round %d (cut %d): %v", round, cut, err)
 		}
 		for i := range sums {
-			got, err := rs.Get(sums[i])
+			got, err := rs.GetCtx(bg, sums[i])
 			if ends[i] <= cut {
 				if err != nil || !bytes.Equal(got, chunks[i]) {
 					t.Fatalf("round %d (cut %d): surviving chunk %d bad: %v", round, cut, i, err)
@@ -530,7 +530,7 @@ func TestDiskStoreSIGKILLRecovery(t *testing.T) {
 	lost, corrupted := 0, 0
 	for i := 0; i <= acked; i++ {
 		data := testChunk(seed, i)
-		got, err := ds.Get(SumBytes(data))
+		got, err := ds.GetCtx(bg, SumBytes(data))
 		if err != nil {
 			lost++
 			continue
@@ -557,7 +557,7 @@ func crashChild(dir string, seed int64) {
 	}
 	for i := 0; ; i++ {
 		data := testChunk(seed, i)
-		if err := ds.Put(SumBytes(data), data); err != nil {
+		if err := ds.PutCtx(bg, SumBytes(data), data); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -579,11 +579,11 @@ func TestDiskStoreConcurrent(t *testing.T) {
 			for i := 0; i < per; i++ {
 				data := testChunk(7, w*per+i)
 				sum := SumBytes(data)
-				if err := ds.Put(sum, data); err != nil {
+				if err := ds.PutCtx(bg, sum, data); err != nil {
 					t.Error(err)
 					return
 				}
-				got, err := ds.Get(sum)
+				got, err := ds.GetCtx(bg, sum)
 				if err != nil || !bytes.Equal(got, data) {
 					t.Errorf("readback %d/%d: %v", w, i, err)
 					return
@@ -627,7 +627,7 @@ func TestDiskStoreConcurrent(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		for i := 0; i < per; i++ {
 			data := testChunk(7, w*per+i)
-			got, err := ds.Get(SumBytes(data))
+			got, err := ds.GetCtx(bg, SumBytes(data))
 			if i%5 == 0 {
 				if err != ErrNotFound {
 					t.Fatalf("deleted %d/%d: err = %v", w, i, err)
@@ -651,7 +651,7 @@ func TestDiskStoreFsyncBatching(t *testing.T) {
 
 	// Warm up so the baseline fsync count is stable.
 	warm := testChunk(8, 9999)
-	if err := ds.Put(SumBytes(warm), warm); err != nil {
+	if err := ds.PutCtx(bg, SumBytes(warm), warm); err != nil {
 		t.Fatal(err)
 	}
 	base := ds.DiskStats().Fsyncs
@@ -667,7 +667,7 @@ func TestDiskStoreFsyncBatching(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			data := testChunk(8, w)
-			if err := ds.Put(SumBytes(data), data); err != nil {
+			if err := ds.PutCtx(bg, SumBytes(data), data); err != nil {
 				t.Error(err)
 			}
 		}(w)

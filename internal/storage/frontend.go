@@ -227,16 +227,16 @@ func simTime(r *http.Request) time.Time {
 // replayed request's virtual timestamp (X-Sim-Time) takes precedence
 // over the wall clock.
 func (f *FrontEnd) record(r *http.Request, typ trace.ReqType, bytes int64, started time.Time, tsrv time.Duration) {
-	if f.sink == nil && f.cfg.Metrics == nil {
-		return
-	}
 	f.recordAt(r, typ, bytes, started, f.cfg.Now().Sub(started), tsrv)
 }
 
 // recordAt is record for a request whose elapsed time the caller
 // measured itself (batch members, logged after the batch's fsync).
+// Replica hops are not client requests: they are neither logged nor
+// observed, so the Table 1 log and the mcs_frontend_* series count
+// each client chunk once however many owners store it.
 func (f *FrontEnd) recordAt(r *http.Request, typ trace.ReqType, bytes int64, started time.Time, elapsed, tsrv time.Duration) {
-	if f.sink == nil && f.cfg.Metrics == nil {
+	if f.sink == nil && f.cfg.Metrics == nil || isReplicaRequest(r) {
 		return
 	}
 	dev, devID, userID, rtt, proxied := reqIdentity(r)
@@ -272,9 +272,10 @@ func (f *FrontEnd) recordAt(r *http.Request, typ trace.ReqType, bytes int64, sta
 	})
 }
 
-// countErr bumps the error counter for a request type.
-func (f *FrontEnd) countErr(typ trace.ReqType) {
-	if fm := f.cfg.Metrics; fm != nil {
+// countErr bumps the error counter for a client request's type
+// (replica hops are not counted; see recordAt).
+func (f *FrontEnd) countErr(r *http.Request, typ trace.ReqType) {
+	if fm := f.cfg.Metrics; fm != nil && !isReplicaRequest(r) {
 		fm.errors[typ].Inc()
 	}
 }
@@ -282,7 +283,7 @@ func (f *FrontEnd) countErr(typ trace.ReqType) {
 // fail counts and writes one error response in the dialect the
 // request speaks (typed /v1 envelope or legacy body).
 func (f *FrontEnd) fail(w http.ResponseWriter, r *http.Request, code int, err error, typ trace.ReqType) {
-	f.countErr(typ)
+	f.countErr(r, typ)
 	writeAPIError(w, r, code, err)
 }
 
@@ -354,7 +355,7 @@ func (f *FrontEnd) handleStoreOp(w http.ResponseWriter, r *http.Request) {
 	started := f.cfg.Now()
 	var req FileOpRequest
 	if !decodeJSON(w, r, &req) {
-		f.countErr(trace.FileStore)
+		f.countErr(r, trace.FileStore)
 		return
 	}
 	url := r.URL.Query().Get("url")
@@ -373,7 +374,7 @@ func (f *FrontEnd) handleStoreOp(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(expected) == 0 {
 		// Zero-byte files carry no chunks; commit immediately.
-		if err := metaCommit(r.Context(), f.meta, req.Shard, url, nil); err != nil {
+		if err := f.meta.CommitCtx(r.Context(), req.Shard, url, nil); err != nil {
 			f.fail(w, r, metaErrStatus(err, http.StatusNotFound), err, trace.FileStore)
 			return
 		}
@@ -469,7 +470,7 @@ func (f *FrontEnd) handleStatOp(w http.ResponseWriter, r *http.Request) {
 // request context rides along so the metadata server's WAL spans join
 // the caller's trace.
 func (f *FrontEnd) commitUpload(ctx context.Context, shard int, url string, expected []Sum) error {
-	if err := metaCommit(ctx, f.meta, shard, url, expected); err != nil {
+	if err := f.meta.CommitCtx(ctx, shard, url, expected); err != nil {
 		return err
 	}
 	f.mu.Lock()
@@ -488,7 +489,7 @@ func (f *FrontEnd) handleRetrieveOp(w http.ResponseWriter, r *http.Request) {
 	started := f.cfg.Now()
 	var req FileOpRequest
 	if !decodeJSON(w, r, &req) {
-		f.countErr(trace.FileRetrieve)
+		f.countErr(r, trace.FileRetrieve)
 		return
 	}
 	sum, err := ParseSum(req.FileMD5)
@@ -496,7 +497,7 @@ func (f *FrontEnd) handleRetrieveOp(w http.ResponseWriter, r *http.Request) {
 		f.fail(w, r, http.StatusBadRequest, err, trace.FileRetrieve)
 		return
 	}
-	meta, err := metaLookup(r.Context(), f.meta, req.Shard, sum)
+	meta, err := f.meta.LookupCtx(r.Context(), req.Shard, sum)
 	if err != nil {
 		f.fail(w, r, http.StatusNotFound, err, trace.FileRetrieve)
 		return
@@ -551,13 +552,13 @@ func (f *FrontEnd) handleReplicaChunk(w http.ResponseWriter, r *http.Request, su
 			writeAPIError(w, r, ingressErrStatus(err), err)
 			return
 		}
-		if err := PutCtx(withVerified(r.Context(), fr), f.local, sum, fr.payload); err != nil {
+		if err := f.local.PutCtx(withVerified(r.Context(), fr), sum, fr.payload); err != nil {
 			writeAPIError(w, r, storeErrStatus(err), err)
 			return
 		}
 		writeJSON(w, FileOpResponse{OK: true})
 	case http.MethodGet:
-		rd, err := GetReader(r.Context(), f.local, sum)
+		rd, err := f.local.GetReaderCtx(r.Context(), sum)
 		if err != nil {
 			writeAPIError(w, r, http.StatusNotFound, err)
 			return
@@ -627,7 +628,7 @@ func (f *FrontEnd) putChunk(w http.ResponseWriter, r *http.Request, sum Sum, sta
 		f.fail(w, r, ingressErrStatus(err), err, trace.ChunkStore)
 		return
 	}
-	if err := PutCtx(withVerified(r.Context(), fr), f.store, sum, fr.payload); err != nil {
+	if err := f.store.PutCtx(withVerified(r.Context(), fr), sum, fr.payload); err != nil {
 		f.fail(w, r, storeErrStatus(err), err, trace.ChunkStore)
 		return
 	}
@@ -670,7 +671,7 @@ func (f *FrontEnd) completeLocked(p *pendingUpload) bool {
 }
 
 func (f *FrontEnd) getChunk(w http.ResponseWriter, r *http.Request, sum Sum, started time.Time) {
-	rd, err := GetReader(r.Context(), f.store, sum)
+	rd, err := f.store.GetReaderCtx(r.Context(), sum)
 	if err != nil {
 		code := http.StatusNotFound
 		if IsUnavailable(err) {
@@ -699,12 +700,12 @@ func (f *FrontEnd) getChunk(w http.ResponseWriter, r *http.Request, sum Sum, sta
 func (f *FrontEnd) streamChunk(w http.ResponseWriter, r *http.Request, rd *ChunkReader, sum Sum, typ trace.ReqType) {
 	_, verified, werr := rd.StreamTo(w)
 	if werr != nil {
-		f.countErr(typ)
+		f.countErr(r, typ)
 		tracing.FromContext(r.Context()).Annotate("write_err", werr.Error())
 		return
 	}
 	if !verified {
-		f.countErr(typ)
+		f.countErr(r, typ)
 		tracing.FromContext(r.Context()).Annotate("corrupt", sum.String())
 		panic(http.ErrAbortHandler)
 	}
@@ -737,10 +738,11 @@ func storeErrStatus(err error) int {
 // sleeps only the maximum once: the batch members share the upstream
 // round trip, which is where the binary dialect's latency win on
 // upstream-bound paths comes from. Each chunk's log still records its
-// own sampled tsrv.
-func (f *FrontEnd) upstreamBatch(n int) []time.Duration {
+// own sampled tsrv. A replica hop is not a client request and has no
+// upstream: it samples and sleeps nothing.
+func (f *FrontEnd) upstreamBatch(r *http.Request, n int) []time.Duration {
 	out := make([]time.Duration, n)
-	if f.cfg.UpstreamDelay == nil {
+	if f.cfg.UpstreamDelay == nil || isReplicaRequest(r) {
 		return out
 	}
 	var max time.Duration
@@ -788,7 +790,7 @@ func (f *FrontEnd) handleBinGet(w http.ResponseWriter, r *http.Request) {
 	}()
 	var total int64
 	for i, sum := range sums {
-		rd, err := GetReader(r.Context(), store, sum)
+		rd, err := store.GetReaderCtx(r.Context(), sum)
 		if err != nil {
 			if errors.Is(err, ErrNotFound) {
 				total += recHeaderSize
@@ -804,7 +806,7 @@ func (f *FrontEnd) handleBinGet(w http.ResponseWriter, r *http.Request) {
 		readers[i] = rd
 		total += recHeaderSize + rd.Size()
 	}
-	tsrvs := f.upstreamBatch(len(sums))
+	tsrvs := f.upstreamBatch(r, len(sums))
 	w.Header().Set("Content-Type", binContentType)
 	w.Header().Set("Content-Length", strconv.FormatInt(total, 10))
 	prev := started
@@ -812,7 +814,7 @@ func (f *FrontEnd) handleBinGet(w http.ResponseWriter, r *http.Request) {
 		rd := readers[i]
 		if rd == nil {
 			if _, werr := w.Write(binNotFoundFrame(sum)); werr != nil {
-				f.countErr(trace.ChunkRetrieve)
+				f.countErr(r, trace.ChunkRetrieve)
 				tracing.FromContext(r.Context()).Annotate("write_err", werr.Error())
 				return
 			}
@@ -835,7 +837,7 @@ func (f *FrontEnd) handleBinGet(w http.ResponseWriter, r *http.Request) {
 		rd.Close()
 		readers[i] = nil
 		if werr != nil {
-			f.countErr(trace.ChunkRetrieve)
+			f.countErr(r, trace.ChunkRetrieve)
 			tracing.FromContext(r.Context()).Annotate("write_err", werr.Error())
 			return
 		}
@@ -885,7 +887,7 @@ func (f *FrontEnd) handleBinPut(w http.ResponseWriter, r *http.Request) {
 	sums := make([]Sum, count)
 	sizes := make([]int64, count)
 	ends := make([]time.Time, count)
-	tsrvs := f.upstreamBatch(count)
+	tsrvs := f.upstreamBatch(r, count)
 	for i := 0; i < count; i++ {
 		bf, err := readBinFrame(r.Body, *scratch, true)
 		if err != nil {
@@ -897,7 +899,7 @@ func (f *FrontEnd) handleBinPut(w http.ResponseWriter, r *http.Request) {
 			f.fail(w, r, ingressErrStatus(err), err, trace.ChunkStore)
 			return
 		}
-		if err := PutCtx(withVerified(ctx, fr), store, bf.sum, fr.payload); err != nil {
+		if err := store.PutCtx(withVerified(ctx, fr), bf.sum, fr.payload); err != nil {
 			f.fail(w, r, storeErrStatus(err), err, trace.ChunkStore)
 			return
 		}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -121,17 +122,11 @@ func NewGCMetrics(reg *metrics.Registry) *GCMetrics {
 // server, releases its chunk references, and collects newly
 // unreferenced chunks from the store. It returns the number of chunks
 // reclaimed. The file's catalog entry survives while other users still
-// link it (content-addressed sharing).
-func DeleteFile(m *Metadata, rc *RefCounter, store ChunkStore, user uint64, url string) (int, error) {
-	return DeleteFileObserved(nil, m, rc, store, user, url)
-}
-
-// DeleteFileObserved is DeleteFile with sweep instrumentation: when
-// gm is non-nil it records the sweep duration and the number of
-// chunks reclaimed.
-func DeleteFileObserved(gm *GCMetrics, m *Metadata, rc *RefCounter, store ChunkStore, user uint64, url string) (int, error) {
+// link it (content-addressed sharing). When gm is non-nil it records
+// the sweep duration and the number of chunks reclaimed.
+func DeleteFile(ctx context.Context, gm *GCMetrics, m *Metadata, rc *RefCounter, store ChunkStore, user uint64, url string) (int, error) {
 	start := time.Now()
-	chunks, lastRef, err := m.Unlink(user, url)
+	chunks, lastRef, err := m.UnlinkCtx(ctx, user, url)
 	if err != nil {
 		return 0, err
 	}

@@ -47,7 +47,7 @@ func TestCollectReclaimsFromDeletableStore(t *testing.T) {
 	ds, _ := newDiskStore(t, DiskStoreOptions{})
 	data := []byte("collectable")
 	sum := SumBytes(data)
-	if err := ds.Put(sum, data); err != nil {
+	if err := ds.PutCtx(bg, sum, data); err != nil {
 		t.Fatal(err)
 	}
 	n, err := Collect(ds, []Sum{sum, SumBytes([]byte("missing"))})
@@ -76,14 +76,14 @@ func TestMetadataUnlinkSharedContent(t *testing.T) {
 	chunk := SumBytes([]byte("chunk0"))
 
 	// User 1 uploads; user 2 links the same content via dedup.
-	resp, err := meta.StoreCheck(StoreCheckRequest{UserID: 1, Name: "p.jpg", Size: 12, FileMD5: sum.String()})
+	resp, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: 1, Name: "p.jpg", Size: 12, FileMD5: sum.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := meta.Commit(0, resp.URL, []Sum{chunk}); err != nil {
+	if err := meta.CommitCtx(bg, 0, resp.URL, []Sum{chunk}); err != nil {
 		t.Fatal(err)
 	}
-	resp2, err := meta.StoreCheck(StoreCheckRequest{UserID: 2, Name: "q.jpg", Size: 12, FileMD5: sum.String()})
+	resp2, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: 2, Name: "q.jpg", Size: 12, FileMD5: sum.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestMetadataUnlinkSharedContent(t *testing.T) {
 	}
 
 	// User 1 deletes: content must survive (user 2 still links it).
-	chunks, last, err := meta.Unlink(1, resp.URL)
+	chunks, last, err := meta.UnlinkCtx(bg, 1, resp.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestMetadataUnlinkSharedContent(t *testing.T) {
 	}
 
 	// User 2 deletes: now it is the last reference.
-	_, last, err = meta.Unlink(2, resp.URL)
+	_, last, err = meta.UnlinkCtx(bg, 2, resp.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestMetadataUnlinkSharedContent(t *testing.T) {
 		t.Errorf("resolve after full delete: err = %v", err)
 	}
 	// Content hash no longer dedups: a re-upload is fresh.
-	resp3, err := meta.StoreCheck(StoreCheckRequest{UserID: 3, Name: "r.jpg", Size: 12, FileMD5: sum.String()})
+	resp3, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: 3, Name: "r.jpg", Size: 12, FileMD5: sum.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +129,14 @@ func TestMetadataUnlinkSharedContent(t *testing.T) {
 
 func TestMetadataUnlinkErrors(t *testing.T) {
 	meta := NewMetadata()
-	if _, _, err := meta.Unlink(1, "/f/x"); err != ErrNotFound {
+	if _, _, err := meta.UnlinkCtx(bg, 1, "/f/x"); err != ErrNotFound {
 		t.Errorf("unknown user: err = %v", err)
 	}
-	resp, err := meta.StoreCheck(StoreCheckRequest{UserID: 1, Name: "a", Size: 1, FileMD5: SumBytes([]byte("a")).String()})
+	resp, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: 1, Name: "a", Size: 1, FileMD5: SumBytes([]byte("a")).String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := meta.Unlink(1, "/f/other"); err != ErrNotFound {
+	if _, _, err := meta.UnlinkCtx(bg, 1, "/f/other"); err != ErrNotFound {
 		t.Errorf("unknown url: err = %v", err)
 	}
 	_ = resp
@@ -149,7 +149,7 @@ func TestDeleteFileEndToEnd(t *testing.T) {
 
 	upload := func(user uint64, content []byte, name string) string {
 		fileSum := SumBytes(content)
-		resp, err := meta.StoreCheck(StoreCheckRequest{UserID: user, Name: name, Size: int64(len(content)), FileMD5: fileSum.String()})
+		resp, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: user, Name: name, Size: int64(len(content)), FileMD5: fileSum.String()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,11 +163,11 @@ func TestDeleteFileEndToEnd(t *testing.T) {
 			if hi > len(content) {
 				hi = len(content)
 			}
-			if err := store.Put(s, content[lo:hi]); err != nil {
+			if err := store.PutCtx(bg, s, content[lo:hi]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := meta.Commit(0, resp.URL, sums); err != nil {
+		if err := meta.CommitCtx(bg, 0, resp.URL, sums); err != nil {
 			t.Fatal(err)
 		}
 		rc.Acquire(sums)
@@ -184,7 +184,7 @@ func TestDeleteFileEndToEnd(t *testing.T) {
 	}
 
 	// Delete A: its chunk is reclaimed.
-	n, err := DeleteFile(meta, rc, store, 1, urlA)
+	n, err := DeleteFile(bg, nil, meta, rc, store, 1, urlA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestDeleteFileEndToEnd(t *testing.T) {
 	}
 
 	// User 1 deletes shared content: nothing reclaimed (user 2 links).
-	n, err = DeleteFile(meta, rc, store, 1, urlShared)
+	n, err = DeleteFile(bg, nil, meta, rc, store, 1, urlShared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestDeleteFileEndToEnd(t *testing.T) {
 	}
 
 	// User 2 deletes: now reclaimed.
-	n, err = DeleteFile(meta, rc, store, 2, urlShared)
+	n, err = DeleteFile(bg, nil, meta, rc, store, 2, urlShared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestMemStoreDelete(t *testing.T) {
 	m := NewMemStore()
 	data := []byte("deletable")
 	sum := SumBytes(data)
-	if err := m.Put(sum, data); err != nil {
+	if err := m.PutCtx(bg, sum, data); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Delete(sum); err != nil {

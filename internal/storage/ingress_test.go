@@ -28,7 +28,7 @@ import (
 
 // ctxOnlyStore is the shape of a third-party decorator (and of the
 // benchmark's traced stack): it forwards the ChunkStore methods and
-// PutCtx/GetCtx, nothing else. The proof and the sync group must
+// none of the optional capabilities. The proof and the sync group must
 // survive it. hashedBelow accumulates the MD5 passes made underneath
 // its PutCtx (meaningful when puts do not overlap).
 type ctxOnlyStore struct {
@@ -38,13 +38,9 @@ type ctxOnlyStore struct {
 
 func (s *ctxOnlyStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 	before := hashPasses.Load()
-	err := PutCtx(ctx, s.ChunkStore, sum, data)
+	err := s.ChunkStore.PutCtx(ctx, sum, data)
 	s.hashedBelow.Add(hashPasses.Load() - before)
 	return err
-}
-
-func (s *ctxOnlyStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) {
-	return GetCtx(ctx, s.ChunkStore, sum)
 }
 
 // ingressService serves store from one front-end plus a metadata
@@ -161,7 +157,7 @@ func TestIngressHashesOncePerNode(t *testing.T) {
 			t.Fatalf("server hashed %d bytes across ingest and migration, want %d", got, size)
 		}
 		for i, sum := range SplitSums(data) {
-			got, err := cold.Get(sum) // CRC-checked read of the migrated record
+			got, err := cold.GetCtx(bg, sum) // CRC-checked read of the migrated record
 			if err != nil || !bytes.Equal(got, data[i*ChunkSize:(i+1)*ChunkSize]) {
 				t.Fatalf("chunk %d after migration: %v", i, err)
 			}
@@ -175,18 +171,20 @@ func TestIngressHashesOncePerNode(t *testing.T) {
 func TestPutWithoutProofIsVerified(t *testing.T) {
 	disk, _ := newDiskStore(t, DiskStoreOptions{})
 	tierCold, _ := newDiskStore(t, DiskStoreOptions{})
+	ring, _ := newTestCluster(t, 1, 1, 1)
 	stores := map[string]ChunkStore{
-		"DiskStore":   disk,
-		"MemStore":    NewMemStore(),
-		"TieredStore": NewTieredStore(NewMemStore(), tierCold, time.Hour, nil),
-		"CachedStore": NewCachedStore(NewMemStore(), 1<<20),
+		"DiskStore":       disk,
+		"MemStore":        NewMemStore(),
+		"TieredStore":     NewTieredStore(NewMemStore(), tierCold, time.Hour, nil),
+		"CachedStore":     NewCachedStore(NewMemStore(), 1<<20),
+		"ReplicatedStore": ring[0].rs,
 	}
 	good := []byte("the bytes the digest names")
 	evil := []byte("the bytes the digest namez") // same length
 	sum := SumBytes(good)
 	for name, s := range stores {
-		if err := s.Put(sum, evil); !errors.Is(err, ErrBadDigest) {
-			t.Errorf("%s.Put(wrong digest) = %v, want ErrBadDigest", name, err)
+		if err := s.PutCtx(bg, sum, evil); !errors.Is(err, ErrBadDigest) {
+			t.Errorf("%s.PutCtx(wrong digest) = %v, want ErrBadDigest", name, err)
 		}
 		// Proof for the right digest and length, but other bytes were
 		// verified: binding is to (digest, length), so this is the one
@@ -196,7 +194,7 @@ func TestPutWithoutProofIsVerified(t *testing.T) {
 			"other digest": sealFrame(SumBytes(evil), evil),
 			"other length": sealFrame(sum, good[:len(good)-1]),
 		} {
-			if err := PutCtx(withVerified(context.Background(), fr), s, sum, evil); !errors.Is(err, ErrBadDigest) {
+			if err := s.PutCtx(withVerified(bg, fr), sum, evil); !errors.Is(err, ErrBadDigest) {
 				t.Errorf("%s.PutCtx(proof for %s) = %v, want ErrBadDigest", name, what, err)
 			}
 		}
@@ -204,13 +202,13 @@ func TestPutWithoutProofIsVerified(t *testing.T) {
 			t.Errorf("%s holds a chunk it should have rejected", name)
 		}
 		before := hashPasses.Load()
-		if err := PutCtx(withVerified(context.Background(), sealFrame(sum, good)), s, sum, good); err != nil {
+		if err := s.PutCtx(withVerified(bg, sealFrame(sum, good)), sum, good); err != nil {
 			t.Errorf("%s.PutCtx(verified) = %v", name, err)
 		}
 		if n := hashPasses.Load() - before; n != 0 {
 			t.Errorf("%s hashed %d bytes of a verified put", name, n)
 		}
-		if got, err := s.Get(sum); err != nil || !bytes.Equal(got, good) {
+		if got, err := s.GetCtx(bg, sum); err != nil || !bytes.Equal(got, good) {
 			t.Errorf("%s read-back: %v", name, err)
 		}
 	}
@@ -245,13 +243,13 @@ func TestSyncGroup(t *testing.T) {
 		if ds.Has(sum) {
 			t.Fatal("Has reports a record no fsync covers yet")
 		}
-		if _, err := ds.Get(sum); err != nil {
+		if _, err := ds.GetCtx(bg, sum); err != nil {
 			t.Fatalf("unsynced record unreadable: %v", err)
 		}
 	}
 	// A second writer of the same content must not be acknowledged
 	// ahead of the first writer's fsync: its dedup hit syncs.
-	if err := ds.Put(sums[0], testChunk(21, 0)); err != nil {
+	if err := ds.PutCtx(bg, sums[0], testChunk(21, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if n := ds.DiskStats().Fsyncs - base; n != 1 {
@@ -275,13 +273,13 @@ func TestSyncGroup(t *testing.T) {
 	if n := ds.DiskStats().Fsyncs - base; n != 3 || !ds.Has(late) {
 		t.Fatalf("late put: %d fsyncs, Has=%v; want an inline sync", n, ds.Has(late))
 	}
-	// And so does a put whose wrapper dropped the context.
+	// And so does a put made outside any request.
 	plain := testChunk(21, 7)
-	if err := ds.Put(SumBytes(plain), plain); err != nil {
+	if err := ds.PutCtx(bg, SumBytes(plain), plain); err != nil {
 		t.Fatal(err)
 	}
 	if n := ds.DiskStats().Fsyncs - base; n != 4 {
-		t.Fatalf("plain Put: %d fsyncs, want 4", n)
+		t.Fatalf("put without a group: %d fsyncs, want 4", n)
 	}
 
 	// A layer that publishes a put the moment it returns hides the
@@ -416,7 +414,7 @@ func TestIngressCorruptionMatrix(t *testing.T) {
 				seed++
 				sum, data := replChunk(4000+seed, 5000)
 				holder := nodes[1]
-				if err := holder.local.Put(sum, data); err != nil {
+				if err := holder.local.PutCtx(bg, sum, data); err != nil {
 					t.Fatal(err)
 				}
 				holder.handler.set(damageReads(holder.fe, bin, how))
@@ -483,7 +481,6 @@ type failingStore struct {
 	err error
 }
 
-func (s failingStore) Put(Sum, []byte) error                     { return s.err }
 func (s failingStore) PutCtx(context.Context, Sum, []byte) error { return s.err }
 
 // TestStoreFailureIsNotTheClientsFault: only the handler's own digest
@@ -538,7 +535,7 @@ func TestFanoutQueuesOwnerWithFailingStore(t *testing.T) {
 	}).Handler())
 
 	sum, data := replChunk(78, 4000)
-	if err := nodes[0].rs.Put(sum, data); err != nil {
+	if err := nodes[0].rs.PutCtx(bg, sum, data); err != nil {
 		t.Fatalf("put with one sick owner: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -597,7 +594,7 @@ func TestConcurrentHashingIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fm, err := meta.Lookup(0, SumBytes(data))
+		fm, err := meta.LookupCtx(bg, 0, SumBytes(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -692,7 +689,7 @@ func TestVerbatimSegmentFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum, data = chunk(5)
-	if err := ds.Put(sum, data); err != nil {
+	if err := ds.PutCtx(bg, sum, data); err != nil {
 		t.Fatal(err)
 	}
 	var tomb [recHeaderSize]byte
@@ -775,7 +772,7 @@ func TestBinPutSIGKILLRecovery(t *testing.T) {
 	lost, corrupted := 0, 0
 	for i := 0; i < (acked+1)*perBatch; i++ {
 		data := testChunk(seed, i)
-		got, err := ds.Get(SumBytes(data))
+		got, err := ds.GetCtx(bg, SumBytes(data))
 		if err != nil {
 			lost++
 		} else if !bytes.Equal(got, data) {
@@ -835,7 +832,7 @@ func TestCarriedCRCDetectsCorruptionBelowIngress(t *testing.T) {
 	if err := ds.PutCtx(withVerified(context.Background(), fr), sum, fr.payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.Get(sum); err == nil || !strings.Contains(err.Error(), "corruption") {
+	if _, err := ds.GetCtx(bg, sum); err == nil || !strings.Contains(err.Error(), "corruption") {
 		t.Fatalf("Get of a record damaged below the ingress = %v, want the CRC to catch it", err)
 	}
 }
@@ -1057,7 +1054,7 @@ func TestRetrieveCorruptionMatrix(t *testing.T) {
 					data := chunkedData(t, 900+seed+uint64(chunks), (chunks-1)*ChunkSize+777)
 					claimed := append([]byte(nil), data...)
 					claimed[0] ^= 0xFF
-					chk, err := rig.meta.StoreCheck(StoreCheckRequest{
+					chk, err := rig.meta.StoreCheckCtx(bg, StoreCheckRequest{
 						UserID: 5, Name: "liar.bin", Size: int64(len(data)), FileMD5: SumBytes(claimed).String(),
 					})
 					if err != nil {
@@ -1065,11 +1062,11 @@ func TestRetrieveCorruptionMatrix(t *testing.T) {
 					}
 					sums := SplitSums(data)
 					for i, sum := range sums {
-						if err := rig.store.Put(sum, data[i*ChunkSize:min((i+1)*ChunkSize, len(data))]); err != nil {
+						if err := rig.store.PutCtx(bg, sum, data[i*ChunkSize:min((i+1)*ChunkSize, len(data))]); err != nil {
 							t.Fatal(err)
 						}
 					}
-					if err := rig.meta.Commit(0, chk.URL, sums); err != nil {
+					if err := rig.meta.CommitCtx(bg, 0, chk.URL, sums); err != nil {
 						t.Fatal(err)
 					}
 					got, err := rig.client.RetrieveFile(chk.URL)

@@ -150,19 +150,19 @@ func TestGCMetrics(t *testing.T) {
 
 	data := []byte("gc instrumentation test chunk")
 	sum := SumBytes(data)
-	check, err := meta.StoreCheck(StoreCheckRequest{UserID: 1, Name: "x", Size: int64(len(data)), FileMD5: sum.String()})
+	check, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: 1, Name: "x", Size: int64(len(data)), FileMD5: sum.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Put(sum, data); err != nil {
+	if err := store.PutCtx(bg, sum, data); err != nil {
 		t.Fatal(err)
 	}
-	if err := meta.Commit(0, check.URL, []Sum{sum}); err != nil {
+	if err := meta.CommitCtx(bg, 0, check.URL, []Sum{sum}); err != nil {
 		t.Fatal(err)
 	}
 	rc.Acquire([]Sum{sum})
 
-	n, err := DeleteFileObserved(gm, meta, rc, store, 1, check.URL)
+	n, err := DeleteFile(bg, gm, meta, rc, store, 1, check.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

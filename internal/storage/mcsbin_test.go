@@ -242,7 +242,7 @@ func TestClusterMixedDialect(t *testing.T) {
 	// Prime dialect discovery: one JSON round trip per peer pair so
 	// every store has seen its peers' response headers.
 	warm, warmData := replChunk(100, 8<<10)
-	if err := nodes[0].rs.Put(warm, warmData); err != nil {
+	if err := nodes[0].rs.PutCtx(bg, warm, warmData); err != nil {
 		t.Fatal(err)
 	}
 
@@ -252,7 +252,7 @@ func TestClusterMixedDialect(t *testing.T) {
 		sum, data := replChunk(uint64(200+i), 32<<10)
 		// Alternate the writing node so fan-out crosses the dialect
 		// boundary in both directions (bin node -> JSON node and back).
-		if err := nodes[i%n].rs.Put(sum, data); err != nil {
+		if err := nodes[i%n].rs.PutCtx(bg, sum, data); err != nil {
 			t.Fatal(err)
 		}
 		sums = append(sums, sum)
@@ -284,7 +284,7 @@ func TestClusterMixedDialect(t *testing.T) {
 	// boundary — return intact bytes.
 	for i, sum := range sums {
 		for _, nd := range nodes {
-			got, err := nd.rs.Get(sum)
+			got, err := nd.rs.GetCtx(bg, sum)
 			if err != nil {
 				t.Fatalf("chunk %d from %s: %v", i, nd.url, err)
 			}
@@ -299,7 +299,7 @@ func TestClusterMixedDialect(t *testing.T) {
 	nodes[2].down()
 	defer nodes[2].up()
 	for i, sum := range sums {
-		got, err := nodes[jsonNode].rs.Get(sum)
+		got, err := nodes[jsonNode].rs.GetCtx(bg, sum)
 		if err != nil {
 			t.Fatalf("failover chunk %d: %v", i, err)
 		}

@@ -171,23 +171,13 @@ func (m *RemoteMeta) postJSON(ctx context.Context, op string, shard int, path st
 	}, nil, out)
 }
 
-// Commit implements MetaService.
-func (m *RemoteMeta) Commit(shard int, url string, chunkMD5s []Sum) error {
-	return m.CommitCtx(context.Background(), shard, url, chunkMD5s)
-}
-
-// CommitCtx is Commit with trace propagation and cancellation.
+// CommitCtx implements MetaService.
 func (m *RemoteMeta) CommitCtx(ctx context.Context, shard int, url string, chunkMD5s []Sum) error {
 	return m.postJSON(ctx, "meta-commit", shard, "/v1/meta/commit",
 		CommitRequest{Shard: shard, URL: url, ChunkMD5s: sumStrings(chunkMD5s)}, nil)
 }
 
-// Lookup implements MetaService.
-func (m *RemoteMeta) Lookup(shard int, sum Sum) (FileMeta, error) {
-	return m.LookupCtx(context.Background(), shard, sum)
-}
-
-// LookupCtx is Lookup with trace propagation and cancellation.
+// LookupCtx implements MetaService.
 func (m *RemoteMeta) LookupCtx(ctx context.Context, shard int, sum Sum) (FileMeta, error) {
 	var resp LookupResponse
 	if err := m.postJSON(ctx, "meta-lookup", shard, "/v1/meta/lookup",

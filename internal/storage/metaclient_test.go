@@ -24,7 +24,7 @@ var fastMetaRetry = RetryPolicy{
 func TestRemoteMetaRetriesTransients(t *testing.T) {
 	meta := NewMetadata("fe")
 	data := testChunk(50, 1)
-	resp, err := meta.StoreCheck(StoreCheckRequest{UserID: 1, Name: "r", Size: int64(len(data)), FileMD5: SumBytes(data).String()})
+	resp, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: 1, Name: "r", Size: int64(len(data)), FileMD5: SumBytes(data).String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +42,13 @@ func TestRemoteMetaRetriesTransients(t *testing.T) {
 
 	rm := NewRemoteMeta(srv.URL, nil)
 	rm.SetRetry(fastMetaRetry, 1)
-	if err := rm.Commit(0, resp.URL, SplitSums(data)); err != nil {
+	if err := rm.CommitCtx(bg, 0, resp.URL, SplitSums(data)); err != nil {
 		t.Fatal(err)
 	}
 	if got := attempts.Load(); got != 3 {
 		t.Fatalf("attempts = %d, want 3", got)
 	}
-	if _, err := meta.Lookup(0, SumBytes(data)); err != nil {
+	if _, err := meta.LookupCtx(bg, 0, SumBytes(data)); err != nil {
 		t.Fatalf("commit did not land: %v", err)
 	}
 }
@@ -67,7 +67,7 @@ func TestRemoteMetaNoRetryOnNotFound(t *testing.T) {
 
 	rm := NewRemoteMeta(srv.URL, nil)
 	rm.SetRetry(fastMetaRetry, 1)
-	if err := rm.Commit(0, "/f/unknown/1", nil); !errors.Is(err, ErrNotFound) {
+	if err := rm.CommitCtx(bg, 0, "/f/unknown/1", nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 	if got := attempts.Load(); got != 1 {
@@ -91,7 +91,7 @@ func TestRemoteMetaDeadline(t *testing.T) {
 	pol.RequestTimeout = 50 * time.Millisecond
 	rm.SetRetry(pol, 1)
 	start := time.Now()
-	err := rm.Commit(0, "/f/x/1", nil)
+	err := rm.CommitCtx(bg, 0, "/f/x/1", nil)
 	if err == nil {
 		t.Fatal("commit against hung server succeeded")
 	}
@@ -115,14 +115,14 @@ func TestRemoteMetaFailover(t *testing.T) {
 	rm.SetRetry(fastMetaRetry, 1)
 
 	data := testChunk(51, 1)
-	resp, err := meta.StoreCheck(StoreCheckRequest{UserID: 1, Name: "f", Size: int64(len(data)), FileMD5: SumBytes(data).String()})
+	resp, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: 1, Name: "f", Size: int64(len(data)), FileMD5: SumBytes(data).String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rm.Commit(0, resp.URL, SplitSums(data)); err != nil {
+	if err := rm.CommitCtx(bg, 0, resp.URL, SplitSums(data)); err != nil {
 		t.Fatalf("failover commit: %v", err)
 	}
-	if f, err := rm.Lookup(0, SumBytes(data)); err != nil || f.URL != resp.URL {
+	if f, err := rm.LookupCtx(bg, 0, SumBytes(data)); err != nil || f.URL != resp.URL {
 		t.Fatalf("failover lookup: %+v %v", f, err)
 	}
 }
@@ -145,14 +145,14 @@ func TestRemoteMetaStandbyRouting(t *testing.T) {
 	rm.SetRetry(fastMetaRetry, 1)
 
 	data := testChunk(52, 1)
-	resp, err := primary.StoreCheck(StoreCheckRequest{UserID: 1, Name: "s", Size: int64(len(data)), FileMD5: SumBytes(data).String()})
+	resp, err := primary.StoreCheckCtx(bg, StoreCheckRequest{UserID: 1, Name: "s", Size: int64(len(data)), FileMD5: SumBytes(data).String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rm.Commit(0, resp.URL, SplitSums(data)); err != nil {
+	if err := rm.CommitCtx(bg, 0, resp.URL, SplitSums(data)); err != nil {
 		t.Fatalf("commit through standby bounce: %v", err)
 	}
-	if _, err := primary.Lookup(0, SumBytes(data)); err != nil {
+	if _, err := primary.LookupCtx(bg, 0, SumBytes(data)); err != nil {
 		t.Fatalf("commit did not land on primary: %v", err)
 	}
 }

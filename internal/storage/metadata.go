@@ -32,39 +32,16 @@ type FileMeta struct {
 // names the metadata shard it targets — the shard the client's
 // store-check or resolve handshake pinned — so the namespace can be
 // split across shard groups while a front-end stays a dumb router.
-// An unsharded deployment is the one-shard special case: shard 0.
+// An unsharded deployment is the one-shard special case: shard 0. The
+// context carries the caller's trace (WAL spans join it) and
+// cancellation.
 type MetaService interface {
-	// Commit finalizes a completed upload on the given shard, making
+	// CommitCtx finalizes a completed upload on the given shard, making
 	// the content available for dedup and retrieval.
-	Commit(shard int, url string, chunkMD5s []Sum) error
-	// Lookup returns the file record for a content hash from the
-	// given shard's catalog.
-	Lookup(shard int, sum Sum) (FileMeta, error)
-}
-
-// ctxMetaService is the context-aware superset of MetaService; both
-// *Metadata and *RemoteMeta implement it. The context carries the
-// caller's trace (WAL spans join it) and cancellation.
-type ctxMetaService interface {
 	CommitCtx(ctx context.Context, shard int, url string, chunkMD5s []Sum) error
+	// LookupCtx returns the file record for a content hash from the
+	// given shard's catalog.
 	LookupCtx(ctx context.Context, shard int, sum Sum) (FileMeta, error)
-}
-
-// metaCommit commits via svc, propagating ctx when svc supports it —
-// the same downgrade pattern PutCtx uses for chunk stores.
-func metaCommit(ctx context.Context, svc MetaService, shard int, url string, chunkMD5s []Sum) error {
-	if c, ok := svc.(ctxMetaService); ok {
-		return c.CommitCtx(ctx, shard, url, chunkMD5s)
-	}
-	return svc.Commit(shard, url, chunkMD5s)
-}
-
-// metaLookup resolves via svc, propagating ctx when svc supports it.
-func metaLookup(ctx context.Context, svc MetaService, shard int, sum Sum) (FileMeta, error) {
-	if c, ok := svc.(ctxMetaService); ok {
-		return c.LookupCtx(ctx, shard, sum)
-	}
-	return svc.Lookup(shard, sum)
 }
 
 // Metadata is the metadata service (§2.1): it owns user namespaces,
@@ -412,16 +389,11 @@ func (m *Metadata) ProbeFrontEnds(httpc *http.Client, interval time.Duration) (s
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// StoreCheck implements the dedup handshake: if the content is known,
-// it links the file into the user's namespace and reports Duplicate.
-// Otherwise it reserves a URL and directs the client to a front-end.
-func (m *Metadata) StoreCheck(req StoreCheckRequest) (StoreCheckResponse, error) {
-	return m.StoreCheckCtx(context.Background(), req)
-}
-
-// StoreCheckCtx is StoreCheck with trace propagation: when a WAL is
-// attached, the append and fsync waits show up as spans under the
-// caller's trace.
+// StoreCheckCtx implements the dedup handshake: if the content is
+// known, it links the file into the user's namespace and reports
+// Duplicate. Otherwise it reserves a URL and directs the client to a
+// front-end. When a WAL is attached, the append and fsync waits show
+// up as spans under the caller's trace.
 func (m *Metadata) StoreCheckCtx(ctx context.Context, req StoreCheckRequest) (StoreCheckResponse, error) {
 	if met := m.met; met != nil {
 		defer met.storeCheck.ObserveSince(time.Now())
@@ -485,16 +457,12 @@ func (m *Metadata) linkLocked(user uint64, f *FileMeta) {
 	ns[f.URL] = f
 }
 
-// Unlink removes a file from one user's namespace. When the last
+// UnlinkCtx removes a file from one user's namespace. When the last
 // namespace reference goes away, the catalog entry is dropped and the
 // file's chunk digests are returned with lastRef = true so the caller
 // can release chunk references (see DeleteFile). Deduplicated content
-// linked by other users survives.
-func (m *Metadata) Unlink(user uint64, url string) (chunks []Sum, lastRef bool, err error) {
-	return m.UnlinkCtx(context.Background(), user, url)
-}
-
-// UnlinkCtx is Unlink with trace propagation (see StoreCheckCtx).
+// linked by other users survives. WAL waits are traced like
+// StoreCheckCtx's.
 func (m *Metadata) UnlinkCtx(ctx context.Context, user uint64, url string) (chunks []Sum, lastRef bool, err error) {
 	app := m.walSpan(ctx, tracing.SpanWALAppend)
 	m.mu.Lock()
@@ -532,14 +500,10 @@ func (m *Metadata) UnlinkCtx(ctx context.Context, user uint64, url string) (chun
 	return chunks, lastRef, m.waitDurable(ctx, lsn, rec.Seq)
 }
 
-// Commit finalizes a file upload: the front-end calls it after all
+// CommitCtx finalizes a file upload: the front-end calls it after all
 // chunks are stored, making the content available for dedup and
 // retrieval. shard is the pin from the store-check that reserved url.
-func (m *Metadata) Commit(shard int, url string, chunkMD5s []Sum) error {
-	return m.CommitCtx(context.Background(), shard, url, chunkMD5s)
-}
-
-// CommitCtx is Commit with trace propagation (see StoreCheckCtx).
+// WAL waits are traced like StoreCheckCtx's.
 func (m *Metadata) CommitCtx(ctx context.Context, shard int, url string, chunkMD5s []Sum) error {
 	if met := m.met; met != nil {
 		defer met.commit.ObserveSince(time.Now())
@@ -835,15 +799,10 @@ func (m *Metadata) Resolve(req ResolveRequest) (ResolveResponse, error) {
 	}, nil
 }
 
-// LookupCtx is Lookup; the context is accepted for interface symmetry
-// (reads don't touch the WAL, so there is nothing to trace here).
+// LookupCtx returns the file record for a content hash from this
+// shard's catalog. shard is the pin from the resolve that named the
+// hash. Reads don't touch the WAL, so there is nothing to trace here.
 func (m *Metadata) LookupCtx(_ context.Context, shard int, sum Sum) (FileMeta, error) {
-	return m.Lookup(shard, sum)
-}
-
-// Lookup returns the file record for a content hash from this shard's
-// catalog. shard is the pin from the resolve that named the hash.
-func (m *Metadata) Lookup(shard int, sum Sum) (FileMeta, error) {
 	if met := m.met; met != nil {
 		defer met.lookup.ObserveSince(time.Now())
 	}
@@ -1229,7 +1188,7 @@ func (m *Metadata) Handler() http.Handler {
 			writeAPIError(w, r, http.StatusBadRequest, err)
 			return
 		}
-		f, err := m.Lookup(req.Shard, sum)
+		f, err := m.LookupCtx(r.Context(), req.Shard, sum)
 		if err != nil {
 			writeAPIError(w, r, http.StatusNotFound, err)
 			return

@@ -74,7 +74,7 @@ func TestMetaEpochFencingRejoin(t *testing.T) {
 	}
 	// Once fenced, every direct write bounces with the typed sentinel.
 	data := testChunk(60, 200)
-	if _, err := old.StoreCheck(StoreCheckRequest{UserID: 9, Name: "x", Size: 1, FileMD5: SumBytes(data).String()}); !errors.Is(err, ErrFenced) {
+	if _, err := old.StoreCheckCtx(bg, StoreCheckRequest{UserID: 9, Name: "x", Size: 1, FileMD5: SumBytes(data).String()}); !errors.Is(err, ErrFenced) {
 		t.Fatalf("fenced write: err = %v, want ErrFenced", err)
 	}
 	if st := old.WALStatus(); !st.Fenced || st.Epoch != 0 {
@@ -97,7 +97,7 @@ func TestMetaEpochFencingRejoin(t *testing.T) {
 	if !st.Standby || st.Fenced || st.Primary != neuSrv.URL {
 		t.Fatalf("rejoined status = %+v", st)
 	}
-	if _, err := old.StoreCheck(StoreCheckRequest{UserID: 9, Name: "y", Size: 1, FileMD5: SumBytes(data).String()}); !errors.Is(err, ErrNotPrimary) || !IsUnavailable(err) {
+	if _, err := old.StoreCheckCtx(bg, StoreCheckRequest{UserID: 9, Name: "y", Size: 1, FileMD5: SumBytes(data).String()}); !errors.Is(err, ErrNotPrimary) || !IsUnavailable(err) {
 		t.Fatalf("standby write: err = %v, want ErrNotPrimary (retryable)", err)
 	}
 	// Every pre- and post-failover file is on both nodes.
@@ -179,7 +179,7 @@ func TestMetaPromotionRace(t *testing.T) {
 			default:
 			}
 			data := testChunk(62, i)
-			primary.StoreCheck(StoreCheckRequest{
+			primary.StoreCheckCtx(bg, StoreCheckRequest{
 				UserID: 1, Name: fmt.Sprintf("race-%d", i), Size: int64(len(data)), FileMD5: SumBytes(data).String(),
 			})
 		}
@@ -196,7 +196,7 @@ func TestMetaPromotionRace(t *testing.T) {
 
 	seq := standby.LastSeq()
 	data := testChunk(62, 100000)
-	if _, err := standby.StoreCheck(StoreCheckRequest{UserID: 5, Name: "after", Size: 1, FileMD5: SumBytes(data).String()}); err != nil {
+	if _, err := standby.StoreCheckCtx(bg, StoreCheckRequest{UserID: 5, Name: "after", Size: 1, FileMD5: SumBytes(data).String()}); err != nil {
 		t.Fatalf("write after promotion: %v", err)
 	}
 	if standby.LastSeq() != seq+1 {
@@ -244,7 +244,7 @@ func TestMetaLeaseExpiryDuringFsyncStall(t *testing.T) {
 	data := testChunk(63, 999)
 	stallSeq := primary.LastSeq() + 1
 	go func() {
-		r, err := primary.StoreCheck(StoreCheckRequest{UserID: 3, Name: "stall", Size: int64(len(data)), FileMD5: SumBytes(data).String()})
+		r, err := primary.StoreCheckCtx(bg, StoreCheckRequest{UserID: 3, Name: "stall", Size: int64(len(data)), FileMD5: SumBytes(data).String()})
 		stalled <- res{r.URL, err}
 	}()
 
@@ -279,7 +279,7 @@ func TestMetaLeaseExpiryDuringFsyncStall(t *testing.T) {
 	// And the moment the deposed primary hears the new epoch, it stops
 	// acking anything.
 	primary.ObserveEpoch(standby.Epoch())
-	if _, err := primary.StoreCheck(StoreCheckRequest{UserID: 3, Name: "late", Size: 1, FileMD5: SumBytes(testChunk(63, 1000)).String()}); !errors.Is(err, ErrFenced) {
+	if _, err := primary.StoreCheckCtx(bg, StoreCheckRequest{UserID: 3, Name: "late", Size: 1, FileMD5: SumBytes(testChunk(63, 1000)).String()}); !errors.Is(err, ErrFenced) {
 		t.Fatalf("post-fence write: err = %v, want ErrFenced", err)
 	}
 }
@@ -332,14 +332,14 @@ func TestAutoFailover(t *testing.T) {
 	rm := NewRemoteMeta(priSrv.URL+","+stbSrv.URL, &http.Client{})
 	rm.SetRetry(fastMetaRetry, 1)
 	data := testChunk(64, 500)
-	resp, err := standby.StoreCheck(StoreCheckRequest{UserID: 9, Name: "post", Size: int64(len(data)), FileMD5: SumBytes(data).String()})
+	resp, err := standby.StoreCheckCtx(bg, StoreCheckRequest{UserID: 9, Name: "post", Size: int64(len(data)), FileMD5: SumBytes(data).String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rm.Commit(0, resp.URL, SplitSums(data)); err != nil {
+	if err := rm.CommitCtx(bg, 0, resp.URL, SplitSums(data)); err != nil {
 		t.Fatalf("post-failover commit via client: %v", err)
 	}
-	if f, err := rm.Lookup(0, SumBytes(data)); err != nil || f.URL != resp.URL {
+	if f, err := rm.LookupCtx(bg, 0, SumBytes(data)); err != nil || f.URL != resp.URL {
 		t.Fatalf("post-failover lookup: %+v %v", f, err)
 	}
 }
@@ -367,11 +367,11 @@ func TestRemoteMetaDemotion(t *testing.T) {
 	commit := func(seed int) {
 		t.Helper()
 		data := testChunk(65, seed)
-		resp, err := primary.StoreCheck(StoreCheckRequest{UserID: 1, Name: fmt.Sprintf("d-%d", seed), Size: int64(len(data)), FileMD5: SumBytes(data).String()})
+		resp, err := primary.StoreCheckCtx(bg, StoreCheckRequest{UserID: 1, Name: fmt.Sprintf("d-%d", seed), Size: int64(len(data)), FileMD5: SumBytes(data).String()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rm.Commit(0, resp.URL, SplitSums(data)); err != nil {
+		if err := rm.CommitCtx(bg, 0, resp.URL, SplitSums(data)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -38,7 +38,7 @@ func TestMetaStandbyReplication(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		urls = append(urls, metaUpload(t, primary, 30, i, 1+uint64(i%4)))
 	}
-	if _, _, err := primary.Unlink(1, urls[0]); err != nil {
+	if _, _, err := primary.UnlinkCtx(bg, 1, urls[0]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -47,11 +47,11 @@ func TestMetaStandbyReplication(t *testing.T) {
 
 	// Writes must bounce with the retryable sentinel.
 	data := testChunk(30, 999)
-	_, err := standby.StoreCheck(StoreCheckRequest{UserID: 1, Name: "w", Size: 1, FileMD5: SumBytes(data).String()})
+	_, err := standby.StoreCheckCtx(bg, StoreCheckRequest{UserID: 1, Name: "w", Size: 1, FileMD5: SumBytes(data).String()})
 	if !IsUnavailable(err) {
 		t.Fatalf("standby write: err = %v, want ErrUnavailable", err)
 	}
-	if err := standby.Commit(0, urls[1], nil); !IsUnavailable(err) {
+	if err := standby.CommitCtx(bg, 0, urls[1], nil); !IsUnavailable(err) {
 		t.Fatalf("standby commit: err = %v, want ErrUnavailable", err)
 	}
 	// Reads are served from replicated state.
@@ -72,7 +72,7 @@ func TestMetaStandbyReplication(t *testing.T) {
 	reborn := openDurableMeta(t, sdir)
 	requireSameState(t, primary, reborn, "standby restart")
 	reborn.Promote()
-	if _, err := reborn.StoreCheck(StoreCheckRequest{UserID: 7, Name: "p", Size: 1, FileMD5: SumBytes(data).String()}); err != nil {
+	if _, err := reborn.StoreCheckCtx(bg, StoreCheckRequest{UserID: 7, Name: "p", Size: 1, FileMD5: SumBytes(data).String()}); err != nil {
 		t.Fatalf("promoted standby write: %v", err)
 	}
 }

@@ -159,17 +159,17 @@ var routingCallers = []struct {
 		rm.SetRetry(pol, 1)
 		return func(i int) error {
 			data := []byte(fmt.Sprintf("routing op %d", i))
-			chk, err := env.primary.StoreCheck(StoreCheckRequest{UserID: env.user, Name: fmt.Sprintf("op%d.bin", i), Size: int64(len(data)), FileMD5: SumBytes(data).String()})
+			chk, err := env.primary.StoreCheckCtx(bg, StoreCheckRequest{UserID: env.user, Name: fmt.Sprintf("op%d.bin", i), Size: int64(len(data)), FileMD5: SumBytes(data).String()})
 			if err != nil {
 				return err
 			}
-			if err := rm.Commit(env.shard, chk.URL, SplitSums(data)); err != nil {
+			if err := rm.CommitCtx(bg, env.shard, chk.URL, SplitSums(data)); err != nil {
 				return err
 			}
-			if f, err := env.primary.Lookup(env.shard, SumBytes(data)); err != nil || f.URL != chk.URL {
+			if f, err := env.primary.LookupCtx(bg, env.shard, SumBytes(data)); err != nil || f.URL != chk.URL {
 				return fmt.Errorf("commit did not land on the owner: %+v %v", f, err)
 			}
-			if f, err := rm.Lookup(env.shard, SumBytes(data)); err != nil || f.URL != chk.URL {
+			if f, err := rm.LookupCtx(bg, env.shard, SumBytes(data)); err != nil || f.URL != chk.URL {
 				return fmt.Errorf("lookup after commit: %+v %v", f, err)
 			}
 			return nil

@@ -31,7 +31,7 @@ func shardUser(t *testing.T, m *cluster.MetaShardMap, want int, avoid map[uint64
 // directly against a Metadata, returning the minted URL.
 func commitFor(t *testing.T, m *Metadata, shard int, user uint64, data []byte) string {
 	t.Helper()
-	chk, err := m.StoreCheck(StoreCheckRequest{
+	chk, err := m.StoreCheckCtx(bg, StoreCheckRequest{
 		UserID: user, Name: fmt.Sprintf("u%d.bin", user),
 		Size: int64(len(data)), FileMD5: SumBytes(data).String(),
 	})
@@ -41,7 +41,7 @@ func commitFor(t *testing.T, m *Metadata, shard int, user uint64, data []byte) s
 	if chk.Duplicate {
 		return chk.URL
 	}
-	if err := m.Commit(shard, chk.URL, SplitSums(data)); err != nil {
+	if err := m.CommitCtx(bg, shard, chk.URL, SplitSums(data)); err != nil {
 		t.Fatalf("commit for user %d: %v", user, err)
 	}
 	return chk.URL
@@ -195,10 +195,10 @@ func TestRemoteMetaPerShardIsolation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				if _, err := rm.Lookup(0, sum0); err != nil {
+				if _, err := rm.LookupCtx(bg, 0, sum0); err != nil {
 					errs <- fmt.Errorf("shard 0 lookup: %w", err)
 				}
-				if _, err := rm.Lookup(1, sum1); err != nil {
+				if _, err := rm.LookupCtx(bg, 1, sum1); err != nil {
 					errs <- fmt.Errorf("shard 1 lookup: %w", err)
 				}
 			}

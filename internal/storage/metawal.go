@@ -27,8 +27,8 @@ import (
 //     another's fsyncs, so the fsync rate stays roughly constant as
 //     commit concurrency grows.
 //   - A checkpoint serializes the full catalog with the snapshot
-//     codec (persist.go), writes it atomically (temp + fsync + rename
-//     + directory fsync), seals the active segment, and deletes the
+//     codec (persist.go), writes it atomically (temp file, fsync,
+//     rename, directory fsync), seals the active segment, and deletes the
 //     sealed segments the checkpoint now covers. Rotation happens
 //     only at checkpoints, so sealed segments are always fsynced
 //     before they stop being written — a crash can tear only the

@@ -28,14 +28,14 @@ func metaUpload(t *testing.T, m *Metadata, seed int64, i int, user uint64) strin
 	t.Helper()
 	data := testChunk(seed, i)
 	sum := SumBytes(data)
-	resp, err := m.StoreCheck(StoreCheckRequest{
+	resp, err := m.StoreCheckCtx(bg, StoreCheckRequest{
 		UserID: user, Name: fmt.Sprintf("f-%d", i), Size: int64(len(data)), FileMD5: sum.String(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp.Duplicate {
-		if err := m.Commit(0, resp.URL, SplitSums(data)); err != nil {
+		if err := m.CommitCtx(bg, 0, resp.URL, SplitSums(data)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,11 +74,11 @@ func TestMetaWALRoundTrip(t *testing.T) {
 	// A dedup hit from another user and an unlink, so replay covers
 	// every record type.
 	dup := testChunk(20, 3)
-	resp, err := m.StoreCheck(StoreCheckRequest{UserID: 9, Name: "dup", Size: int64(len(dup)), FileMD5: SumBytes(dup).String()})
+	resp, err := m.StoreCheckCtx(bg, StoreCheckRequest{UserID: 9, Name: "dup", Size: int64(len(dup)), FileMD5: SumBytes(dup).String()})
 	if err != nil || !resp.Duplicate {
 		t.Fatalf("dedup hit: %v %+v", err, resp)
 	}
-	if _, _, err := m.Unlink(1, urls[0]); err != nil {
+	if _, _, err := m.UnlinkCtx(bg, 1, urls[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.WAL().Close(); err != nil {
@@ -114,7 +114,7 @@ func TestMetaWALCheckpointEquivalence(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			urls = append(urls, metaUpload(t, m, 21, i%20, 1+uint64(i%4))) // i%20 forces some dedup hits
 			if i%7 == 3 && len(urls) > 2 {
-				m.Unlink(1+uint64(i%4), urls[len(urls)-3]) // some fail with ErrNotFound; fine
+				m.UnlinkCtx(bg, 1+uint64(i%4), urls[len(urls)-3]) // some fail with ErrNotFound; fine
 			}
 			if checkpointEvery > 0 && i%checkpointEvery == checkpointEvery-1 {
 				if err := m.Checkpoint(); err != nil {
@@ -179,7 +179,7 @@ func metaReserveOnly(t *testing.T, m *Metadata, seed int64, i int) string {
 	t.Helper()
 	data := testChunk(seed, i)
 	sum := SumBytes(data)
-	resp, err := m.StoreCheck(StoreCheckRequest{
+	resp, err := m.StoreCheckCtx(bg, StoreCheckRequest{
 		UserID: 1, Name: fmt.Sprintf("r-%d", i), Size: int64(len(data)), FileMD5: sum.String(),
 	})
 	if err != nil {
@@ -408,7 +408,7 @@ func TestMetaSIGKILLRecovery(t *testing.T) {
 	for i := 0; i <= acked; i++ {
 		data := testChunk(seed, i)
 		sum := SumBytes(data)
-		f, err := m.Lookup(0, sum) // committed catalog: dedup must see it
+		f, err := m.LookupCtx(bg, 0, sum) // committed catalog: dedup must see it
 		if err != nil {
 			lost++
 			continue
@@ -437,7 +437,7 @@ func metaCrashChild(dir string, seed int64) {
 	for i := 0; ; i++ {
 		data := testChunk(seed, i)
 		sum := SumBytes(data)
-		resp, err := m.StoreCheck(StoreCheckRequest{
+		resp, err := m.StoreCheckCtx(bg, StoreCheckRequest{
 			UserID: 1 + uint64(i%3), Name: fmt.Sprintf("crash-%d", i),
 			Size: int64(len(data)), FileMD5: sum.String(),
 		})
@@ -445,7 +445,7 @@ func metaCrashChild(dir string, seed int64) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := m.Commit(0, resp.URL, SplitSums(data)); err != nil {
+		if err := m.CommitCtx(bg, 0, resp.URL, SplitSums(data)); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -473,7 +473,7 @@ func TestMetaWALConcurrent(t *testing.T) {
 			for i := 0; i < per; i++ {
 				data := testChunk(int64(26+w), i)
 				sum := SumBytes(data)
-				resp, err := m.StoreCheck(StoreCheckRequest{
+				resp, err := m.StoreCheckCtx(bg, StoreCheckRequest{
 					UserID: uint64(w + 1), Name: fmt.Sprintf("c-%d-%d", w, i),
 					Size: int64(len(data)), FileMD5: sum.String(),
 				})
@@ -482,7 +482,7 @@ func TestMetaWALConcurrent(t *testing.T) {
 					return
 				}
 				if !resp.Duplicate {
-					if err := m.Commit(0, resp.URL, SplitSums(data)); err != nil {
+					if err := m.CommitCtx(bg, 0, resp.URL, SplitSums(data)); err != nil {
 						errc <- err
 						return
 					}

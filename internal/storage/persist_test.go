@@ -15,25 +15,25 @@ func populateMeta(t *testing.T) (*Metadata, map[string]string) {
 
 	// Committed file for user 1.
 	sumA := SumBytes([]byte("content A"))
-	respA, err := m.StoreCheck(StoreCheckRequest{UserID: 1, Name: "a.jpg", Size: 9, FileMD5: sumA.String()})
+	respA, err := m.StoreCheckCtx(bg, StoreCheckRequest{UserID: 1, Name: "a.jpg", Size: 9, FileMD5: sumA.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Commit(0, respA.URL, []Sum{SumBytes([]byte("chunkA"))}); err != nil {
+	if err := m.CommitCtx(bg, 0, respA.URL, []Sum{SumBytes([]byte("chunkA"))}); err != nil {
 		t.Fatal(err)
 	}
 	urls["a"] = respA.URL
 
 	// Provisional (uncommitted) file for user 2.
 	sumB := SumBytes([]byte("content B"))
-	respB, err := m.StoreCheck(StoreCheckRequest{UserID: 2, Name: "b.mp4", Size: 9, FileMD5: sumB.String()})
+	respB, err := m.StoreCheckCtx(bg, StoreCheckRequest{UserID: 2, Name: "b.mp4", Size: 9, FileMD5: sumB.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	urls["b"] = respB.URL
 
 	// User 3 links user 1's committed content via dedup.
-	respA2, err := m.StoreCheck(StoreCheckRequest{UserID: 3, Name: "a-copy.jpg", Size: 9, FileMD5: sumA.String()})
+	respA2, err := m.StoreCheckCtx(bg, StoreCheckRequest{UserID: 3, Name: "a-copy.jpg", Size: 9, FileMD5: sumA.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	// Committed content still deduplicates.
-	resp, err := restored.StoreCheck(StoreCheckRequest{
+	resp, err := restored.StoreCheckCtx(bg, StoreCheckRequest{
 		UserID: 9, Name: "again.jpg", Size: 9,
 		FileMD5: SumBytes([]byte("content A")).String(),
 	})
@@ -80,7 +80,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	// Provisional content does NOT dedup (chunks never arrived).
-	resp, err = restored.StoreCheck(StoreCheckRequest{
+	resp, err = restored.StoreCheckCtx(bg, StoreCheckRequest{
 		UserID: 9, Name: "b2.mp4", Size: 9,
 		FileMD5: SumBytes([]byte("content B")).String(),
 	})
@@ -99,13 +99,13 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	// Unlink semantics survive the restore: users 1, 3 and 9 (who just
 	// linked via the dedup check above) release the shared file; only
 	// the final release is last.
-	if _, last, err := restored.Unlink(1, urls["a"]); err != nil || last {
+	if _, last, err := restored.UnlinkCtx(bg, 1, urls["a"]); err != nil || last {
 		t.Errorf("first unlink: last=%v err=%v", last, err)
 	}
-	if _, last, err := restored.Unlink(3, urls["a"]); err != nil || last {
+	if _, last, err := restored.UnlinkCtx(bg, 3, urls["a"]); err != nil || last {
 		t.Errorf("second unlink: last=%v err=%v", last, err)
 	}
-	if _, last, err := restored.Unlink(9, urls["a"]); err != nil || !last {
+	if _, last, err := restored.UnlinkCtx(bg, 9, urls["a"]); err != nil || !last {
 		t.Errorf("final unlink: last=%v err=%v", last, err)
 	}
 }

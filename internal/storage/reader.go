@@ -18,8 +18,8 @@ import (
 //
 // A ChunkReader must be Closed exactly once when the caller is done
 // streaming (Close is idempotent, so defer is safe). The payload
-// accessors (Payload, ReadAt, StreamTo) may be used repeatedly until
-// then; each Payload call returns an independent reader.
+// accessors (Bytes, Frame, StreamTo) may be used repeatedly until
+// then.
 type ChunkReader struct {
 	size int64
 
@@ -72,33 +72,6 @@ func (cr *ChunkReader) Bytes() ([]byte, bool) {
 		return cr.data, true
 	}
 	return nil, false
-}
-
-// Payload returns a fresh reader over the payload bytes.
-func (cr *ChunkReader) Payload() io.Reader {
-	if cr.ra == nil {
-		return io.NewSectionReader(byteReaderAt(cr.data), 0, cr.size)
-	}
-	return io.NewSectionReader(cr.ra, cr.recOff+recHeaderSize, cr.size)
-}
-
-// ReadAt implements io.ReaderAt over the payload.
-func (cr *ChunkReader) ReadAt(p []byte, off int64) (int, error) {
-	if cr.ra == nil {
-		return byteReaderAt(cr.data).ReadAt(p, off)
-	}
-	if off < 0 || off > cr.size {
-		return 0, io.EOF
-	}
-	if max := cr.size - off; int64(len(p)) > max {
-		p = p[:max]
-		n, err := cr.ra.ReadAt(p, cr.recOff+recHeaderSize+off)
-		if err == nil {
-			err = io.EOF
-		}
-		return n, err
-	}
-	return cr.ra.ReadAt(p, cr.recOff+recHeaderSize+off)
 }
 
 // Frame returns a reader over the chunk's complete mcsbin/1 frame
@@ -168,43 +141,22 @@ func (cr *ChunkReader) Close() error {
 	return nil
 }
 
-// byteReaderAt adapts a byte slice to io.ReaderAt without the
-// bytes.Reader allocation dance.
-type byteReaderAt []byte
-
-func (b byteReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 || off > int64(len(b)) {
-		return 0, io.EOF
-	}
-	n := copy(p, b[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// ReaderStore is an optional ChunkStore extension serving streaming
-// reads. Every tier implements it (DiskStore from pinned segment
-// regions, MemStore/CachedStore from resident slices, TieredStore and
-// ReplicatedStore by delegation), so the front-end serves any stack
-// uniformly without materializing chunk payloads.
+// ReaderStore is the streaming-read part of ChunkStore. Every tier
+// serves it (DiskStore from pinned segment regions, MemStore and
+// CachedStore from resident slices, TieredStore and ReplicatedStore
+// by delegation), so the front-end serves any stack uniformly without
+// materializing chunk payloads.
 type ReaderStore interface {
 	// GetReaderCtx returns a streaming view of the chunk, or
 	// ErrNotFound. The caller must Close the reader.
 	GetReaderCtx(ctx context.Context, sum Sum) (*ChunkReader, error)
 }
 
-// GetReader reads through the streaming path when the store has one,
-// falling back to a materialized GetCtx wrapped as a bytes reader.
+// GetReader is s.GetReaderCtx(ctx, sum). Nothing in this module calls
+// it; it stays only for the benchmark module's tests, and goes once
+// they call the method.
 func GetReader(ctx context.Context, s ChunkStore, sum Sum) (*ChunkReader, error) {
-	if rs, ok := s.(ReaderStore); ok {
-		return rs.GetReaderCtx(ctx, sum)
-	}
-	data, err := GetCtx(ctx, s, sum)
-	if err != nil {
-		return nil, err
-	}
-	return NewBytesReader(data), nil
+	return s.GetReaderCtx(ctx, sum)
 }
 
 // copyBufPool recycles the mid-size buffers the streaming copy loops

@@ -27,7 +27,7 @@ func TestChunkReaderPinAcrossCompaction(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		data := testChunk(77, i)
 		sum := SumBytes(data)
-		if err := ds.Put(sum, data); err != nil {
+		if err := ds.PutCtx(bg, sum, data); err != nil {
 			t.Fatal(err)
 		}
 		sums = append(sums, sum)
@@ -49,7 +49,7 @@ func TestChunkReaderPinAcrossCompaction(t *testing.T) {
 	if !found {
 		t.Fatal("no sealed segment produced; lower SegmentSize")
 	}
-	want, err := ds.Get(target)
+	want, err := ds.GetCtx(bg, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestChunkReaderPinAcrossCompaction(t *testing.T) {
 		t.Fatalf("compaction failed after pin release: %v", err)
 	}
 	// The chunk survived the move into the active segment.
-	got, err := ds.Get(target)
+	got, err := ds.GetCtx(bg, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,18 +138,20 @@ func TestGetReaderAcrossTiers(t *testing.T) {
 	sum := SumBytes(data)
 
 	disk, _ := newDiskStore(t, DiskStoreOptions{})
+	ring, _ := newTestCluster(t, 1, 1, 1)
 	stores := map[string]ChunkStore{
-		"mem":    NewMemStore(),
-		"cached": NewCachedStore(NewMemStore(), 1<<20),
-		"disk":   disk,
-		"tiered": NewTieredStore(NewMemStore(), NewMemStore(), time.Hour, nil),
+		"mem":        NewMemStore(),
+		"cached":     NewCachedStore(NewMemStore(), 1<<20),
+		"disk":       disk,
+		"tiered":     NewTieredStore(NewMemStore(), NewMemStore(), time.Hour, nil),
+		"replicated": ring[0].rs,
 	}
 	for name, s := range stores {
 		t.Run(name, func(t *testing.T) {
-			if err := s.Put(sum, data); err != nil {
+			if err := s.PutCtx(bg, sum, data); err != nil {
 				t.Fatal(err)
 			}
-			rd, err := GetReader(context.Background(), s, sum)
+			rd, err := s.GetReaderCtx(bg, sum)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,23 +159,19 @@ func TestGetReaderAcrossTiers(t *testing.T) {
 			if rd.Size() != int64(len(data)) {
 				t.Fatalf("Size() = %d, want %d", rd.Size(), len(data))
 			}
-			var buf bytes.Buffer
-			n, verified, err := rd.StreamTo(&buf)
-			if err != nil {
-				t.Fatal(err)
+			// The reader is restartable: a second pass streams the same
+			// verified bytes.
+			for pass := 1; pass <= 2; pass++ {
+				var buf bytes.Buffer
+				n, verified, err := rd.StreamTo(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !verified || n != int64(len(data)) || !bytes.Equal(buf.Bytes(), data) {
+					t.Fatalf("pass %d: stream mismatch: n=%d verified=%v", pass, n, verified)
+				}
 			}
-			if !verified || n != int64(len(data)) || !bytes.Equal(buf.Bytes(), data) {
-				t.Fatalf("stream mismatch: n=%d verified=%v", n, verified)
-			}
-			// A second pass reads the same bytes (Payload is restartable).
-			all := make([]byte, len(data))
-			if _, err := rd.ReadAt(all, 0); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(all, data) {
-				t.Fatal("ReadAt mismatch")
-			}
-			if _, err := GetReader(context.Background(), s, SumBytes([]byte("absent"))); !IsNotFound(err) {
+			if _, err := s.GetReaderCtx(bg, SumBytes([]byte("absent"))); !IsNotFound(err) {
 				t.Fatalf("missing chunk: err = %v, want not found", err)
 			}
 		})

@@ -16,7 +16,7 @@ func TestRebalanceRestoresPlacementAndPrunes(t *testing.T) {
 		ownerSet := map[string]bool{owners[0]: true, owners[1]: true}
 		for _, nd := range nodes {
 			if !ownerSet[nd.url] {
-				if err := nd.local.Put(sum, data); err != nil {
+				if err := nd.local.PutCtx(bg, sum, data); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -73,7 +73,7 @@ func TestRebalanceDryRunMovesNothing(t *testing.T) {
 	sum, data := replChunk(60, 4<<10)
 	owners := nodes[0].rs.Owners(sum)
 	// Only the secondary holds the chunk.
-	if err := nodeByURL(t, nodes, owners[1]).local.Put(sum, data); err != nil {
+	if err := nodeByURL(t, nodes, owners[1]).local.PutCtx(bg, sum, data); err != nil {
 		t.Fatal(err)
 	}
 

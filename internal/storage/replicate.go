@@ -181,17 +181,12 @@ func (rs *ReplicatedStore) Close() error {
 	return nil
 }
 
-// Put implements ChunkStore: write to the N owners, acknowledge at W
-// acks. Owners that fail are queued for repair; if the quorum is
+// PutCtx implements ChunkStore: write to the N owners, acknowledge at
+// W acks. Owners that fail are queued for repair; if the quorum is
 // unreachable the error wraps ErrUnavailable (503 to the client, which
-// retries).
-func (rs *ReplicatedStore) Put(sum Sum, data []byte) error {
-	return rs.PutCtx(context.Background(), sum, data)
-}
-
-// PutCtx implements CtxStore. Inside a request's sync group the frame
-// joins the request's relay (see relay) and the quorum is waited for
-// with the group; any other put is a batch of one.
+// retries). Inside a request's sync group the frame joins the
+// request's relay (see relay) and the quorum is waited for with the
+// group; any other put is a batch of one.
 func (rs *ReplicatedStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 	owners := rs.Owners(sum)
 	// A put that reaches the fan-out unverified is checked here, once,
@@ -454,18 +449,13 @@ func (rl *relay) missing(node string) {
 	}
 }
 
-// Get implements ChunkStore: serve from the nearest live replica —
+// GetCtx implements ChunkStore: serve from the nearest live replica —
 // the local store when this node owns the chunk, then the remaining
 // owners in ring order, live nodes first. A read that succeeds on a
 // remote replica while the local node is an owner missing the bytes
-// triggers read repair.
-func (rs *ReplicatedStore) Get(sum Sum) ([]byte, error) {
-	return rs.GetCtx(context.Background(), sum)
-}
-
-// GetCtx implements CtxStore: each remote failover read is a span
-// (child of the request's span, annotated with the replica node), so
-// a retrieve that had to walk the owner list shows every hop.
+// triggers read repair. Each remote failover read is a span (child of
+// the request's span, annotated with the replica node), so a retrieve
+// that had to walk the owner list shows every hop.
 func (rs *ReplicatedStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) {
 	owners := rs.Owners(sum)
 	selfOwner := false
@@ -478,7 +468,7 @@ func (rs *ReplicatedStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) 
 		}
 	}
 	if selfOwner {
-		if data, err := GetCtx(ctx, rs.local, sum); err == nil {
+		if data, err := rs.local.GetCtx(ctx, sum); err == nil {
 			return data, nil
 		}
 	}
@@ -493,7 +483,7 @@ func (rs *ReplicatedStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) 
 				// Read repair: this node owns the chunk but missed it
 				// (it was down during the write, or the chunk predates a
 				// membership change).
-				if PutCtx(withVerified(ctx, fr), rs.local, sum, fr.payload) == nil {
+				if rs.local.PutCtx(withVerified(ctx, fr), sum, fr.payload) == nil {
 					rs.met.Repair()
 					rs.dropMissing(sum, rs.self)
 				}
@@ -513,7 +503,7 @@ func (rs *ReplicatedStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) 
 	return nil, ErrNotFound
 }
 
-// GetReaderCtx implements ReaderStore: when this node owns the chunk
+// GetReaderCtx implements ChunkStore: when this node owns the chunk
 // and holds it locally, the response streams straight from the local
 // tier's reader (pin-counted segment region on disk). Otherwise the
 // materializing failover path runs — with its health-ordered owner
@@ -523,7 +513,7 @@ func (rs *ReplicatedStore) GetReaderCtx(ctx context.Context, sum Sum) (*ChunkRea
 		if o != rs.self {
 			continue
 		}
-		if rd, err := GetReader(ctx, rs.local, sum); err == nil {
+		if rd, err := rs.local.GetReaderCtx(ctx, sum); err == nil {
 			return rd, nil
 		}
 		break
@@ -536,12 +526,7 @@ func (rs *ReplicatedStore) GetReaderCtx(ctx context.Context, sum Sum) (*ChunkRea
 }
 
 // Has implements ChunkStore.
-func (rs *ReplicatedStore) Has(sum Sum) bool {
-	if rs.local.Has(sum) {
-		return true
-	}
-	return rs.MultiHas([]Sum{sum})[0]
-}
+func (rs *ReplicatedStore) Has(sum Sum) bool { return rs.MultiHas([]Sum{sum})[0] }
 
 // MultiHas implements MultiHaser with one batched /v1/op/stat probe
 // per replica owner instead of a round trip per chunk: rank by rank,
@@ -702,7 +687,7 @@ func (rs *ReplicatedStore) RepairNow() int {
 // fetchAny returns the chunk, framed, from the nearest live copy, nil
 // when none answers.
 func (rs *ReplicatedStore) fetchAny(sum Sum) *frame {
-	if data, err := rs.local.Get(sum); err == nil {
+	if data, err := rs.local.GetCtx(context.Background(), sum); err == nil {
 		return sealFrame(sum, data)
 	}
 	for _, o := range rs.health.Order(rs.Owners(sum)) {
@@ -785,7 +770,7 @@ func (rs *ReplicatedStore) binPeer(node string) bool {
 // carries its proof.
 func (rs *ReplicatedStore) putReplica(ctx context.Context, node string, fr *frame) error {
 	if node == rs.self {
-		return PutCtx(ctx, rs.local, fr.digest(), fr.payload)
+		return rs.local.PutCtx(ctx, fr.digest(), fr.payload)
 	}
 	return rs.sendFrames(ctx, node, newFrameQueue(fr))
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mcloud/internal/cluster"
+	"mcloud/internal/metrics"
 	"mcloud/internal/randx"
 	"mcloud/internal/trace"
 )
@@ -120,7 +121,7 @@ func TestReplicatedPutReachesAllOwners(t *testing.T) {
 	nodes, _ := newTestCluster(t, 3, 3, 2)
 	sum, data := replChunk(1, 32<<10)
 
-	if err := nodes[0].rs.Put(sum, data); err != nil {
+	if err := nodes[0].rs.PutCtx(bg, sum, data); err != nil {
 		t.Fatal(err)
 	}
 	// Quorum acks before the slowest replica lands; poll briefly.
@@ -142,7 +143,7 @@ func TestReplicatedPutReachesAllOwners(t *testing.T) {
 	}
 	// Every node serves the chunk, byte-identical.
 	for i, nd := range nodes {
-		got, err := nd.rs.Get(sum)
+		got, err := nd.rs.GetCtx(bg, sum)
 		if err != nil {
 			t.Fatalf("node %d get: %v", i, err)
 		}
@@ -166,12 +167,12 @@ func TestReplicatedGetForwardsAndFailsOver(t *testing.T) {
 			outsider = nd
 		}
 	}
-	if err := nodeByURL(t, nodes, owners[0]).rs.Put(sum, data); err != nil {
+	if err := nodeByURL(t, nodes, owners[0]).rs.PutCtx(bg, sum, data); err != nil {
 		t.Fatal(err)
 	}
 
 	// A non-owner serves the chunk by forwarding to an owner.
-	got, err := outsider.rs.Get(sum)
+	got, err := outsider.rs.GetCtx(bg, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestReplicatedGetForwardsAndFailsOver(t *testing.T) {
 
 	// Primary owner dies: the read fails over to the secondary.
 	nodeByURL(t, nodes, owners[0]).down()
-	got, err = outsider.rs.Get(sum)
+	got, err = outsider.rs.GetCtx(bg, sum)
 	if err != nil {
 		t.Fatalf("get with primary down: %v", err)
 	}
@@ -199,10 +200,10 @@ func TestReplicatedReadRepair(t *testing.T) {
 
 	// The chunk exists only on the secondary — as if the primary was
 	// down during the write.
-	if err := second.local.Put(sum, data); err != nil {
+	if err := second.local.PutCtx(bg, sum, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := first.rs.Get(sum)
+	got, err := first.rs.GetCtx(bg, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestReplicatedOutageQuorumAndRepair(t *testing.T) {
 
 	// One replica down: W=2 of N=3 still acks the write.
 	nodes[2].down()
-	if err := nodes[0].rs.Put(sum, data); err != nil {
+	if err := nodes[0].rs.PutCtx(bg, sum, data); err != nil {
 		t.Fatalf("put with one node down: %v", err)
 	}
 	// The failed replica lands in the repair queue (possibly from the
@@ -254,7 +255,7 @@ func TestReplicatedOutageQuorumAndRepair(t *testing.T) {
 	nodes[1].down()
 	nodes[2].down()
 	sum2, data2 := replChunk(5, 4<<10)
-	err := nodes[0].rs.Put(sum2, data2)
+	err := nodes[0].rs.PutCtx(bg, sum2, data2)
 	if err == nil {
 		t.Fatal("put succeeded with quorum unreachable")
 	}
@@ -272,7 +273,7 @@ func TestReplicatedMultiHasBatches(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		sum, data := replChunk(uint64(10+i), 4<<10)
 		owners := nodes[0].rs.Owners(sum)
-		if err := nodeByURL(t, nodes, owners[len(owners)-1]).local.Put(sum, data); err != nil {
+		if err := nodeByURL(t, nodes, owners[len(owners)-1]).local.PutCtx(bg, sum, data); err != nil {
 			t.Fatal(err)
 		}
 		sums = append(sums, sum)
@@ -584,7 +585,7 @@ func TestFanoutFaultMatrix(t *testing.T) {
 		if _, err := client.StoreFile("alone.bin", data); !errors.Is(err, ErrUnavailable) || !retryable(err) {
 			t.Fatalf("store with no peer: %v, want retryable ErrUnavailable", err)
 		}
-		if _, err := meta.Lookup(0, sum); err == nil {
+		if _, err := meta.LookupCtx(bg, 0, sum); err == nil {
 			t.Fatal("a file was committed without its write quorum")
 		}
 		checkNoRelayGoroutines(t)
@@ -639,14 +640,14 @@ func TestFanoutFaultMatrix(t *testing.T) {
 		checkNoRelayGoroutines(t)
 		for i, nd := range nodes {
 			for _, s := range []Sum{claimed, SumBytes(bad[recHeaderSize:]), good[3]} {
-				if _, err := nd.disk.Get(s); err == nil {
+				if _, err := nd.disk.GetCtx(bg, s); err == nil {
 					t.Errorf("node %d holds %s, which follows or is the corrupt frame", i, s)
 				}
 			}
 			// A bad digest is never stored: every record a node holds
 			// hashes to the digest it is filed under.
 			nd.disk.Range(func(s Sum, _ int64) bool {
-				if got, err := nd.disk.Get(s); err != nil || SumBytes(got) != s {
+				if got, err := nd.disk.GetCtx(bg, s); err != nil || SumBytes(got) != s {
 					t.Errorf("node %d holds %s with bad content: %v", i, s, err)
 				}
 				return true
@@ -785,8 +786,80 @@ func TestNothingAckedEarly(t *testing.T) {
 	if _, err := client.StoreFile("unsynced.bin", file); !errors.Is(err, ErrUnavailable) || !retryable(err) {
 		t.Fatalf("store while every peer's fsync fails: %v, want retryable ErrUnavailable", err)
 	}
-	if _, err := meta.Lookup(0, SumBytes(file)); err == nil {
+	if _, err := meta.LookupCtx(bg, 0, SumBytes(file)); err == nil {
 		t.Fatal("committed a file no peer could make durable")
 	}
 	checkNoRelayGoroutines(t)
+}
+
+// TestReplicatedHopsAreNotClientRequests: three N=3/W=2 nodes share one
+// request log and one set of front-end series. A store writes every
+// chunk to all three owners, and a retrieve through owners that lost
+// their copies reads them back from peers, yet the log and the series
+// count only the client's own requests: one chunk-store and one
+// chunk-retrieve record per chunk, each carrying the client's identity.
+func TestReplicatedHopsAreNotClientRequests(t *testing.T) {
+	nodes, meta := newTestCluster(t, 3, 3, 2)
+	col := &Collector{}
+	fm := NewFrontEndMetrics(metrics.NewRegistry())
+	for _, nd := range nodes {
+		nd.fe = NewFrontEnd(FrontEndConfig{Store: nd.rs, Meta: meta, Sink: col, Metrics: fm}).Handler()
+		nd.up()
+	}
+	metaSrv := httptest.NewServer(meta.Handler())
+	defer metaSrv.Close()
+	meta.AddFrontEnd(nodes[0].url)
+	client := &Client{MetaURL: metaSrv.URL, UserID: 7, DeviceID: 3, Device: trace.Android, Parallel: 2}
+
+	const chunks = 4
+	data := chunkedData(t, 11, chunks*ChunkSize)
+	res, err := client.StoreFile("a.bin", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := SplitSums(data)
+	deadline := time.Now().Add(5 * time.Second)
+	for _, nd := range nodes {
+		for _, sum := range sums {
+			for !nd.local.Has(sum) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s never received %s", nd.url, sum)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	// The client reads each chunk from its primary owner; with the
+	// primary's copy gone, that owner reads it from a peer.
+	primary := func(sum Sum) *clusterNode { return nodeByURL(t, nodes, nodes[0].rs.Owners(sum)[0]) }
+	for _, sum := range sums {
+		if err := primary(sum).local.Delete(sum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := client.RetrieveFile(res.URL)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("retrieve: %v", err)
+	}
+	for _, sum := range sums {
+		if !primary(sum).local.Has(sum) { // read repair follows a peer read
+			t.Fatal("the retrieve did not read a lost copy back from a peer")
+		}
+	}
+
+	counts := map[trace.ReqType]int{}
+	for _, l := range col.Logs() {
+		counts[l.Type]++
+		if l.UserID != client.UserID {
+			t.Errorf("%s record for user %d: a replica hop was logged as a client request", l.Type, l.UserID)
+		}
+	}
+	for _, typ := range []trace.ReqType{trace.ChunkStore, trace.ChunkRetrieve} {
+		if counts[typ] != chunks {
+			t.Errorf("%d %s records, want %d (one per client chunk)", counts[typ], typ, chunks)
+		}
+		if n := fm.requests[typ].Value(); n != chunks {
+			t.Errorf("mcs_frontend_requests_total{op=%q} = %d, want %d", typ, n, chunks)
+		}
+	}
 }

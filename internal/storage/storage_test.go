@@ -55,10 +55,10 @@ func TestMemStorePutGet(t *testing.T) {
 	m := NewMemStore()
 	data := []byte("hello chunk")
 	sum := SumBytes(data)
-	if err := m.Put(sum, data); err != nil {
+	if err := m.PutCtx(bg, sum, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.Get(sum)
+	got, err := m.GetCtx(bg, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +68,14 @@ func TestMemStorePutGet(t *testing.T) {
 	if !m.Has(sum) {
 		t.Error("Has should be true")
 	}
-	if _, err := m.Get(SumBytes([]byte("other"))); err != ErrNotFound {
+	if _, err := m.GetCtx(bg, SumBytes([]byte("other"))); err != ErrNotFound {
 		t.Errorf("missing chunk: err = %v, want ErrNotFound", err)
 	}
 }
 
 func TestMemStoreRejectsWrongDigest(t *testing.T) {
 	m := NewMemStore()
-	if err := m.Put(SumBytes([]byte("a")), []byte("b")); err == nil {
+	if err := m.PutCtx(bg, SumBytes([]byte("a")), []byte("b")); err == nil {
 		t.Error("mismatched digest accepted")
 	}
 }
@@ -85,7 +85,7 @@ func TestMemStoreDedup(t *testing.T) {
 	data := bytes.Repeat([]byte("x"), 1000)
 	sum := SumBytes(data)
 	for i := 0; i < 5; i++ {
-		if err := m.Put(sum, data); err != nil {
+		if err := m.PutCtx(bg, sum, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,11 +112,11 @@ func TestMemStoreConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				data := []byte(fmt.Sprintf("chunk-%d", src.Intn(50)))
 				sum := SumBytes(data)
-				if err := m.Put(sum, data); err != nil {
+				if err := m.PutCtx(bg, sum, data); err != nil {
 					t.Error(err)
 					return
 				}
-				if got, err := m.Get(sum); err != nil || !bytes.Equal(got, data) {
+				if got, err := m.GetCtx(bg, sum); err != nil || !bytes.Equal(got, data) {
 					t.Error("concurrent get mismatch")
 					return
 				}
@@ -132,7 +132,7 @@ func TestMemStoreConcurrent(t *testing.T) {
 func TestMetadataDedupFlow(t *testing.T) {
 	meta := NewMetadata("http://fe1")
 	req := StoreCheckRequest{UserID: 1, Name: "a.jpg", Size: 100, FileMD5: SumBytes([]byte("photo")).String()}
-	resp, err := meta.StoreCheck(req)
+	resp, err := meta.StoreCheckCtx(bg, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,17 +143,17 @@ func TestMetadataDedupFlow(t *testing.T) {
 		t.Errorf("frontend = %q", resp.FrontEnd)
 	}
 	// Until commit, a second check is also not a duplicate.
-	resp2, err := meta.StoreCheck(StoreCheckRequest{UserID: 2, Name: "b.jpg", Size: 100, FileMD5: req.FileMD5})
+	resp2, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: 2, Name: "b.jpg", Size: 100, FileMD5: req.FileMD5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp2.Duplicate {
 		t.Error("uncommitted content reported as duplicate")
 	}
-	if err := meta.Commit(0, resp.URL, []Sum{SumBytes([]byte("photo"))}); err != nil {
+	if err := meta.CommitCtx(bg, 0, resp.URL, []Sum{SumBytes([]byte("photo"))}); err != nil {
 		t.Fatal(err)
 	}
-	resp3, err := meta.StoreCheck(StoreCheckRequest{UserID: 3, Name: "c.jpg", Size: 100, FileMD5: req.FileMD5})
+	resp3, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: 3, Name: "c.jpg", Size: 100, FileMD5: req.FileMD5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +173,11 @@ func TestMetadataDedupFlow(t *testing.T) {
 func TestMetadataResolve(t *testing.T) {
 	meta := NewMetadata("http://fe1", "http://fe2")
 	sum := SumBytes([]byte("content"))
-	resp, err := meta.StoreCheck(StoreCheckRequest{UserID: 1, Name: "f", Size: 7, FileMD5: sum.String()})
+	resp, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: 1, Name: "f", Size: 7, FileMD5: sum.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := meta.Commit(0, resp.URL, []Sum{sum}); err != nil {
+	if err := meta.CommitCtx(bg, 0, resp.URL, []Sum{sum}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := meta.Resolve(ResolveRequest{UserID: 1, URL: resp.URL})
@@ -194,7 +194,7 @@ func TestMetadataResolve(t *testing.T) {
 
 func TestMetadataCommitUnknownURL(t *testing.T) {
 	meta := NewMetadata()
-	if err := meta.Commit(0, "/f/unknown", nil); err != ErrNotFound {
+	if err := meta.CommitCtx(bg, 0, "/f/unknown", nil); err != ErrNotFound {
 		t.Errorf("err = %v, want ErrNotFound", err)
 	}
 }
@@ -203,7 +203,7 @@ func TestMetadataRoundRobin(t *testing.T) {
 	meta := NewMetadata("a", "b", "c")
 	seen := map[string]int{}
 	for i := 0; i < 9; i++ {
-		resp, err := meta.StoreCheck(StoreCheckRequest{
+		resp, err := meta.StoreCheckCtx(bg, StoreCheckRequest{
 			UserID: 1, Name: "f", Size: 1,
 			FileMD5: SumBytes([]byte(fmt.Sprintf("c%d", i))).String(),
 		})

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -14,6 +15,18 @@ import (
 	"mcloud/internal/randx"
 )
 
+// Every store implements the one context-first contract.
+var (
+	_ ChunkStore = (*MemStore)(nil)
+	_ ChunkStore = (*DiskStore)(nil)
+	_ ChunkStore = (*CachedStore)(nil)
+	_ ChunkStore = (*TieredStore)(nil)
+	_ ChunkStore = (*ReplicatedStore)(nil)
+)
+
+// bg is the context of test calls made outside any request.
+var bg = context.Background()
+
 // The TestFileStore* tests hold the file-backed store contract: a store
 // kept in a directory round-trips chunks, survives a reopen, dedups
 // repeated puts, rejects a wrong digest and serves concurrent duplicate
@@ -23,10 +36,10 @@ func TestFileStorePutGetRoundTrip(t *testing.T) {
 	fs, _ := newDiskStore(t, DiskStoreOptions{})
 	data := []byte("persistent chunk content")
 	sum := SumBytes(data)
-	if err := fs.Put(sum, data); err != nil {
+	if err := fs.PutCtx(bg, sum, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.Get(sum)
+	got, err := fs.GetCtx(bg, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +49,7 @@ func TestFileStorePutGetRoundTrip(t *testing.T) {
 	if !fs.Has(sum) {
 		t.Error("Has should be true")
 	}
-	if _, err := fs.Get(SumBytes([]byte("missing"))); err != ErrNotFound {
+	if _, err := fs.GetCtx(bg, SumBytes([]byte("missing"))); err != ErrNotFound {
 		t.Errorf("missing: err = %v", err)
 	}
 }
@@ -51,7 +64,7 @@ func TestFileStoreSurvivesReopen(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		data := []byte(fmt.Sprintf("chunk %d", i))
 		sum := SumBytes(data)
-		if err := fs.Put(sum, data); err != nil {
+		if err := fs.PutCtx(bg, sum, data); err != nil {
 			t.Fatal(err)
 		}
 		sums = append(sums, sum)
@@ -66,7 +79,7 @@ func TestFileStoreSurvivesReopen(t *testing.T) {
 	}
 	defer fs2.Close()
 	for i, sum := range sums {
-		got, err := fs2.Get(sum)
+		got, err := fs2.GetCtx(bg, sum)
 		if err != nil {
 			t.Fatalf("chunk %d lost after reopen: %v", i, err)
 		}
@@ -84,7 +97,7 @@ func TestFileStoreDedupAndDelete(t *testing.T) {
 	data := []byte("dup me")
 	sum := SumBytes(data)
 	for i := 0; i < 3; i++ {
-		if err := fs.Put(sum, data); err != nil {
+		if err := fs.PutCtx(bg, sum, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,7 +118,7 @@ func TestFileStoreDedupAndDelete(t *testing.T) {
 
 func TestFileStoreRejectsWrongDigest(t *testing.T) {
 	fs, _ := newDiskStore(t, DiskStoreOptions{})
-	if err := fs.Put(SumBytes([]byte("a")), []byte("b")); err == nil {
+	if err := fs.PutCtx(bg, SumBytes([]byte("a")), []byte("b")); err == nil {
 		t.Error("mismatched digest accepted")
 	}
 }
@@ -121,11 +134,11 @@ func TestFileStoreConcurrent(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				data := []byte(fmt.Sprintf("content-%d", src.Intn(30)))
 				sum := SumBytes(data)
-				if err := fs.Put(sum, data); err != nil {
+				if err := fs.PutCtx(bg, sum, data); err != nil {
 					t.Error(err)
 					return
 				}
-				if got, err := fs.Get(sum); err != nil || !bytes.Equal(got, data) {
+				if got, err := fs.GetCtx(bg, sum); err != nil || !bytes.Equal(got, data) {
 					t.Errorf("concurrent read failed: %v", err)
 					return
 				}
@@ -143,14 +156,14 @@ func TestCachedStoreHitMiss(t *testing.T) {
 	c := NewCachedStore(backing, 1<<20)
 	data := bytes.Repeat([]byte("x"), 1000)
 	sum := SumBytes(data)
-	if err := c.Put(sum, data); err != nil {
+	if err := c.PutCtx(bg, sum, data); err != nil {
 		t.Fatal(err)
 	}
 	// First read: miss (write-around policy), second: hit.
-	if _, err := c.Get(sum); err != nil {
+	if _, err := c.GetCtx(bg, sum); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(sum); err != nil {
+	if _, err := c.GetCtx(bg, sum); err != nil {
 		t.Fatal(err)
 	}
 	st := c.CacheStats()
@@ -169,11 +182,11 @@ func TestCachedStoreEviction(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		data := bytes.Repeat([]byte{byte('a' + i)}, 1000)
 		sum := SumBytes(data)
-		if err := c.Put(sum, data); err != nil {
+		if err := c.PutCtx(bg, sum, data); err != nil {
 			t.Fatal(err)
 		}
 		sums = append(sums, sum)
-		if _, err := c.Get(sum); err != nil { // admit
+		if _, err := c.GetCtx(bg, sum); err != nil { // admit
 			t.Fatal(err)
 		}
 	}
@@ -185,8 +198,8 @@ func TestCachedStoreEviction(t *testing.T) {
 		t.Errorf("used %d exceeds capacity %d", st.Used, st.Capacity)
 	}
 	// The LRU (first) chunk was evicted; the last two are resident.
-	c.Get(sums[1])
-	c.Get(sums[2])
+	c.GetCtx(bg, sums[1])
+	c.GetCtx(bg, sums[2])
 	after := c.CacheStats()
 	if after.Hits-st.Hits != 2 {
 		t.Errorf("expected 2 more hits, got %d", after.Hits-st.Hits)
@@ -197,11 +210,11 @@ func TestCachedStoreOversizedObjectBypasses(t *testing.T) {
 	c := NewCachedStore(NewMemStore(), 100)
 	data := bytes.Repeat([]byte("y"), 1000)
 	sum := SumBytes(data)
-	if err := c.Put(sum, data); err != nil {
+	if err := c.PutCtx(bg, sum, data); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Get(sum); err != nil {
+		if _, err := c.GetCtx(bg, sum); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +232,7 @@ func TestCachedStoreZipfWorkloadOffload(t *testing.T) {
 	for i := 0; i < n; i++ {
 		data := bytes.Repeat([]byte{byte(i), byte(i >> 3)}, 4096)
 		sums[i] = SumBytes(data)
-		if err := backing.Put(sums[i], data); err != nil {
+		if err := backing.PutCtx(bg, sums[i], data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,7 +240,7 @@ func TestCachedStoreZipfWorkloadOffload(t *testing.T) {
 	src := randx.New(33)
 	z := randx.NewZipf(src, n, 1.1)
 	for i := 0; i < 20000; i++ {
-		if _, err := c.Get(sums[z.Draw()-1]); err != nil {
+		if _, err := c.GetCtx(bg, sums[z.Draw()-1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +256,7 @@ func TestTieredStoreDemotionPromotion(t *testing.T) {
 
 	data := []byte("backup photo")
 	sum := SumBytes(data)
-	if err := ts.Put(sum, data); err != nil {
+	if err := ts.PutCtx(bg, sum, data); err != nil {
 		t.Fatal(err)
 	}
 	// Within a day: no demotion.
@@ -262,7 +275,7 @@ func TestTieredStoreDemotionPromotion(t *testing.T) {
 		t.Errorf("demotions = %d", st.Demotions)
 	}
 	// Reading a cold chunk promotes it and still returns the content.
-	got, err := ts.Get(sum)
+	got, err := ts.GetCtx(bg, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +287,7 @@ func TestTieredStoreDemotionPromotion(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 	// Promoted content serves hot now.
-	if _, err := ts.Get(sum); err != nil {
+	if _, err := ts.GetCtx(bg, sum); err != nil {
 		t.Fatal(err)
 	}
 	if st := ts.TierStats(); st.HotReads != 1 {
@@ -284,7 +297,7 @@ func TestTieredStoreDemotionPromotion(t *testing.T) {
 
 func TestTieredStoreMissingChunk(t *testing.T) {
 	ts := NewTieredStore(NewMemStore(), NewMemStore(), time.Hour, nil)
-	if _, err := ts.Get(SumBytes([]byte("nope"))); err != ErrNotFound {
+	if _, err := ts.GetCtx(bg, SumBytes([]byte("nope"))); err != ErrNotFound {
 		t.Errorf("err = %v, want ErrNotFound", err)
 	}
 }
@@ -295,7 +308,7 @@ func TestTieredStoreCostAccounting(t *testing.T) {
 	ts := NewTieredStore(NewMemStore(), NewMemStore(), time.Hour, now)
 
 	data := bytes.Repeat([]byte("z"), 1000)
-	if err := ts.Put(SumBytes(data), data); err != nil {
+	if err := ts.PutCtx(bg, SumBytes(data), data); err != nil {
 		t.Fatal(err)
 	}
 	ts.AccrueOccupancy(10 * time.Hour) // 10h hot
@@ -477,11 +490,11 @@ func TestDownloadResolvesLikeRetrieve(t *testing.T) {
 	claimed := append([]byte(nil), data...)
 	claimed[0] ^= 0xFF
 	user := shardUser(t, smap, 1, nil)
-	chk, err := meta1.StoreCheck(StoreCheckRequest{UserID: user, Name: "liar.bin", Size: int64(len(data)), FileMD5: SumBytes(claimed).String()})
+	chk, err := meta1.StoreCheckCtx(bg, StoreCheckRequest{UserID: user, Name: "liar.bin", Size: int64(len(data)), FileMD5: SumBytes(claimed).String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := meta1.Commit(1, chk.URL, SplitSums(data)); err != nil {
+	if err := meta1.CommitCtx(bg, 1, chk.URL, SplitSums(data)); err != nil {
 		t.Fatal(err)
 	}
 	dl, err = reader.NewDownload(chk.URL)

@@ -87,16 +87,11 @@ func (t *TieredStore) shard(sum Sum) *tierShard {
 	return &t.shards[t.shardIndex(sum)]
 }
 
-// Put stores into the hot tier. A Put whose content is already known
-// to either tier is a dedup hit and touches neither backing store, so
-// re-uploading a demoted chunk does not resurrect an unaccounted hot
-// copy.
-func (t *TieredStore) Put(sum Sum, data []byte) error {
-	return t.PutCtx(context.Background(), sum, data)
-}
-
-// PutCtx implements CtxStore, forwarding the trace context to the
-// backing tier (the tier bookkeeping itself is memory-speed).
+// PutCtx stores into the hot tier, forwarding the context to it (the
+// tier bookkeeping itself is memory-speed). A put whose content is
+// already known to either tier is a dedup hit and touches neither
+// backing store, so re-uploading a demoted chunk does not resurrect an
+// unaccounted hot copy.
 func (t *TieredStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 	if _, err := verifyPut(ctx, sum, data); err != nil {
 		return err
@@ -115,7 +110,7 @@ func (t *TieredStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 
 	// The placement maps report the chunk as held the moment the hot put
 	// returns, so that put must be durable by then: no deferred fsync.
-	if err := PutCtx(withoutSyncGroup(ctx), t.hot, sum, data); err != nil {
+	if err := t.hot.PutCtx(withoutSyncGroup(ctx), sum, data); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -126,20 +121,15 @@ func (t *TieredStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 		t.chunks.Add(1)
 		t.bytes.Add(int64(len(data)))
 	} else {
-		// Raced with an identical Put that registered first.
+		// Raced with an identical put that registered first.
 		t.dedupHits.Add(1)
 	}
 	s.mu.Unlock()
 	return nil
 }
 
-// Get reads from whichever tier holds the chunk, promoting cold hits.
-func (t *TieredStore) Get(sum Sum) ([]byte, error) {
-	return t.GetCtx(context.Background(), sum)
-}
-
-// GetCtx implements CtxStore, forwarding the trace context to
-// whichever tier serves the read.
+// GetCtx reads from whichever tier holds the chunk, forwarding the
+// context to it, and promotes cold hits.
 func (t *TieredStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) {
 	s := t.shard(sum)
 	s.mu.Lock()
@@ -151,7 +141,7 @@ func (t *TieredStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) {
 	}
 
 	if hot {
-		data, err := GetCtx(ctx, t.hot, sum)
+		data, err := t.hot.GetCtx(ctx, sum)
 		if err == nil {
 			s.mu.Lock()
 			s.tstats.HotReads++
@@ -166,13 +156,13 @@ func (t *TieredStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) {
 		// check and the hot read; fall through to the cold tier.
 	}
 
-	data, err := GetCtx(ctx, t.cold, sum)
+	data, err := t.cold.GetCtx(ctx, sum)
 	if err != nil {
 		return nil, err
 	}
 	// Promote: the user is active on this content again. The cold tier
 	// checked the bytes on the way out; the hot tier need not re-hash.
-	if err := PutCtx(withVerified(ctx, sealFrame(sum, data)), t.hot, sum, data); err != nil {
+	if err := t.hot.PutCtx(withVerified(ctx, sealFrame(sum, data)), sum, data); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -188,7 +178,7 @@ func (t *TieredStore) GetCtx(ctx context.Context, sum Sum) ([]byte, error) {
 	return data, nil
 }
 
-// GetReaderCtx implements ReaderStore: a hot-placed chunk streams
+// GetReaderCtx implements ChunkStore: a hot-placed chunk streams
 // through the hot tier's own reader (pin-counted and zero-copy when
 // that tier is a DiskStore), updating the read-recency bookkeeping
 // exactly like GetCtx. Cold hits take the materializing GetCtx path
@@ -203,7 +193,7 @@ func (t *TieredStore) GetReaderCtx(ctx context.Context, sum Sum) (*ChunkReader, 
 		return nil, ErrNotFound
 	}
 	if hot {
-		rd, err := GetReader(ctx, t.hot, sum)
+		rd, err := t.hot.GetReaderCtx(ctx, sum)
 		if err == nil {
 			s.mu.Lock()
 			s.tstats.HotReads++
@@ -235,7 +225,7 @@ func (t *TieredStore) Has(sum Sum) bool {
 
 // Stats aggregates the logical store across both tiers: unique chunks
 // and bytes are whatever the placement maps track (each chunk counts
-// once, whichever tier holds it), and the Put counters are the tiered
+// once, whichever tier holds it), and the put counters are the tiered
 // store's own ingest accounting — migration and promotion copies do
 // not inflate them.
 func (t *TieredStore) Stats() StoreStats {
@@ -256,7 +246,7 @@ func (t *TieredStore) Stats() StoreStats {
 // check is re-run under the shard lock (a concurrent Get may have
 // refreshed lastRead since the candidate scan), and the copy to cold,
 // hot delete, and placement flip happen with the lock held, so a
-// failure leaves the chunk either fully hot (cold.Put failed — no
+// failure leaves the chunk either fully hot (the cold put failed — no
 // state changed) or fully cold (placement flipped only after the cold
 // copy succeeded).
 func (t *TieredStore) Migrate() (int, error) {
@@ -293,7 +283,7 @@ func (t *TieredStore) Migrate() (int, error) {
 // demoteOne moves a single chunk from hot to cold with the shard lock
 // held across the copy, delete, and placement flip. eligible runs
 // under the lock and aborts the demotion when it returns false. A
-// cold.Put failure leaves the chunk fully hot — placement, sizes, and
+// cold put failure leaves the chunk fully hot — placement, sizes, and
 // tier stats untouched; a hot delete failure after a successful cold
 // copy still flips placement (the cold copy is authoritative, the hot
 // copy lingers until its store reclaims it) and reports the error.
@@ -303,7 +293,7 @@ func (t *TieredStore) demoteOne(s *tierShard, sum Sum, eligible func() bool) (bo
 		s.mu.Unlock()
 		return false, nil
 	}
-	data, err := t.hot.Get(sum)
+	data, err := t.hot.GetCtx(context.Background(), sum)
 	if err != nil {
 		s.mu.Unlock()
 		if err == ErrNotFound {
@@ -311,7 +301,7 @@ func (t *TieredStore) demoteOne(s *tierShard, sum Sum, eligible func() bool) (bo
 		}
 		return false, err
 	}
-	if err := PutCtx(withVerified(context.Background(), sealFrame(sum, data)), t.cold, sum, data); err != nil {
+	if err := t.cold.PutCtx(withVerified(context.Background(), sealFrame(sum, data)), sum, data); err != nil {
 		s.mu.Unlock()
 		return false, err
 	}

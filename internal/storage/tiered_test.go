@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -29,12 +30,12 @@ func TestTieredStoreStatsAggregation(t *testing.T) {
 	b := bytes.Repeat([]byte("b"), 200)
 	c := bytes.Repeat([]byte("c"), 400)
 	for _, data := range [][]byte{a, b, c} {
-		if err := ts.Put(SumBytes(data), data); err != nil {
+		if err := ts.PutCtx(bg, SumBytes(data), data); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A duplicate Put of b is a dedup hit, offered bytes still counted.
-	if err := ts.Put(SumBytes(b), b); err != nil {
+	if err := ts.PutCtx(bg, SumBytes(b), b); err != nil {
 		t.Fatal(err)
 	}
 	// Demote everything, then read c to promote it back: the logical
@@ -43,7 +44,7 @@ func TestTieredStoreStatsAggregation(t *testing.T) {
 	if n, err := ts.Migrate(); err != nil || n != 3 {
 		t.Fatalf("migrate: n=%d err=%v", n, err)
 	}
-	if _, err := ts.Get(SumBytes(c)); err != nil {
+	if _, err := ts.GetCtx(bg, SumBytes(c)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,7 +65,7 @@ func TestTieredStoreStatsAggregation(t *testing.T) {
 
 	// And with a duplicate re-Put of a demoted chunk: still a dedup
 	// hit, not a hot-tier resurrection.
-	if err := ts.Put(SumBytes(a), a); err != nil {
+	if err := ts.PutCtx(bg, SumBytes(a), a); err != nil {
 		t.Fatal(err)
 	}
 	got := ts.Stats()
@@ -113,17 +114,17 @@ func TestTieredStoreMigrateRechecksLastRead(t *testing.T) {
 		// Simulate a user reading chunk B between the candidate scan
 		// and its demotion.
 		clock.Add(30 * time.Minute)
-		if _, err := ts.Get(sumB); err != nil {
+		if _, err := ts.GetCtx(bg, sumB); err != nil {
 			t.Error(err)
 		}
 	}
 
 	ts = NewTieredStore(NewMemStore(), raceCold, time.Hour, clock.Now)
 	findChunks()
-	if err := ts.Put(sumA, dataA); err != nil {
+	if err := ts.PutCtx(bg, sumA, dataA); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Put(sumB, dataB); err != nil {
+	if err := ts.PutCtx(bg, sumB, dataB); err != nil {
 		t.Fatal(err)
 	}
 
@@ -164,7 +165,7 @@ func TestTieredStoreMigrateGetRace(t *testing.T) {
 		d := []byte(fmt.Sprintf("race chunk %d", i))
 		data = append(data, d)
 		sums = append(sums, SumBytes(d))
-		if err := ts.Put(sums[i], d); err != nil {
+		if err := ts.PutCtx(bg, sums[i], d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,7 +183,7 @@ func TestTieredStoreMigrateGetRace(t *testing.T) {
 				default:
 				}
 				j := (i*7 + w) % chunks
-				got, err := ts.Get(sums[j])
+				got, err := ts.GetCtx(bg, sums[j])
 				if err != nil {
 					t.Errorf("Get %d: %v", j, err)
 					return
@@ -210,7 +211,7 @@ func TestTieredStoreMigrateGetRace(t *testing.T) {
 
 	// Every chunk still readable, accounting intact.
 	for i := range sums {
-		got, err := ts.Get(sums[i])
+		got, err := ts.GetCtx(bg, sums[i])
 		if err != nil || !bytes.Equal(got, data[i]) {
 			t.Fatalf("chunk %d after race: %v", i, err)
 		}
@@ -225,16 +226,16 @@ func TestTieredStoreMigrateGetRace(t *testing.T) {
 	}
 }
 
-// hookStore wraps a ChunkStore with injectable Put behaviour.
+// hookStore wraps a ChunkStore with injectable put behaviour.
 type hookStore struct {
 	ChunkStore
 	mu      sync.Mutex
 	puts    int
-	failPut func(n int) error // called with 1-based Put ordinal
+	failPut func(n int) error // called with 1-based put ordinal
 	onPut   func(sum Sum)     // called before delegating
 }
 
-func (h *hookStore) Put(sum Sum, data []byte) error {
+func (h *hookStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 	h.mu.Lock()
 	h.puts++
 	n := h.puts
@@ -247,7 +248,7 @@ func (h *hookStore) Put(sum Sum, data []byte) error {
 			return err
 		}
 	}
-	return h.ChunkStore.Put(sum, data)
+	return h.ChunkStore.PutCtx(ctx, sum, data)
 }
 
 // TestTieredStoreMigratePartialFailure drives Migrate into a cold
@@ -272,7 +273,7 @@ func TestTieredStoreMigratePartialFailure(t *testing.T) {
 		d := []byte(fmt.Sprintf("partial failure chunk %d", i))
 		data = append(data, d)
 		sums = append(sums, SumBytes(d))
-		if err := ts.Put(sums[i], d); err != nil {
+		if err := ts.PutCtx(bg, sums[i], d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,7 +294,7 @@ func TestTieredStoreMigratePartialFailure(t *testing.T) {
 	// still has its hot-tier bytes.
 	hotCount := 0
 	for i := range sums {
-		got, err := ts.Get(sums[i])
+		got, err := ts.GetCtx(bg, sums[i])
 		if err != nil || !bytes.Equal(got, data[i]) {
 			t.Fatalf("chunk %d after failed migrate: %v", i, err)
 		}
@@ -330,7 +331,7 @@ func TestTieredStoreDelete(t *testing.T) {
 	hotData := []byte("stays hot")
 	coldData := []byte("goes cold then is deleted")
 	for _, d := range [][]byte{hotData, coldData} {
-		if err := ts.Put(SumBytes(d), d); err != nil {
+		if err := ts.PutCtx(bg, SumBytes(d), d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -348,7 +349,7 @@ func TestTieredStoreDelete(t *testing.T) {
 		if err := ts.Delete(SumBytes(d)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ts.Get(SumBytes(d)); err != ErrNotFound {
+		if _, err := ts.GetCtx(bg, SumBytes(d)); err != ErrNotFound {
 			t.Fatalf("Get after Delete: %v", err)
 		}
 		if err := ts.Delete(SumBytes(d)); err != ErrNotFound {
@@ -383,7 +384,7 @@ func TestTieredStoreFlushHot(t *testing.T) {
 
 	fresh := bytes.Repeat([]byte("acked seconds before shutdown"), 40)
 	freshSum := SumBytes(fresh)
-	if err := ts.Put(freshSum, fresh); err != nil {
+	if err := ts.PutCtx(bg, freshSum, fresh); err != nil {
 		t.Fatal(err)
 	}
 
@@ -422,7 +423,7 @@ func TestTieredStoreFlushHot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disk2.Close()
-	got, err := disk2.Get(freshSum)
+	got, err := disk2.GetCtx(bg, freshSum)
 	if err != nil || !bytes.Equal(got, fresh) {
 		t.Fatalf("flushed chunk after reopen: %v", err)
 	}
@@ -439,7 +440,7 @@ func TestTieredStoreDiskCold(t *testing.T) {
 
 	data := bytes.Repeat([]byte("tiered durable chunk"), 50)
 	sum := SumBytes(data)
-	if err := ts.Put(sum, data); err != nil {
+	if err := ts.PutCtx(bg, sum, data); err != nil {
 		t.Fatal(err)
 	}
 	clock.Add(2 * time.Hour)
@@ -449,7 +450,7 @@ func TestTieredStoreDiskCold(t *testing.T) {
 	if !disk.Has(sum) {
 		t.Fatal("cold tier missing the demoted chunk")
 	}
-	got, err := ts.Get(sum)
+	got, err := ts.GetCtx(bg, sum)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("cold read: %v", err)
 	}
@@ -463,7 +464,7 @@ func TestTieredStoreDiskCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disk2.Close()
-	got, err = disk2.Get(sum)
+	got, err = disk2.GetCtx(bg, sum)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("cold tier after reopen: %v", err)
 	}
