@@ -438,20 +438,27 @@ func (d *opsDashboard) scrape() (map[string]float64, error) {
 			continue
 		}
 		ok++
-		for k, v := range vals {
-			if strings.Contains(k, `quantile="`) {
-				if cur, dup := merged[k]; !dup || v > cur {
-					merged[k] = v
-				}
-				continue
-			}
-			merged[k] += v
-		}
+		mergeExposition(merged, vals)
 	}
 	if ok == 0 {
 		return nil, lastErr
 	}
 	return merged, nil
+}
+
+// mergeExposition folds one node's series into merged. A quantile an
+// idle node reports as NaN (its histogram is empty) never hides
+// another node's value.
+func mergeExposition(merged, vals map[string]float64) {
+	for k, v := range vals {
+		if strings.Contains(k, `quantile="`) {
+			if cur, dup := merged[k]; !dup || v > cur || math.IsNaN(cur) {
+				merged[k] = v
+			}
+			continue
+		}
+		merged[k] += v
+	}
 }
 
 func (d *opsDashboard) scrapeOne(u string) (map[string]float64, error) {

@@ -60,6 +60,7 @@ type DiskStore struct {
 	bytesStored atomic.Int64
 
 	fsyncs      atomic.Int64
+	writeOuts   atomic.Int64 // records whose device write started ahead of their fsync
 	compactions atomic.Int64
 	streamReads atomic.Int64 // GetReaderCtx opens (zero-copy read path)
 	recovery    time.Duration
@@ -431,14 +432,34 @@ func (ds *DiskStore) syncTo(lsn int64) error {
 // stall it or fail it the way the syscall would (tests).
 var fsyncFault atomic.Pointer[func(*DiskStore) error]
 
+// pageSize is the unit the page cache writes back in.
+var pageSize = int64(os.Getpagesize())
+
+// startWriteOut starts the device write of a record just appended to
+// seg whose fsync comes later, so that fsync finds the record written
+// or in flight instead of dirty. Only the record's whole pages are
+// started: the next append writes into its last, partial page, and
+// writing a page under write-back can wait for it (stable pages)
+// while holding ds.mu. That page goes out with the next record's
+// write-out or with the fsync. Nothing waits on the write-out and
+// nothing counts on it: the fsync alone decides what is acknowledged.
+func (ds *DiskStore) startWriteOut(seg *segment, loc recLoc) {
+	end := (loc.off + recordSize(loc.n)) &^ (pageSize - 1)
+	if !ds.opts.NoSync && end > loc.off && writeOutRange(seg.f, loc.off, end-loc.off) {
+		ds.writeOuts.Add(1)
+	}
+}
+
 // PutCtx implements ChunkStore. It returns only after the record is
 // fsync-covered, so an acknowledged chunk survives SIGKILL; a put that
 // belongs to a request with a sync group leaves that fsync to the
-// request. The locked append and the group-commit fsync wait are
-// separate spans, so a slow write shows whether the time went to lock
-// contention / segment I/O or to riding someone else's fsync group. A
-// put whose context proves an ingress already verified these bytes
-// (see verifyPut) is appended as received — carried header, caller's
+// request and, unless the request has no puts left to make, starts
+// its record's device write on the way out. The locked append (with
+// that write-out) and the group-commit fsync wait are separate spans,
+// so a slow write shows whether the time went to lock contention /
+// segment I/O or to riding someone else's fsync group. A put whose
+// context proves an ingress already verified these bytes (see
+// verifyPut) is appended as received — carried header, caller's
 // payload.
 func (ds *DiskStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 	v, err := verifyPut(ctx, sum, data)
@@ -457,26 +478,35 @@ func (ds *DiskStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 		return fmt.Errorf("storage: diskstore: closed")
 	}
 	loc, dup := ds.index[sum]
+	var seg *segment
 	if !dup {
 		if loc, err = ds.appendLocked(hdr[:], data); err != nil {
 			ds.mu.Unlock()
 			app.EndErr(err)
 			return err
 		}
+		seg = ds.segs[loc.seg]
 		ds.index[sum] = loc
-		ds.segs[loc.seg].live += recordSize(loc.n)
+		seg.live += recordSize(loc.n)
 		ds.dataBytes += int64(len(data))
 	}
 	ds.mu.Unlock()
-	app.End()
 	if dup {
 		ds.dedupHits.Add(1)
 	}
 	// A dedup hit waits as well: the copy it found may still be owed its
 	// writer's fsync, and this put must not be acknowledged ahead of it.
-	if deferSync(ctx, ds, loc.lsn) {
+	if deferred, more := deferSync(ctx, ds, loc.lsn); deferred {
+		// The request reads and hashes its next frame before it waits, so
+		// the device writes this record meanwhile and the request's one
+		// fsync is left with the batch's tail: its last frame.
+		if seg != nil && more {
+			ds.startWriteOut(seg, loc)
+		}
+		app.End()
 		return nil
 	}
+	app.End()
 	fs := tracing.ChildFromContext(ctx, tracing.CompDisk, tracing.SpanDiskFsync)
 	err = ds.syncTo(loc.lsn)
 	fs.EndErr(err)
@@ -796,6 +826,7 @@ type DiskStats struct {
 	LiveBytes   int64         // record bytes still addressed by the index
 	DeadBytes   int64         // record bytes awaiting compaction
 	Fsyncs      int64         // fsync syscalls issued (group-committed)
+	WriteOuts   int64         // records whose device write started ahead of their fsync
 	Compactions int64         // segments rewritten and reclaimed
 	StreamReads int64         // zero-copy streaming reads served
 	Recovery    time.Duration // index rebuild time at open
@@ -808,6 +839,7 @@ func (ds *DiskStore) DiskStats() DiskStats {
 	st := DiskStats{
 		Segments:    len(ds.segs),
 		Fsyncs:      ds.fsyncs.Load(),
+		WriteOuts:   ds.writeOuts.Load(),
 		Compactions: ds.compactions.Load(),
 		StreamReads: ds.streamReads.Load(),
 		Recovery:    ds.recovery,

@@ -35,6 +35,44 @@ func testChunk(seed int64, i int) []byte {
 	return data
 }
 
+// writeOutCounter returns a check that ds has started want write-outs
+// since the call. Where the platform or kernel starts none at all (a
+// probe on a scratch file says so), every want is 0.
+func writeOutCounter(t *testing.T, ds *DiskStore) func(want int64, after string) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "probe"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write([]byte("probe")); err != nil {
+		t.Fatal(err)
+	}
+	works := writeOutRange(f, 0, 5)
+	base := ds.DiskStats().WriteOuts
+	return func(want int64, after string) {
+		t.Helper()
+		if !works {
+			want = 0
+		}
+		if got := ds.DiskStats().WriteOuts - base; got != want {
+			t.Fatalf("after %s: %d write-outs started, want %d", after, got, want)
+		}
+	}
+}
+
+// TestWriteOutStopsAtAPageBoundary: a record's write-out covers only
+// the pages it fills, since the next append writes into its last one;
+// a record that fills none starts no write-out.
+func TestWriteOutStopsAtAPageBoundary(t *testing.T) {
+	ds, _ := newDiskStore(t, DiskStoreOptions{})
+	writeOuts := writeOutCounter(t, ds)
+	ds.startWriteOut(ds.active, recLoc{off: pageSize + 1, n: uint32(pageSize - recHeaderSize - 2)})
+	writeOuts(0, "a record inside one page")
+	ds.startWriteOut(ds.active, recLoc{off: 2*pageSize - 8, n: 16})
+	writeOuts(1, "a record that ends a page")
+}
+
 func TestDiskStorePutGetHasDelete(t *testing.T) {
 	ds, _ := newDiskStore(t, DiskStoreOptions{})
 	data := []byte("durable chunk payload")

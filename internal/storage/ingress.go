@@ -181,12 +181,13 @@ func (f *frame) own() *frame {
 // as one ack. Stores that do not know the group sync
 // inline, as does a put that arrives after the group has been waited on.
 type syncGroup struct {
-	mu      sync.Mutex
-	closed  bool
-	frames  int                  // puts the request declared
-	claimed int                  // puts a relay has taken
-	owed    map[*DiskStore]int64 // highest LSN appended per store
-	relay   *relay               // replica acks owed; nil until a ReplicatedStore puts
+	mu       sync.Mutex
+	closed   bool
+	frames   int                  // puts the request declared
+	claimed  int                  // puts a relay has taken
+	deferred int                  // puts whose fsync a store handed over
+	owed     map[*DiskStore]int64 // highest LSN appended per store
+	relay    *relay               // replica acks owed; nil until a ReplicatedStore puts
 }
 
 type syncGroupKey struct{}
@@ -207,17 +208,19 @@ func withoutSyncGroup(ctx context.Context) context.Context {
 	return context.WithValue(ctx, syncGroupKey{}, (*syncGroup)(nil))
 }
 
-// deferSync hands the wait for lsn to the context's sync group. False
-// means there is none (or it already closed): the caller syncs inline.
-func deferSync(ctx context.Context, ds *DiskStore, lsn int64) bool {
+// deferSync hands the wait for lsn to the context's sync group.
+// deferred is false when there is none (or it already closed): the
+// caller syncs inline. more reports that the request has declared puts
+// still to come, so its wait is not next.
+func deferSync(ctx context.Context, ds *DiskStore, lsn int64) (deferred, more bool) {
 	g, _ := ctx.Value(syncGroupKey{}).(*syncGroup)
 	if g == nil {
-		return false
+		return false, false
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
-		return false
+		return false, false
 	}
 	if g.owed == nil {
 		g.owed = make(map[*DiskStore]int64, 1)
@@ -225,7 +228,8 @@ func deferSync(ctx context.Context, ds *DiskStore, lsn int64) bool {
 	if lsn > g.owed[ds] {
 		g.owed[ds] = lsn
 	}
-	return true
+	g.deferred++
+	return true, g.deferred < g.frames
 }
 
 // relayFor hands rs the request's relay for one put, starting it on the

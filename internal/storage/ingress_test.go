@@ -80,6 +80,7 @@ func TestIngressHashesOncePerNode(t *testing.T) {
 			client.DisableBin = tc.disableBin
 			data := chunkedData(t, uint64(len(tc.name)), size)
 			fsyncs := ds.DiskStats().Fsyncs
+			writeOuts := writeOutCounter(t, ds)
 
 			before := hashPasses.Load()
 			if _, err := client.StoreFile("a.bin", data); err != nil {
@@ -99,6 +100,14 @@ func TestIngressHashesOncePerNode(t *testing.T) {
 			}
 			if tc.batches == 0 && n != size/ChunkSize {
 				t.Fatalf("%d fsyncs, want one per JSON chunk PUT", n)
+			}
+			// A batched frame's write-out starts before the batch's fsync,
+			// except the last frame's; a JSON PUT syncs at once and starts
+			// none.
+			if tc.batches > 0 {
+				writeOuts(size/ChunkSize-tc.batches, "a batched store")
+			} else {
+				writeOuts(0, "JSON chunk PUTs")
 			}
 			for _, sum := range SplitSums(data) {
 				if !ds.Has(sum) {
@@ -218,17 +227,24 @@ func TestPutWithoutProofIsVerified(t *testing.T) {
 // are appended but neither synced nor reported until the group is
 // waited on; one fsync then covers them all; and a put that misses the
 // group — no group in its context, or one already closed — syncs
-// inline.
+// inline. Each deferred record's device write starts as it is put, so
+// the group's fsync finds it written or in flight. The request's last
+// declared put, whose fsync follows at once, a put that syncs inline,
+// and a dedup hit that wrote nothing start none.
 func TestSyncGroup(t *testing.T) {
 	ds, _ := newDiskStore(t, DiskStoreOptions{})
+	// Every chunk spans a whole page, so every deferred put has one to
+	// write out.
+	chunk := func(i int) []byte { return append(testChunk(21, i), make([]byte, pageSize)...) }
 	put := func(ctx context.Context, i int) Sum {
-		data := testChunk(21, i)
+		data := chunk(i)
 		sum := SumBytes(data)
 		if err := ds.PutCtx(ctx, sum, data); err != nil {
 			t.Fatal(err)
 		}
 		return sum
 	}
+	writeOuts := writeOutCounter(t, ds)
 	base := ds.DiskStats().Fsyncs
 
 	ctx, group := withSyncGroup(context.Background(), 6)
@@ -239,6 +255,7 @@ func TestSyncGroup(t *testing.T) {
 	if n := ds.DiskStats().Fsyncs - base; n != 0 {
 		t.Fatalf("%d fsyncs before the group was waited on", n)
 	}
+	writeOuts(5, "five deferred puts")
 	for _, sum := range sums {
 		if ds.Has(sum) {
 			t.Fatal("Has reports a record no fsync covers yet")
@@ -249,13 +266,18 @@ func TestSyncGroup(t *testing.T) {
 	}
 	// A second writer of the same content must not be acknowledged
 	// ahead of the first writer's fsync: its dedup hit syncs.
-	if err := ds.PutCtx(bg, sums[0], testChunk(21, 0)); err != nil {
+	if err := ds.PutCtx(bg, sums[0], chunk(0)); err != nil {
 		t.Fatal(err)
 	}
 	if n := ds.DiskStats().Fsyncs - base; n != 1 {
 		t.Fatalf("dedup hit on an unsynced record issued %d fsyncs, want 1", n)
 	}
+	writeOuts(5, "an inline dedup hit")
 	sums = append(sums, put(ctx, 5))
+	if err := ds.PutCtx(ctx, sums[1], chunk(1)); err != nil {
+		t.Fatal(err)
+	}
+	writeOuts(5, "the last declared put and a deferred dedup hit")
 	if err := group.wait(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -281,6 +303,7 @@ func TestSyncGroup(t *testing.T) {
 	if n := ds.DiskStats().Fsyncs - base; n != 4 {
 		t.Fatalf("put without a group: %d fsyncs, want 4", n)
 	}
+	writeOuts(5, "two inline puts")
 
 	// A layer that publishes a put the moment it returns hides the
 	// group from the store below it.

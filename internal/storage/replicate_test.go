@@ -458,14 +458,18 @@ func holdsAll(nd *ringNode, sums []Sum) bool {
 
 // TestReplicaBatchingIsPinned: a 16-chunk store from a window-one
 // client costs one client bin/put, one replica bin/put per peer and one
-// fsync per node — not a request and an fsync per chunk.
+// fsync per node — not a request and an fsync per chunk — and every
+// node starts the write-out of each frame but the last ahead of that
+// fsync.
 func TestReplicaBatchingIsPinned(t *testing.T) {
 	nodes, _, newClient := newDiskRing(t, 3, 2, -1, nil)
 	data := chunkedData(t, 61, 16*ChunkSize)
 	sums := SplitSums(data)
 	fsyncs := make([]int64, len(nodes))
+	writeOuts := make([]func(int64, string), len(nodes))
 	for i, nd := range nodes {
 		fsyncs[i] = nd.fsyncs()
+		writeOuts[i] = writeOutCounter(t, nd.disk)
 	}
 	if _, err := newClient(1).StoreFile("batch.bin", data); err != nil {
 		t.Fatal(err)
@@ -492,6 +496,7 @@ func TestReplicaBatchingIsPinned(t *testing.T) {
 		if got := nd.fsyncs() - fsyncs[i]; got != 1 {
 			t.Errorf("node %d: %d fsyncs for the batch, want 1", i, got)
 		}
+		writeOuts[i](int64(len(sums)-1), nd.url+"'s batch")
 	}
 }
 
