@@ -271,15 +271,17 @@ func advertiseV1(next http.Handler) http.Handler {
 }
 
 // advertiseDialects stamps every response with the dialects this
-// server speaks: always X-MCS-API: v1, plus X-MCS-Bin: mcsbin/1 when
-// the binary chunk dialect is enabled. Clients treat the bin stamp as
-// the capability signal, so a node built (or flagged) without the
-// dialect silently keeps its peers on JSON.
+// server speaks: always X-MCS-API: v1, plus X-MCS-Bin: mcsbin/1 and
+// X-MCS-Bin-Ops: file-retrieve when the binary chunk dialect is
+// enabled. Clients treat the bin stamp as the capability signal, so a
+// node built (or flagged) without the dialect silently keeps its peers
+// on JSON.
 func advertiseDialects(bin bool, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(APIHeader, APIV1)
 		if bin {
 			w.Header().Set(BinHeader, BinV1)
+			w.Header().Set(BinOpsHeader, BinOpFileRetrieve)
 		}
 		next.ServeHTTP(w, r)
 	})

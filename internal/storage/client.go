@@ -97,12 +97,14 @@ type Client struct {
 	legacyMu    sync.Mutex
 	legacyHosts map[string]bool
 
-	// binHosts remembers, per host, the last-seen X-MCS-Bin stamp —
-	// the capability signal for the batched binary chunk dialect.
-	// Refreshed on every handled response, so a host restarted without
-	// the dialect downgrades the client back to JSON automatically.
+	// binHosts remembers, per host, the last-seen binary stamps:
+	// X-MCS-Bin, the capability signal for the batched binary chunk
+	// dialect, and X-MCS-Bin-Ops, whether its batches carry the file
+	// retrieval operation. Refreshed on every handled response, so a
+	// host restarted without the dialect downgrades the client back to
+	// JSON automatically.
 	binMu    sync.Mutex
-	binHosts map[string]bool
+	binHosts map[string]binCaps
 
 	// rings caches each front-end's cluster ring (nil: single-node or
 	// legacy), learned once per host from /v1/cluster/info.
@@ -139,33 +141,43 @@ func (c *Client) useV1(base string) bool {
 	return !legacy
 }
 
+// binCaps is what a host's last response advertised of the binary
+// dialect.
+type binCaps struct {
+	bin          bool // X-MCS-Bin: mcsbin/1
+	fileRetrieve bool // X-MCS-Bin-Ops: file-retrieve
+}
+
 // noteBin records the dialect capability a response from base
 // advertised (or stopped advertising).
 func (c *Client) noteBin(base string, h http.Header) {
 	if c.DisableBin || c.LegacyAPI {
 		return
 	}
-	v := binAdvertised(h)
+	v := binCaps{bin: binAdvertised(h), fileRetrieve: h.Get(BinOpsHeader) == BinOpFileRetrieve}
 	c.binMu.Lock()
 	if c.binHosts == nil {
-		c.binHosts = make(map[string]bool)
+		c.binHosts = make(map[string]binCaps)
 	}
 	c.binHosts[base] = v
 	c.binMu.Unlock()
 }
 
-// binHost reports whether chunk traffic to base may take the binary
-// dialect: the client allows it and the host's last response carried
-// the X-MCS-Bin stamp.
-func (c *Client) binHost(base string) bool {
+// binCapsOf returns what base may be sent over the binary dialect:
+// nothing unless the client allows it and the host's last response
+// carried the stamps.
+func (c *Client) binCapsOf(base string) binCaps {
 	if c.DisableBin || !c.useV1(base) {
-		return false
+		return binCaps{}
 	}
 	c.binMu.Lock()
-	ok := c.binHosts[base]
-	c.binMu.Unlock()
-	return ok
+	defer c.binMu.Unlock()
+	return c.binHosts[base]
 }
+
+// binHost reports whether chunk traffic to base may take the binary
+// dialect.
+func (c *Client) binHost(base string) bool { return c.binCapsOf(base).bin }
 
 // apiPath joins base and path, inserting the /v1 prefix when the host
 // negotiates the versioned API.

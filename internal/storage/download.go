@@ -24,10 +24,11 @@ type Download struct {
 }
 
 // NewDownload resolves url and issues the file retrieval operation
-// request exactly as RetrieveFile does, returning a Download ready to
-// Resume.
+// request, returning a Download ready to Resume. The request always
+// goes out on its own: a Download fetches chunk by chunk over the
+// per-chunk path, so no batch would carry it.
 func (c *Client) NewDownload(url string) (*Download, error) {
-	p, err := c.openRetrieve(url, c.newBudget())
+	p, err := c.openRetrieve(url, c.newBudget(), false)
 	if err != nil {
 		return nil, err
 	}

@@ -499,7 +499,13 @@ func (f *FrontEnd) handleRetrieveOp(w http.ResponseWriter, r *http.Request) {
 	}
 	meta, err := f.meta.LookupCtx(r.Context(), req.Shard, sum)
 	if err != nil {
-		f.fail(w, r, http.StatusNotFound, err, trace.FileRetrieve)
+		// Only a real miss is a 404: a metadata outage must reach the
+		// client as a retryable status, not as a permanent not_found.
+		code := http.StatusNotFound
+		if !errors.Is(err, ErrNotFound) {
+			code = metaErrStatus(err, http.StatusInternalServerError)
+		}
+		f.fail(w, r, code, err, trace.FileRetrieve)
 		return
 	}
 	tsrv := f.upstream()
@@ -764,7 +770,11 @@ func (f *FrontEnd) upstreamBatch(r *http.Request, n int) []time.Duration {
 // before the first response byte — pins held across the response, so
 // every error can still use the typed envelope and the Content-Length
 // is exact. Disk-resident chunks stream their raw record region
-// (framing and checksum included) with no re-encode.
+// (framing and checksum included) with no re-encode. A client batch
+// that carries the file retrieval operation (FileRetrieveHeader) has
+// it recorded once the readers are open and before the 200, so a
+// batch that fails before its 200 leaves no record and the client's
+// retry or fallback operation request writes the one record.
 func (f *FrontEnd) handleBinGet(w http.ResponseWriter, r *http.Request) {
 	started := f.cfg.Now()
 	if r.Method != http.MethodPost {
@@ -805,6 +815,9 @@ func (f *FrontEnd) handleBinGet(w http.ResponseWriter, r *http.Request) {
 		}
 		readers[i] = rd
 		total += recHeaderSize + rd.Size()
+	}
+	if r.Header.Get(FileRetrieveHeader) != "" && !isReplicaRequest(r) {
+		f.record(r, trace.FileRetrieve, 0, started, f.upstream())
 	}
 	tsrvs := f.upstreamBatch(r, len(sums))
 	w.Header().Set("Content-Type", binContentType)

@@ -578,19 +578,59 @@ func TestFanoutQueuesOwnerWithFailingStore(t *testing.T) {
 	}
 }
 
-// reqLog records the order requests reach a server.
+// reqLog records the client requests a server saw, one "METHOD path"
+// entry each (chunk paths without the digest), with " +op" appended to
+// a bin/get that carried the file retrieval operation. Replica hops
+// are not client requests, and a client's one-time ring discovery
+// (GET /v1/cluster/info) is no part of any retrieve: both are left out.
 type reqLog struct {
-	mu   sync.Mutex
-	seen []string
+	mu       sync.Mutex
+	seen     []string
+	inflight atomic.Int64
 }
 
 func (l *reqLog) wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		l.mu.Lock()
-		l.seen = append(l.seen, r.Method+" "+r.URL.Path)
-		l.mu.Unlock()
+		l.inflight.Add(1)
+		defer l.inflight.Add(-1)
+		if r.Header.Get(ReplicaHeader) == "" && r.URL.Path != "/v1/cluster/info" {
+			p := r.URL.Path
+			if strings.HasPrefix(p, "/v1/chunk/") {
+				p = "/v1/chunk/"
+			}
+			e := r.Method + " " + p
+			if r.Header.Get(FileRetrieveHeader) != "" {
+				e += " +op"
+			}
+			l.mu.Lock()
+			l.seen = append(l.seen, e)
+			l.mu.Unlock()
+		}
 		next.ServeHTTP(w, r)
 	})
+}
+
+// settle waits until no request is being served. A handler logs a
+// batch's chunk records after writing their frames, so they can land
+// after the client has returned.
+func (l *reqLog) settle(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for l.inflight.Load() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests still being served", l.inflight.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// take returns what was seen since the last take.
+func (l *reqLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.seen
+	l.seen = nil
+	return out
 }
 
 // TestConcurrentHashingIsDeterministic (run under -race): the chunk

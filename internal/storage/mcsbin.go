@@ -47,6 +47,19 @@ const BinHeader = "X-MCS-Bin"
 // BinV1 is the current binary dialect tag.
 const BinV1 = "mcsbin/1"
 
+// The file retrieval operation can ride a binary batch. A server whose
+// /v1/bin/get accepts it stamps every response with
+// "X-MCS-Bin-Ops: file-retrieve" next to the X-MCS-Bin stamp; a client
+// that has seen that stamp from the host of a file's first chunk sends
+// the operation as "X-MCS-File-Retrieve: <file md5>" on the batch that
+// carries chunk 0, instead of a separate POST /v1/op/retrieve. The
+// server writes the operation's Table 1 record before the batch's 200.
+const (
+	BinOpsHeader       = "X-MCS-Bin-Ops"
+	BinOpFileRetrieve  = "file-retrieve"
+	FileRetrieveHeader = "X-MCS-File-Retrieve"
+)
+
 // binContentType labels binary request/response bodies.
 const binContentType = "application/x-mcsbin1"
 

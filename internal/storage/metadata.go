@@ -780,7 +780,11 @@ func (m *Metadata) waitReplicated(ctx context.Context, seq uint64) error {
 // any user, and it lives on the shard of the user who stored it — a
 // shard the requester's own hash says nothing about. A miss here is
 // an honest not_found for this shard; sharded clients scatter the
-// resolve across the remaining shards before giving up.
+// resolve across the remaining shards before giving up. The chunk list
+// comes from the catalog entry LookupCtx returns for the file digest,
+// so a reserved URL whose content is not committed yet resolves with
+// none, and its retrieve still ends in the operation request's
+// not_found.
 func (m *Metadata) Resolve(req ResolveRequest) (ResolveResponse, error) {
 	if met := m.met; met != nil {
 		defer met.resolve.ObserveSince(time.Now())
@@ -791,12 +795,16 @@ func (m *Metadata) Resolve(req ResolveRequest) (ResolveResponse, error) {
 	if !ok {
 		return ResolveResponse{}, ErrNotFound
 	}
-	return ResolveResponse{
+	resp := ResolveResponse{
 		FileMD5:  f.FileMD5.String(),
 		Size:     f.Size,
 		FrontEnd: m.pickFrontEnd(),
 		Shard:    m.shardID,
-	}, nil
+	}
+	if cat, ok := m.byMD5[f.FileMD5]; ok {
+		resp.ChunkMD5s = sumStrings(cat.ChunkMD5s)
+	}
+	return resp, nil
 }
 
 // LookupCtx returns the file record for a content hash from this

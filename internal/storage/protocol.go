@@ -96,12 +96,17 @@ type ResolveRequest struct {
 }
 
 // ResolveResponse returns the file hash and a front-end that can serve
-// it.
+// it, and, once the file is committed, its ordered chunk digests: a
+// client that has them can skip the file retrieval operation request
+// and let the operation ride its first chunk batch (see
+// FileRetrieveHeader). Reserved, uncommitted files and empty files
+// carry no list.
 type ResolveResponse struct {
-	FileMD5  string `json:"file_md5"`
-	Size     int64  `json:"size"`
-	FrontEnd string `json:"frontend"`
-	Shard    int    `json:"shard"` // metadata shard that resolved (and will commit) this file
+	FileMD5   string   `json:"file_md5"`
+	Size      int64    `json:"size"`
+	FrontEnd  string   `json:"frontend"`
+	Shard     int      `json:"shard"` // metadata shard that resolved (and will commit) this file
+	ChunkMD5s []string `json:"chunk_md5s,omitempty"`
 }
 
 // FileOpRequest is the file storage/retrieval operation request sent

@@ -27,6 +27,11 @@ type retrievePlan struct {
 	file     Sum
 	size     int64
 	sums     []Sum
+	// op is the file retrieval operation request while it is unsent.
+	// It rides every attempt of the mcsbin/1 batch that carries chunk 0
+	// (see FileRetrieveHeader) until one gets a 200, which clears it;
+	// when none does, the retrieval posts it itself.
+	op *FileOpRequest
 }
 
 // slot is chunk i's place in buf, the assembling file. Its capacity
@@ -38,14 +43,20 @@ func (p *retrievePlan) slot(buf []byte, i int) []byte {
 	return buf[lo:hi:hi]
 }
 
-// openRetrieve resolves url at the metadata plane and issues the file
+// openRetrieve resolves url at the metadata plane and settles the file
 // retrieval operation request: the handshake RetrieveFile and
 // NewDownload share. A URL is a shareable capability: it lives on the
 // shard of the user who STORED it, which the requester's own hash says
 // nothing about. The resolve tries our shard first (own files, the
 // common case), then scatters across the remaining shards on a miss,
 // and the operation request is pinned to the shard that answered.
-func (c *Client) openRetrieve(url string, budget *retryBudget) (*retrievePlan, error) {
+//
+// With ride set, when the resolve lists the chunks and chunk 0's host
+// has advertised that its batches carry the operation, the request is
+// left on the plan for that batch: one round trip fewer. Otherwise it
+// goes to the assigned front-end now, as in the paper's flow, and its
+// answer supplies the chunk list.
+func (c *Client) openRetrieve(url string, budget *retryBudget, ride bool) (*retrievePlan, error) {
 	own := c.meta().shardFor(c.UserID)
 	var res ResolveResponse
 	err := c.postMetaJSON(own, "/meta/resolve", ResolveRequest{UserID: c.UserID, URL: url}, &res, budget)
@@ -70,21 +81,26 @@ func (c *Client) openRetrieve(url string, budget *retryBudget) (*retrievePlan, e
 	if err != nil {
 		return nil, err
 	}
-	var op FileOpResponse
-	err = c.postJSON(res.FrontEnd, "/op/retrieve", FileOpRequest{
+	p := &retrievePlan{frontend: res.FrontEnd, file: file, size: res.Size}
+	if p.sums, err = parseSums(res.ChunkMD5s); err != nil {
+		return nil, err
+	}
+	op := &FileOpRequest{
 		UserID:   c.UserID,
 		DeviceID: c.DeviceID,
 		Device:   c.Device.String(),
 		FileMD5:  res.FileMD5,
 		Size:     res.Size,
 		Shard:    res.Shard,
-	}, &op, budget)
-	if err != nil {
-		return nil, err
 	}
-	p := &retrievePlan{frontend: res.FrontEnd, file: file, size: res.Size, sums: make([]Sum, len(op.ChunkMD5s))}
-	for i, s := range op.ChunkMD5s {
-		if p.sums[i], err = ParseSum(s); err != nil {
+	if ride && len(p.sums) > 0 && c.binCapsOf(c.chunkTarget(p.frontend, p.sums[0])).fileRetrieve {
+		p.op = op
+	} else {
+		var resp FileOpResponse
+		if err := c.postJSON(p.frontend, "/op/retrieve", op, &resp, budget); err != nil {
+			return nil, err
+		}
+		if p.sums, err = parseSums(resp.ChunkMD5s); err != nil {
 			return nil, err
 		}
 	}
@@ -98,9 +114,10 @@ func (c *Client) openRetrieve(url string, budget *retryBudget) (*retrievePlan, e
 }
 
 // RetrieveFile downloads the file behind a service URL and returns its
-// contents: URL resolution at the metadata server, a file retrieval
-// operation request, then the chunks as one retrieval (see retrieval).
-// The returned bytes hash to the file digest metadata holds.
+// contents: URL resolution at the metadata server, the file retrieval
+// operation request (riding the first chunk batch where the front-end
+// takes it), then the chunks as one retrieval (see retrieval). The
+// returned bytes hash to the file digest metadata holds.
 func (c *Client) RetrieveFile(url string) (out []byte, err error) {
 	budget := c.newBudget()
 	budget.span = c.Tracer.StartRoot(tracing.CompClient, tracing.SpanRetrieveFile)
@@ -109,7 +126,7 @@ func (c *Client) RetrieveFile(url string) (out []byte, err error) {
 		budget.span.AnnotateInt("bytes", int64(len(out)))
 		budget.span.EndErr(err)
 	}()
-	p, err := c.openRetrieve(url, budget)
+	p, err := c.openRetrieve(url, budget, true)
 	if err != nil {
 		return nil, err
 	}
@@ -205,9 +222,27 @@ func (r *retrieval) fetch() error {
 	}
 	w := r.c.window(len(r.p.sums))
 	rest := r.fetchBin(w)
+	if err := r.sendOp(); err != nil {
+		return err
+	}
 	return runWindow(min(w, len(rest)), len(rest), func(k int) error {
 		return r.getSlot(rest[k])
 	})
+}
+
+// sendOp posts the file retrieval operation request when no batch
+// carried it: chunk 0 did not travel over mcsbin/1, or its batch never
+// got a 200.
+func (r *retrieval) sendOp() error {
+	if r.p.op == nil {
+		return nil
+	}
+	var resp FileOpResponse
+	if err := r.c.postJSON(r.p.frontend, "/op/retrieve", r.p.op, &resp, r.budget); err != nil {
+		return err
+	}
+	r.p.op = nil
+	return nil
 }
 
 // fetchPaced fetches one chunk per request, in file order, sleeping the
@@ -220,10 +255,12 @@ func (r *retrieval) fetchPaced() error {
 		if i > 0 {
 			time.Sleep(c.InterChunkDelay())
 		}
-		if t := c.chunkTarget(r.p.frontend, sum); c.binHost(t) && len(r.getBatch(t, []int{i})) == 0 {
-			continue
+		if t := c.chunkTarget(r.p.frontend, sum); !c.binHost(t) || len(r.getBatch(t, []int{i})) > 0 {
+			if err := r.getSlot(i); err != nil {
+				return err
+			}
 		}
-		if err := r.getSlot(i); err != nil {
+		if err := r.sendOp(); err != nil {
 			return err
 		}
 	}
@@ -316,6 +353,9 @@ func (r *retrieval) getBatch(host string, ids []int) []int {
 			req.Header.Set("Content-Type", binContentType)
 			c.setIdentity(req)
 			c.setAPIVersion(req, host)
+			if ids[0] == 0 && r.p.op != nil {
+				req.Header.Set(FileRetrieveHeader, r.p.op.FileMD5)
+			}
 			return req, nil
 		},
 		func(resp *http.Response) error {
@@ -323,6 +363,9 @@ func (r *retrieval) getBatch(host string, ids []int) []int {
 			c.noteBin(host, resp.Header)
 			if resp.StatusCode != http.StatusOK {
 				return decodeError(resp)
+			}
+			if ids[0] == 0 {
+				r.p.op = nil // recorded by the front-end before this 200
 			}
 			for len(pending) > 0 {
 				i := pending[0]
