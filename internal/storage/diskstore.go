@@ -55,6 +55,12 @@ type DiskStore struct {
 	syncedLSN atomic.Int64
 	syncMu    sync.Mutex
 
+	// compactMu runs one Compact at a time. A second compactor would
+	// find no live records in a segment whose copies the first has
+	// appended but not yet fsynced, and unlink it: a crash then would
+	// lose chunks that were durable before the move.
+	compactMu sync.Mutex
+
 	puts        atomic.Int64
 	dedupHits   atomic.Int64
 	bytesStored atomic.Int64
@@ -675,11 +681,12 @@ func (ds *DiskStore) compactableLocked() []uint32 {
 // Compact rewrites every sealed segment whose live ratio has fallen
 // below CompactBelow, copying surviving records into the active
 // segment and unlinking the old file. It returns the number of
-// segments reclaimed. Safe to run concurrently with reads, writes,
-// and even another Compact: every record move re-checks the index
-// under the lock, so racing compactors skip work instead of
-// duplicating it.
+// segments reclaimed. Safe to run concurrently with reads and writes:
+// every record move re-checks the index under the lock. Concurrent
+// Compact calls run one after another.
 func (ds *DiskStore) Compact() (int, error) {
+	ds.compactMu.Lock()
+	defer ds.compactMu.Unlock()
 	ds.mu.RLock()
 	ids := ds.compactableLocked()
 	ds.mu.RUnlock()

@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -308,6 +309,87 @@ func TestDiskStoreCompaction(t *testing.T) {
 	}
 	defer ds2.Close()
 	check(ds2)
+}
+
+// TestDiskStoreCompactionConcurrent runs two Compact calls at once. The
+// first is held in the fsync that makes its copies durable; meanwhile
+// the second must not unlink the segment those copies came from — a
+// crash then would lose chunks that were durable before the move. Once
+// both return, a reopen finds every live record intact.
+func TestDiskStoreCompactionConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := OpenDiskStore(dir, DiskStoreOptions{SegmentSize: 8 << 10, CompactBelow: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := map[Sum][]byte{}
+	for i := 0; i < 60; i++ {
+		data := testChunk(4, i)
+		sum := SumBytes(data)
+		if err := ds.PutCtx(bg, sum, data); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 0 {
+			live[sum] = data
+		} else if err := ds.Delete(sum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds.mu.RLock()
+	ids := ds.compactableLocked()
+	ds.mu.RUnlock()
+	if len(ids) == 0 {
+		t.Fatal("no segment to compact")
+	}
+	source := filepath.Join(dir, segName(ids[0]))
+
+	var held atomic.Bool
+	stalled, release := make(chan struct{}), make(chan struct{})
+	hook := func(*DiskStore) error {
+		if held.CompareAndSwap(false, true) {
+			close(stalled)
+			<-release
+		}
+		return nil
+	}
+	fsyncFault.Store(&hook)
+	t.Cleanup(func() { fsyncFault.Store(nil) })
+	errc := make(chan error, 2)
+	compact := func() {
+		_, err := ds.Compact()
+		errc <- err
+	}
+	go compact()
+	<-stalled
+	go compact()
+	var unlinked error
+	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline) && unlinked == nil; {
+		_, unlinked = os.Stat(source)
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if unlinked != nil {
+		t.Fatalf("%s unlinked while the copies of its records awaited their fsync: %v", source, unlinked)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ds2, err := OpenDiskStore(dir, DiskStoreOptions{SegmentSize: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds2.Close()
+	for sum, data := range live {
+		got, err := ds2.GetCtx(bg, sum)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("live chunk %s after concurrent compaction and reopen: %v", sum, err)
+		}
+	}
 }
 
 // TestDiskStoreGCWiring exercises the existing GC path end to end

@@ -139,7 +139,8 @@ type FrontEndConfig struct {
 // metadata service, and logs every request.
 type FrontEnd struct {
 	store ChunkStore
-	local ChunkStore // serves replica-internal traffic
+	local ChunkStore       // serves replica-internal traffic
+	peers *ReplicatedStore // the ring, when store is one; nil single-node
 	meta  MetaService
 	sink  LogSink
 	cfg   FrontEndConfig
@@ -174,10 +175,11 @@ func NewFrontEnd(cfg FrontEndConfig) *FrontEnd {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	peers, _ := cfg.Store.(*ReplicatedStore)
 	local := cfg.Local
 	if local == nil {
-		if rs, ok := cfg.Store.(*ReplicatedStore); ok {
-			local = rs.Local()
+		if peers != nil {
+			local = peers.Local()
 		} else {
 			local = cfg.Store
 		}
@@ -185,6 +187,7 @@ func NewFrontEnd(cfg FrontEndConfig) *FrontEnd {
 	return &FrontEnd{
 		store:   cfg.Store,
 		local:   local,
+		peers:   peers,
 		meta:    cfg.Meta,
 		sink:    cfg.Sink,
 		cfg:     cfg,
@@ -308,6 +311,7 @@ func (f *FrontEnd) upstream() time.Duration {
 //	GET  /v1/chunk/{md5}     chunk retrieval request
 //	GET  /v1/cluster/info    node's cluster configuration
 //	GET  /v1/cluster/chunks  locally-held chunk listing (rebalance)
+//	POST /v1/cluster/vouch   confirms this node's peer token (vouch.go)
 //
 // The legacy unversioned paths (/op/store, /op/retrieve, /chunk/)
 // remain as thin aliases onto the same handlers. Every response
@@ -325,6 +329,7 @@ func (f *FrontEnd) Handler() http.Handler {
 	mux.HandleFunc("/v1/chunk/", f.handleChunk)
 	mux.HandleFunc("/v1/cluster/info", f.handleClusterInfo)
 	mux.HandleFunc("/v1/cluster/chunks", f.handleClusterChunks)
+	mux.HandleFunc("/v1/cluster/vouch", f.handleClusterVouch)
 	if !f.cfg.DisableBin {
 		mux.HandleFunc("/v1/bin/get", f.handleBinGet)
 		mux.HandleFunc("/v1/bin/put", f.handleBinPut)
@@ -595,8 +600,8 @@ func (f *FrontEnd) handleReplicaChunk(w http.ResponseWriter, r *http.Request, su
 // metadata-plane summary when this node knows how to build one.
 func (f *FrontEnd) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
 	var info ClusterInfo
-	if rs, ok := f.store.(*ReplicatedStore); ok {
-		info = rs.Info()
+	if f.peers != nil {
+		info = f.peers.Info()
 	} else {
 		info = ClusterInfo{Replicas: 1, Quorum: 1}
 	}
@@ -863,7 +868,9 @@ func (f *FrontEnd) handleBinGet(w http.ResponseWriter, r *http.Request) {
 
 // handleBinPut accepts a batched binary chunk upload: count frames,
 // each verified (CRC and MD5 during the streaming read) and handed to
-// the store, as verified, before the next is read. The batch owes one
+// the store, as verified, before the next is read. A replica batch
+// whose peer stamp a ring member has proven is verified by CRC alone:
+// that member MD5-verified every frame at its own ingress. The batch owes one
 // wait, after the last frame and before anything is acknowledged: one
 // group-commit fsync per local store or, on a replicated store, each
 // frame's write quorum — every remote owner gets the batch's frames
@@ -873,8 +880,8 @@ func (f *FrontEnd) handleBinGet(w http.ResponseWriter, r *http.Request) {
 // Any bad frame fails the whole request closed with the typed
 // envelope — nothing has been written to the response yet — and the
 // client falls back to per-chunk JSON PUTs, which are idempotent over
-// whatever this batch already stored. The ?url= query ties the chunks to their pending upload exactly like
-// PUT /v1/chunk/{md5}.
+// whatever this batch already stored. The ?url= query ties the chunks
+// to their pending upload exactly like PUT /v1/chunk/{md5}.
 func (f *FrontEnd) handleBinPut(w http.ResponseWriter, r *http.Request) {
 	started := f.cfg.Now()
 	if r.Method != http.MethodPost {
@@ -888,8 +895,10 @@ func (f *FrontEnd) handleBinPut(w http.ResponseWriter, r *http.Request) {
 	}
 	store := f.store
 	replica := isReplicaRequest(r)
+	crcOnly := false
 	if replica {
 		store = f.local
+		crcOnly = f.peers != nil && f.peers.trustedPeer(r.Header.Get(PeerHeader))
 	}
 	ctx, group := withSyncGroup(r.Context(), count)
 	// A batch that fails before its wait — a bad frame k — cuts the
@@ -902,12 +911,12 @@ func (f *FrontEnd) handleBinPut(w http.ResponseWriter, r *http.Request) {
 	ends := make([]time.Time, count)
 	tsrvs := f.upstreamBatch(r, count)
 	for i := 0; i < count; i++ {
-		bf, err := readBinFrame(r.Body, *scratch, true)
+		bf, err := readBinFrame(r.Body, *scratch, !crcOnly)
 		if err != nil {
 			f.fail(w, r, ingressErrStatus(err), err, trace.ChunkStore)
 			return
 		}
-		fr, err := bf.verified()
+		fr, err := bf.verified(crcOnly)
 		if err != nil {
 			f.fail(w, r, ingressErrStatus(err), err, trace.ChunkStore)
 			return

@@ -56,9 +56,10 @@ func ingressService(t *testing.T, store ChunkStore, parallel int) *Client {
 	return &Client{MetaURL: metaSrv.URL, UserID: 1, DeviceID: 1, Device: trace.Android, Parallel: parallel}
 }
 
-// TestIngressHashesOncePerNode pins the pass count: a 4 MB store costs
-// the client two MD5 passes (file, chunks) and every node that ends up
-// holding the bytes exactly one — at its ingress, none in the stores.
+// TestIngressHashesOncePerNode pins the pass count on one node: a 4 MB
+// store costs the client two MD5 passes (file, chunks) and the node
+// exactly one — at its ingress, none in the stores. A ring hashes once
+// per cluster instead (TestClusterHashesOncePerCluster).
 func TestIngressHashesOncePerNode(t *testing.T) {
 	const size = 4 << 20
 	clientPasses := int64(2 * size)
@@ -116,36 +117,6 @@ func TestIngressHashesOncePerNode(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("cluster", func(t *testing.T) {
-		nodes, meta := newTestCluster(t, 3, 3, 2)
-		metaSrv := httptest.NewServer(meta.Handler())
-		defer metaSrv.Close()
-		meta.AddFrontEnd(nodes[0].url)
-		client := &Client{MetaURL: metaSrv.URL, UserID: 1, DeviceID: 1, Device: trace.Android, Parallel: 2}
-		data := chunkedData(t, 3, size)
-
-		before := hashPasses.Load()
-		if _, err := client.StoreFile("a.bin", data); err != nil {
-			t.Fatal(err)
-		}
-		// W=2 acks while the third replica is still in flight.
-		sums := SplitSums(data) // (test-side hashing, subtracted below)
-		deadline := time.Now().Add(5 * time.Second)
-		for _, nd := range nodes {
-			for _, sum := range sums {
-				for !nd.local.Has(sum) {
-					if time.Now().After(deadline) {
-						t.Fatalf("%s never received %s", nd.url, sum)
-					}
-					time.Sleep(time.Millisecond)
-				}
-			}
-		}
-		if got := hashPasses.Load() - before - clientPasses - size; got != 3*size {
-			t.Fatalf("3 nodes hashed %d bytes for a %d-byte store, want one pass each", got, size)
-		}
-	})
 
 	t.Run("tiered-migrate", func(t *testing.T) {
 		cold, _ := newDiskStore(t, DiskStoreOptions{})
@@ -332,14 +303,22 @@ func binBatch(frames ...[]byte) []byte {
 // 200).
 func doChunkReq(t *testing.T, method, url string, body []byte, replica bool) error {
 	t.Helper()
+	hdr := http.Header{}
+	if replica {
+		hdr.Set(ReplicaHeader, "1")
+	}
+	return doChunkReqHeader(t, method, url, body, hdr)
+}
+
+// doChunkReqHeader is doChunkReq with the request's headers given.
+func doChunkReqHeader(t *testing.T, method, url string, body []byte, hdr http.Header) error {
+	t.Helper()
 	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
+	req.Header = hdr.Clone()
 	req.Header.Set(APIHeader, APIV1)
-	if replica {
-		req.Header.Set(ReplicaHeader, "1")
-	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

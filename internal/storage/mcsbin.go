@@ -79,12 +79,14 @@ type binFrame struct {
 
 // verified returns the frame as an ingress accepts it: a data frame
 // whose payload hashes to the digest its header names (readBinFrame
-// already checked the CRC).
-func (f *binFrame) verified() (*frame, error) {
+// already checked the CRC). crcOnly accepts a data frame on its CRC
+// alone; only a replica batch from an authenticated ring peer, which
+// MD5-verified the frame at its own ingress, is read that way.
+func (f *binFrame) verified(crcOnly bool) (*frame, error) {
 	if f.notFound {
 		return nil, fmt.Errorf("storage: mcsbin: not-found frame where a data frame was expected")
 	}
-	if f.got != f.sum {
+	if !crcOnly && f.got != f.sum {
 		return nil, fmt.Errorf("%w: frame payload hashes to %s, header says %s", ErrBadDigest, f.got, f.sum)
 	}
 	return &f.frame, nil
@@ -243,8 +245,9 @@ func replicaChunkReq(ctx context.Context, node string, f *frame) (*http.Request,
 // ingress and verifies once; it answers for the whole batch after its
 // own group fsync. Cancelling ctx cuts the request short. The queue
 // keeps every frame it was handed, so the transport can replay the body
-// from the start on a fresh connection.
-func replicaPutReq(ctx context.Context, node string, q *frameQueue) (*http.Request, error) {
+// from the start on a fresh connection. A non-empty stamp is sent as
+// the PeerHeader (see vouch.go).
+func replicaPutReq(ctx context.Context, node string, q *frameQueue, stamp string) (*http.Request, error) {
 	body := func() (io.ReadCloser, error) {
 		return io.NopCloser(&frameReader{q: q, parts: [][]byte{appendBinCount(nil, q.count)}}), nil
 	}
@@ -255,6 +258,9 @@ func replicaPutReq(ctx context.Context, node string, q *frameQueue) (*http.Reque
 	}
 	req.GetBody = body
 	req.Header.Set("Content-Type", binContentType)
+	if stamp != "" {
+		req.Header.Set(PeerHeader, stamp)
+	}
 	return req.WithContext(ctx), nil
 }
 

@@ -278,6 +278,12 @@ var errNotStandby = fmt.Errorf("storage: meta replicate: node is not a standby")
 // primary snapshot at seq under the primary's epoch, then checkpoints
 // so the local WAL drops its now-obsolete (possibly forked) history.
 func (m *Metadata) ResetFromSnapshot(snap metaSnapshot, seq, epoch uint64) error {
+	// The reset and its checkpoint hold the checkpoint lock together,
+	// so no other checkpoint lands between them.
+	if w := m.wal; w != nil {
+		w.cpMu.Lock()
+		defer w.cpMu.Unlock()
+	}
 	m.mu.Lock()
 	m.byMD5 = make(map[Sum]*FileMeta)
 	m.byURL = make(map[string]*FileMeta)
@@ -292,10 +298,11 @@ func (m *Metadata) ResetFromSnapshot(snap metaSnapshot, seq, epoch uint64) error
 		}
 	}
 	m.mu.Unlock()
-	if err != nil {
+	if err != nil || m.wal == nil {
 		return err
 	}
-	return m.Checkpoint()
+	m.wal.reseed = true
+	return m.checkpointLocked()
 }
 
 // MetaWALStatus is the /meta/wal/status wire form, used by operators

@@ -43,6 +43,18 @@ import (
 type MetaWAL struct {
 	dir string
 
+	// cpMu runs one checkpoint at a time, from rotation through prune,
+	// so checkpoints land in the order their snapshots were taken: none
+	// replaces a newer one, and cpSeq only rises (a reseed, which
+	// discards the history it replaces, is the one way it falls). Lock
+	// order: cpMu, then Metadata.mu, then mu.
+	cpMu sync.Mutex
+	// reseed makes the next checkpoint write even at an unchanged
+	// sequence and prune every sealed segment: the catalog was replaced
+	// by ResetFromSnapshot, so the log on disk is another history
+	// (guarded by cpMu).
+	reseed bool
+
 	mu         sync.Mutex
 	active     *os.File
 	activeID   uint32
@@ -176,6 +188,12 @@ func OpenDurableMetadata(dir string) (*Metadata, error) {
 		rec := replay[i]
 		if rec.Seq <= m.lastSeq {
 			continue // covered by the checkpoint (prune raced a crash)
+		}
+		if rec.Seq != m.lastSeq+1 {
+			// Acknowledged records are on no disk: refuse to serve a
+			// catalog that silently lacks them.
+			return nil, fmt.Errorf("storage: metawal: replay gap: records %d..%d missing (checkpoint seq %d)",
+				m.lastSeq+1, rec.Seq-1, w.cpSeq)
 		}
 		if err := m.applyRecordLocked(&rec); err != nil {
 			return nil, fmt.Errorf("storage: metawal: replay seq %d: %w", rec.Seq, err)
@@ -466,10 +484,10 @@ func (w *MetaWAL) writeCheckpoint(snap metaSnapshot, seq, epoch uint64) error {
 }
 
 // prune deletes sealed segments fully covered by the checkpoint at
-// seq. A crash before (or during) pruning is safe: replay skips
-// records at or below the checkpoint sequence, and the next
-// checkpoint collects the leftovers.
-func (w *MetaWAL) prune(seq uint64) error {
+// seq — all of them after a reseed. A crash before (or during) pruning
+// is safe: replay skips records at or below the checkpoint sequence,
+// and the next checkpoint collects the leftovers.
+func (w *MetaWAL) prune(seq uint64, all bool) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.cpSeq = seq
@@ -477,7 +495,7 @@ func (w *MetaWAL) prune(seq uint64) error {
 	kept := w.sealed[:0]
 	var first error
 	for _, s := range w.sealed {
-		if s.lastSeq <= seq {
+		if all || s.lastSeq <= seq {
 			if err := os.Remove(filepath.Join(w.dir, walSegName(s.id))); err != nil && !os.IsNotExist(err) && first == nil {
 				first = err
 				kept = append(kept, s)
@@ -564,17 +582,26 @@ func (w *MetaWAL) Instrument(reg *metrics.Registry) {
 // segment, writes the snapshot atomically, and prunes the segments it
 // covers. Mutations are paused only for the in-memory serialization
 // and rotation; the disk writes happen after the lock drops. A no-op
-// when nothing was logged since the last checkpoint.
+// when nothing was logged since the last checkpoint. Concurrent calls
+// run one after another.
 func (m *Metadata) Checkpoint() error {
 	w := m.wal
 	if w == nil {
 		return nil
 	}
+	w.cpMu.Lock()
+	defer w.cpMu.Unlock()
+	return m.checkpointLocked()
+}
+
+// checkpointLocked is Checkpoint for a caller holding wal.cpMu.
+func (m *Metadata) checkpointLocked() error {
+	w := m.wal
 	m.mu.Lock()
 	seq := m.lastSeq
 	epoch := m.epoch
 	w.mu.Lock()
-	if seq == w.cpSeq {
+	if seq == w.cpSeq && !w.reseed {
 		w.mu.Unlock()
 		m.mu.Unlock()
 		return nil
@@ -586,11 +613,22 @@ func (m *Metadata) Checkpoint() error {
 	if err != nil {
 		return err
 	}
+	if checkpointStall != nil {
+		checkpointStall()
+	}
 	if err := w.writeCheckpoint(snap, seq, epoch); err != nil {
 		return err
 	}
-	return w.prune(seq)
+	err = w.prune(seq, w.reseed)
+	w.reseed = false
+	return err
 }
+
+// checkpointStall, when set, runs inside Checkpoint between rotation
+// and the checkpoint write, with no lock but the checkpoint's own held.
+// Test hook: lets a test hold a checkpoint at the point where a
+// concurrent one used to overtake it.
+var checkpointStall func()
 
 // CloseWAL checkpoints and closes the log; the metadata server keeps
 // serving from memory but no longer persists (used at shutdown).

@@ -9,7 +9,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 )
 
 func openDurableMeta(t *testing.T, dir string) *Metadata {
@@ -567,4 +569,150 @@ func TestMetaWALGroupCommit(t *testing.T) {
 	if st := w.Stats(); st.Appends != n {
 		t.Fatalf("appends = %d, want %d", st.Appends, n)
 	}
+}
+
+// TestMetaWALCheckpointInterleaving forces the interleaving two
+// concurrent checkpoints used to allow: A rotates at seq a and stalls
+// before writing its snapshot; more records are acked; B checkpoints
+// at b > a. B must not overtake A — had it pruned the segment holding
+// a+1..b, A's older snapshot would land over B's and those records
+// would be on no disk. Every acked URL must survive a reopen.
+func TestMetaWALCheckpointInterleaving(t *testing.T) {
+	dir := t.TempDir()
+	m := openDurableMeta(t, dir)
+	var urls []string
+	for i := 0; i < 4; i++ {
+		urls = append(urls, metaUpload(t, m, 31, i, 1))
+	}
+	stalled, release := make(chan struct{}), make(chan struct{})
+	var once bool
+	checkpointStall = func() {
+		if !once { // only A stalls
+			once = true
+			close(stalled)
+			<-release
+		}
+	}
+	defer func() { checkpointStall = nil }()
+	aDone := make(chan error, 1)
+	go func() { aDone <- m.Checkpoint() }()
+	<-stalled
+	for i := 4; i < 8; i++ {
+		urls = append(urls, metaUpload(t, m, 31, i, 1))
+	}
+	bDone := make(chan error, 1)
+	go func() { bDone <- m.Checkpoint() }()
+	select {
+	case err := <-bDone:
+		// B ran whole while A was stalled: A now lands over it.
+		close(release)
+		if aerr := <-aDone; aerr != nil {
+			t.Fatal(aerr)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(200 * time.Millisecond):
+		close(release) // B is waiting for A, as it must
+		if err := <-aDone; err != nil {
+			t.Fatal(err)
+		}
+		if err := <-bDone; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := m.WAL().Stats(); st.CheckpointSeq != m.LastSeq() {
+		t.Fatalf("checkpoint seq %d after both checkpoints, want the newest, %d", st.CheckpointSeq, m.LastSeq())
+	}
+	if err := m.WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := OpenDurableMetadata(dir)
+	if err != nil {
+		t.Fatalf("reopen after interleaved checkpoints: %v", err)
+	}
+	defer m2.WAL().Close()
+	for _, u := range urls {
+		if _, err := m2.LookupURL(u); err != nil {
+			t.Fatalf("acked URL %s lost: %v", u, err)
+		}
+	}
+	requireSameState(t, m, m2, "recovery after interleaved checkpoints")
+}
+
+// TestMetaWALReplayGapRefused: a WAL whose records after the checkpoint
+// skip a range — the segment that held them is gone — refuses to open
+// and names the missing range, instead of serving a catalog without
+// them. The damaged directory is the one the checkpoint race left: an
+// older checkpoint over a newer one that had pruned the records in
+// between.
+func TestMetaWALReplayGapRefused(t *testing.T) {
+	dir := t.TempDir()
+	m := openDurableMeta(t, dir)
+	for i := 0; i < 3; i++ {
+		metaUpload(t, m, 32, i, 1)
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(filepath.Join(dir, checkpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := m.LastSeq()
+	for i := 3; i < 6; i++ {
+		metaUpload(t, m, 32, i, 1)
+	}
+	if err := m.Checkpoint(); err != nil { // prunes the segment holding a+1..b
+		t.Fatal(err)
+	}
+	b := m.LastSeq()
+	metaUpload(t, m, 32, 6, 1)
+	if err := m.WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, checkpointName), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenDurableMetadata(dir)
+	if err == nil {
+		t.Fatal("a WAL missing records after its checkpoint opened")
+	}
+	if want := fmt.Sprintf("records %d..%d missing", a+1, b); !strings.Contains(err.Error(), want) {
+		t.Fatalf("open error %q does not name the missing range %q", err, want)
+	}
+}
+
+// TestMetaWALReseedCheckpoints: a reseed replaces the catalog with a
+// primary's snapshot and checkpoints it even when the snapshot's
+// sequence equals the local checkpoint's — a deposed primary's forked
+// history can end at the very sequence the new primary's does. The
+// reopened node must come back with the primary's catalog, not its own
+// discarded one.
+func TestMetaWALReseedCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	m := openDurableMeta(t, dir)
+	primary := NewMetadata()
+	for i := 0; i < 3; i++ {
+		metaUpload(t, m, 33, i, 1)
+		metaUpload(t, primary, 34, i, 2)
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	seq := primary.LastSeq()
+	if seq != m.LastSeq() {
+		t.Fatalf("histories end at %d and %d; the test needs them equal", seq, m.LastSeq())
+	}
+	primary.mu.RLock()
+	snap := primary.snapshotLocked()
+	primary.mu.RUnlock()
+	if err := m.ResetFromSnapshot(snap, seq, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+	m2 := openDurableMeta(t, dir)
+	requireSameState(t, primary, m2, "reopen after a reseed at the checkpoint's sequence")
 }

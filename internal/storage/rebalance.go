@@ -325,13 +325,14 @@ func (rb *Rebalancer) fetchFrom(have map[string]bool, sum Sum) *frame {
 }
 
 // putTo re-streams a verified frame to node as it stands; the node is
-// its own ingress and verifies once.
+// its own ingress and verifies once. The rebalancer is no ring member
+// and carries no peer stamp, so that check is always the MD5.
 func (rb *Rebalancer) putTo(node string, fr *frame) error {
 	ctx := context.Background()
 	var req *http.Request
 	var err error
 	if rb.binNode(node) {
-		req, err = replicaPutReq(ctx, node, newFrameQueue(fr))
+		req, err = replicaPutReq(ctx, node, newFrameQueue(fr), "")
 	} else {
 		req, err = replicaChunkReq(ctx, node, fr)
 	}

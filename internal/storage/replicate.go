@@ -53,6 +53,8 @@ type ReplicatedStore struct {
 	binPeers   map[string]bool // peer -> last-seen X-MCS-Bin capability
 	disableBin bool
 
+	auth *peerAuth // this node's peer token and the ones peers proved (vouch.go)
+
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
@@ -128,6 +130,10 @@ func NewReplicatedStore(cfg ReplicatedConfig) (*ReplicatedStore, error) {
 	if health == nil {
 		health = cluster.NewHealth(0, 0)
 	}
+	auth, err := newPeerAuth()
+	if err != nil {
+		return nil, err
+	}
 	rs := &ReplicatedStore{
 		self:       cfg.Self,
 		ring:       ring,
@@ -137,6 +143,7 @@ func NewReplicatedStore(cfg ReplicatedConfig) (*ReplicatedStore, error) {
 		http:       httpc,
 		health:     health,
 		disableBin: cfg.DisableBin,
+		auth:       auth,
 		repairQ:    make(map[Sum]map[string]bool),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -158,6 +165,8 @@ func NewReplicatedStore(cfg ReplicatedConfig) (*ReplicatedStore, error) {
 func (rs *ReplicatedStore) Instrument(reg *metrics.Registry) {
 	rs.met = cluster.NewMetrics(reg, rs.ring, rs.health)
 	rs.met.SetUnderreplicated(rs.Underreplicated())
+	reg.GaugeFunc("mcs_cluster_peers_vouched", "Ring peers whose replica batches this node checks by CRC only.",
+		func() float64 { return float64(rs.vouchedPeers()) })
 }
 
 // Local returns the node's own store (serves replica-internal
@@ -174,10 +183,11 @@ func (rs *ReplicatedStore) Owners(sum Sum) []string {
 	return rs.ring.Owners(cluster.Key(sum), rs.n)
 }
 
-// Close stops the repair loop.
+// Close stops the repair loop and the vouch callbacks.
 func (rs *ReplicatedStore) Close() error {
 	rs.stopOnce.Do(func() { close(rs.stop) })
 	<-rs.done
+	rs.auth.close()
 	return nil
 }
 
@@ -780,7 +790,10 @@ func (rs *ReplicatedStore) putReplica(ctx context.Context, node string, fr *fram
 // as its child: one mcsbin/1 request for the whole queue when the owner
 // speaks the dialect, else one JSON PUT per frame as it lands. A remote
 // is its own ingress: it receives each frame as it stands (header
-// verbatim on the binary dialect) and verifies once.
+// verbatim on the binary dialect) and verifies once — by CRC alone
+// when it has proven this node's peer stamp, since every frame queued
+// here was MD5-verified at this node's ingress or read back from its
+// own store.
 func (rs *ReplicatedStore) sendFrames(ctx context.Context, node string, q *frameQueue) (err error) {
 	sp := tracing.ChildFromContext(ctx, tracing.CompReplicate, tracing.SpanReplicaPut)
 	sp.Annotate("node", node)
@@ -788,7 +801,7 @@ func (rs *ReplicatedStore) sendFrames(ctx context.Context, node string, q *frame
 	defer func() { sp.EndErr(err) }()
 	if rs.binPeer(node) {
 		sp.Annotate("dialect", BinV1)
-		req, err := replicaPutReq(ctx, node, q)
+		req, err := replicaPutReq(ctx, node, q, rs.peerStamp())
 		if err != nil {
 			return err
 		}

@@ -41,7 +41,10 @@
 #   4. a follow-up mcsrebalance pass finds nothing left to move;
 #   5. distributed tracing joins end-to-end: mcstrace -strict over the
 #      storage nodes' /debug/traces plus both loaders' trace dumps must
-#      decompose every acknowledged chunk transfer completely.
+#      decompose every acknowledged chunk transfer completely;
+#   6. ring peers prove each other's stamps across processes: nodes 1
+#      and 3, which stream mcsbin/1 replica batches to each other, each
+#      check the other's batches by CRC only (mcs_cluster_peers_vouched).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -146,6 +149,17 @@ gauge_zero() {
 gauge_zero 8091 mcs_cluster_underreplicated
 gauge_zero 8092 mcs_cluster_underreplicated
 echo "cluster_smoke: under-replication drained to 0 on all nodes"
+
+# Invariant 6: node 2 withholds mcsbin/1 and sends no peer stamp, so
+# nodes 1 and 3 have each proven exactly the other.
+for port in 8090 8092; do
+    v=$(curl -fsS "http://127.0.0.1:$port/metrics" | awk 'index($1, "mcs_cluster_peers_vouched") == 1 {print $2}')
+    if [ "${v:-0}" != 1 ]; then
+        echo "cluster_smoke: ops port $port vouched ${v:-0} ring peers, want 1" >&2
+        exit 1
+    fi
+done
+echo "cluster_smoke: the two mcsbin/1 nodes proved each other's peer stamps"
 
 # --- Phase B: metadata-plane failover ------------------------------
 # Invariant 3, first act: once the second load is demonstrably in
