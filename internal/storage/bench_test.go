@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"mcloud/internal/md5lanes"
 	"mcloud/internal/randx"
 	"mcloud/internal/trace"
 )
@@ -129,8 +130,9 @@ func BenchmarkTransferWindow(b *testing.B) {
 // BenchmarkIngestBatch measures the server's whole per-byte write path
 // for one upload batch — a 4 × 512 KB /v1/bin/put through the handler
 // and the cache layer into a DiskStore — with fsync off, so ns/op is
-// the CPU work (one MD5+CRC pass per frame, one write per record) and
-// B/op shows any payload-sized copy that creeps back in.
+// the CPU work (a CRC pass per frame as it is read, one lane MD5 pass
+// over the batch, one write per record) and B/op shows any
+// payload-sized copy that creeps back in.
 func BenchmarkIngestBatch(b *testing.B) {
 	const frames = 4
 	_, chunks := benchChunks(frames, ChunkSize)
@@ -187,8 +189,8 @@ func BenchmarkIngestBatch(b *testing.B) {
 
 // BenchmarkStoreFileHashing measures StoreFile's hashing stage — file
 // digest plus per-chunk frame headers for a 4 MB file — at transfer
-// windows of one (strictly serial) and two (chunks on the second
-// core while this one hashes the file).
+// windows of one (strictly serial) and two (the chunk pass on the
+// second core while this one hashes the file).
 func BenchmarkStoreFileHashing(b *testing.B) {
 	_, chunks := benchChunks(1, 4<<20)
 	data := chunks[0]
@@ -199,9 +201,37 @@ func BenchmarkStoreFileHashing(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				up := newUpload(data)
-				up.start(c.window(len(up.sums)) - 1)
+				if c.window(len(up.sums)) > 1 {
+					up.start()
+				}
 				benchSink = SumBytes(data)
 				up.hashAll()
+			}
+		})
+	}
+}
+
+// BenchmarkMD5Lanes hashes n independent chunks: side by side in one
+// md5lanes pass (the 16-lane kernel where the CPU has AVX-512F), and
+// one after another through crypto/md5, the per-chunk loop the lane
+// pass replaced on the client and at ingress.
+func BenchmarkMD5Lanes(b *testing.B) {
+	_, chunks := benchChunks(md5lanes.MaxLanes, ChunkSize)
+	b.Logf("16-lane AVX-512 kernel in use: %v", md5lanes.Accelerated())
+	sums := make([]Sum, len(chunks))
+	for _, n := range []int{1, 2, 4, 16} {
+		b.Run(fmt.Sprintf("lanes/n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(n) * ChunkSize)
+			for i := 0; i < b.N; i++ {
+				sumChunks(sums[:n], chunks[:n])
+			}
+		})
+		b.Run(fmt.Sprintf("md5/n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(n) * ChunkSize)
+			for i := 0; i < b.N; i++ {
+				for j, c := range chunks[:n] {
+					sums[j] = SumBytes(c)
+				}
 			}
 		})
 	}

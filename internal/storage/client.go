@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mcloud/internal/cluster"
+	"mcloud/internal/md5lanes"
 	"mcloud/internal/randx"
 	"mcloud/internal/trace"
 	"mcloud/internal/tracing"
@@ -510,12 +511,13 @@ func (c *Client) StoreFile(name string, data []byte) (res StoreResult, err error
 	budget.span.AnnotateInt("bytes", int64(len(data)))
 	defer func() { budget.span.EndErr(err) }()
 	// The chunk digests are needed only if the dedup check says
-	// "upload", but the transfer window's other goroutines are idle
-	// until then: they hash chunks while this one hashes the file and
-	// asks. A window of one hashes on this goroutine alone: a hasher
-	// beside it only competes with the other devices and the servers for
-	// the cores (measured: +20% store p50 on a loaded 2-core box); its
-	// chunks still go out in one mcsbin/1 batch.
+	// "upload", but with a transfer window above one a second core is
+	// the client's to use until then: one goroutine hashes the chunks
+	// while this one hashes the file and asks. A window of one hashes
+	// on this goroutine alone, after the check: a hasher beside it only
+	// competes with the other devices and the servers for the cores
+	// (measured: +20% store p50 on a loaded 2-core box); its chunks
+	// still go out in one mcsbin/1 batch.
 	up := newUpload(data)
 	var fileSum Sum
 	if len(up.sums) == 1 {
@@ -523,10 +525,12 @@ func (c *Client) StoreFile(name string, data []byte) (res StoreResult, err error
 		up.hashAll()
 		fileSum = up.sums[0]
 	} else {
-		up.start(c.window(len(up.sums)) - 1)
+		if c.window(len(up.sums)) > 1 {
+			up.start()
+		}
 		// On any early return — error, or a Duplicate verdict — the
-		// hashers stop at the next chunk boundary and let go of the
-		// caller's bytes before StoreFile returns.
+		// pass stops at the next lane group and lets go of the caller's
+		// bytes before StoreFile returns.
 		defer up.cancel()
 		fileSum = SumBytes(data)
 	}
@@ -611,19 +615,17 @@ func (c *Client) StoreFile(name string, data []byte) (res StoreResult, err error
 
 // upload is one file being stored: its bytes and, per chunk, the
 // mcsbin/1 frame header (digest, length, CRC) — everything either
-// dialect needs to send a chunk, computed in a single visit to each
-// chunk. The hashing can be spread over goroutines: workers claim
-// chunk indices from a shared counter and fill disjoint slots, so the
-// result is the same whatever the interleaving.
+// dialect needs to send a chunk. The full-size chunks are independent
+// messages of one length, so their digests come from md5lanes passes
+// of up to 16 chunks each.
 type upload struct {
 	data     []byte
 	sums     []Sum
 	hdrs     []byte         // len(sums) frame headers, back to back
 	byDigest map[string]int // hex digest -> first chunk index carrying it
 
-	next atomic.Int64 // next unclaimed chunk index
-	stop atomic.Bool  // set by cancel; checked at chunk boundaries
-	wg   sync.WaitGroup
+	stop atomic.Bool   // set by cancel; checked between lane groups
+	done chan struct{} // closed when the pass returns; nil until one runs
 }
 
 func newUpload(data []byte) *upload {
@@ -649,45 +651,54 @@ func (u *upload) chunk(i int) []byte {
 // hdr returns chunk i's frame header.
 func (u *upload) hdr(i int) []byte { return u.hdrs[i*recHeaderSize : (i+1)*recHeaderSize] }
 
-// hashLoop claims and hashes chunks until none are left or the upload
-// is cancelled. The CRC runs right behind the MD5 it depends on (the
-// checksum covers the digest), while the chunk is still cache-warm.
-func (u *upload) hashLoop() {
-	for !u.stop.Load() {
-		i := int(u.next.Add(1)) - 1
-		if i >= len(u.sums) {
+// hash fills in every chunk's digest and frame header, unless the
+// upload is cancelled first, a group of md5lanes.MaxLanes chunks at a
+// time (sumChunks). The group's CRCs, which cover the digests, run
+// right behind its MD5s, while its chunks are still cache-warm.
+func (u *upload) hash() {
+	var group [md5lanes.MaxLanes][]byte
+	for lo := 0; lo < len(u.sums); lo += len(group) {
+		if u.stop.Load() {
 			return
 		}
-		p := u.chunk(i)
-		u.sums[i] = SumBytes(p)
-		encodeHeader(u.hdr(i), u.sums[i], uint32(len(p)), p)
+		hi := min(lo+len(group), len(u.sums))
+		for i := lo; i < hi; i++ {
+			group[i-lo] = u.chunk(i)
+		}
+		sumChunks(u.sums[lo:hi], group[:hi-lo])
+		for i := lo; i < hi; i++ {
+			encodeHeader(u.hdr(i), u.sums[i], uint32(len(group[i-lo])), group[i-lo])
+		}
 	}
 }
 
-// start hashes chunks on n background goroutines (none for n < 1).
-func (u *upload) start(n int) {
-	for ; n > 0; n-- {
-		u.wg.Add(1)
-		go func() {
-			defer u.wg.Done()
-			u.hashLoop()
-		}()
-	}
+// start runs the hashing pass on a goroutine of its own.
+func (u *upload) start() {
+	u.done = make(chan struct{})
+	go func() {
+		defer close(u.done)
+		u.hash()
+	}()
 }
 
-// hashAll returns once every chunk is hashed: the caller works through
-// whatever the background goroutines have not claimed, then waits for
-// them.
+// hashAll returns once every chunk is hashed: it runs the pass on
+// this goroutine unless one has run or been started, then waits for it.
 func (u *upload) hashAll() {
-	u.hashLoop()
-	u.wg.Wait()
+	if u.done == nil {
+		u.done = make(chan struct{})
+		u.hash()
+		close(u.done)
+	}
+	<-u.done
 }
 
-// cancel abandons the hashing at the next chunk boundary and waits for
-// the background goroutines to let go of the caller's bytes.
+// cancel abandons the hashing at the next lane group and waits for a
+// running pass to let go of the caller's bytes.
 func (u *upload) cancel() {
 	u.stop.Store(true)
-	u.wg.Wait()
+	if u.done != nil {
+		<-u.done
+	}
 }
 
 // DefaultParallel is the chunk-transfer window used when

@@ -866,22 +866,26 @@ func (f *FrontEnd) handleBinGet(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleBinPut accepts a batched binary chunk upload: count frames,
-// each verified (CRC and MD5 during the streaming read) and handed to
-// the store, as verified, before the next is read. A replica batch
-// whose peer stamp a ring member has proven is verified by CRC alone:
-// that member MD5-verified every frame at its own ingress. The batch owes one
-// wait, after the last frame and before anything is acknowledged: one
-// group-commit fsync per local store or, on a replicated store, each
-// frame's write quorum — every remote owner gets the batch's frames
-// over one stream as they land here and acks it after its own group
-// fsync, and the local fsync counts as one more ack. No response
-// byte, no pending-upload progress and no commit precedes the wait.
-// Any bad frame fails the whole request closed with the typed
-// envelope — nothing has been written to the response yet — and the
-// client falls back to per-chunk JSON PUTs, which are idempotent over
-// whatever this batch already stored. The ?url= query ties the chunks
-// to their pending upload exactly like PUT /v1/chunk/{md5}.
+// handleBinPut accepts a batched binary chunk upload of count frames.
+// It reads the whole batch first, each frame into a chunk buffer of
+// its own with its CRC checked as the bytes arrive, then MD5-verifies
+// every frame, then hands the frames to the store in batch order. A
+// lone frame is hashed as it streams; in a larger batch the full-size
+// frames are hashed side by side in one lane pass after the last byte
+// (sumFrames). A replica batch whose peer stamp a ring member has
+// proven is verified by CRC alone: that member MD5-verified every
+// frame at its own ingress. Any bad frame fails the whole request
+// closed with the typed envelope before anything is stored or relayed
+// — nothing has been written to the response yet — and the client
+// falls back to per-chunk JSON PUTs. The batch owes one wait, after
+// the last put and before anything is acknowledged: one group-commit
+// fsync per local store or, on a replicated store, each frame's write
+// quorum — every remote owner gets the batch's frames over one stream
+// as they are put here and acks it after its own group fsync, and the
+// local fsync counts as one more ack. No response byte, no
+// pending-upload progress and no commit precedes the wait. The ?url=
+// query ties the chunks to their pending upload exactly like PUT
+// /v1/chunk/{md5}.
 func (f *FrontEnd) handleBinPut(w http.ResponseWriter, r *http.Request) {
 	started := f.cfg.Now()
 	if r.Method != http.MethodPost {
@@ -900,44 +904,49 @@ func (f *FrontEnd) handleBinPut(w http.ResponseWriter, r *http.Request) {
 		store = f.local
 		crcOnly = f.peers != nil && f.peers.trustedPeer(r.Header.Get(PeerHeader))
 	}
-	ctx, group := withSyncGroup(r.Context(), count)
-	// A batch that fails before its wait — a bad frame k — cuts the
-	// replica streams short: frame k and those after it reach no owner.
-	defer group.release()
-	scratch := getChunkBuf()
-	defer putChunkBuf(scratch)
-	sums := make([]Sum, count)
-	sizes := make([]int64, count)
-	ends := make([]time.Time, count)
 	tsrvs := f.upstreamBatch(r, count)
-	for i := 0; i < count; i++ {
-		bf, err := readBinFrame(r.Body, *scratch, !crcOnly)
+	frames := make([]binFrame, count)
+	ends := make([]time.Time, count)
+	for i := range frames {
+		buf := getChunkBuf()
+		defer putChunkBuf(buf) // once the batch is stored, or refused
+		frames[i], err = readBinFrame(r.Body, *buf, !crcOnly && count == 1)
 		if err != nil {
 			f.fail(w, r, ingressErrStatus(err), err, trace.ChunkStore)
 			return
 		}
-		fr, err := bf.verified(crcOnly)
-		if err != nil {
+		ends[i] = f.cfg.Now()
+	}
+	if !crcOnly && count > 1 {
+		sumFrames(frames)
+	}
+	verified := make([]*frame, count)
+	for i := range frames {
+		if verified[i], err = frames[i].verified(crcOnly); err != nil {
 			f.fail(w, r, ingressErrStatus(err), err, trace.ChunkStore)
 			return
 		}
-		if err := store.PutCtx(withVerified(ctx, fr), bf.sum, fr.payload); err != nil {
+	}
+	ctx, group := withSyncGroup(r.Context(), count)
+	defer group.release()
+	for i, fr := range verified {
+		if err := store.PutCtx(withVerified(ctx, fr), frames[i].sum, fr.payload); err != nil {
 			f.fail(w, r, storeErrStatus(err), err, trace.ChunkStore)
 			return
 		}
-		sums[i], sizes[i], ends[i] = bf.sum, int64(len(fr.payload)), f.cfg.Now()
 	}
 	if err := group.wait(ctx); err != nil {
 		f.fail(w, r, storeErrStatus(err), err, trace.ChunkStore)
 		return
 	}
-	// Per-chunk Table 1 logs with additive elapsed shares; the shared
-	// fsync wait lands on the last chunk, so the batch accounts for the
-	// same wall time as n single requests.
+	// Per-chunk Table 1 logs with additive elapsed shares: a frame's
+	// share ends when its last byte is read, and the verification, the
+	// puts and the shared fsync wait land on the last chunk, so the
+	// batch accounts for the same wall time as n single requests.
 	ends[count-1] = f.cfg.Now()
 	prev := started
-	for i := range sums {
-		f.recordAt(r, trace.ChunkStore, sizes[i], prev, ends[i].Sub(prev), tsrvs[i])
+	for i := range frames {
+		f.recordAt(r, trace.ChunkStore, int64(len(frames[i].payload)), prev, ends[i].Sub(prev), tsrvs[i])
 		prev = ends[i]
 	}
 
@@ -946,8 +955,8 @@ func (f *FrontEnd) handleBinPut(w http.ResponseWriter, r *http.Request) {
 		var snapshot []Sum
 		var shard int
 		if p, ok := f.pending[url]; ok {
-			for _, sum := range sums {
-				p.got[sum] = true
+			for i := range frames {
+				p.got[frames[i].sum] = true
 			}
 			if f.completeLocked(p) {
 				snapshot = append([]Sum(nil), p.expected...)

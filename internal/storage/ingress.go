@@ -18,7 +18,9 @@ import (
 // every layer. The places where chunk bytes enter the process — the
 // front-end's chunk PUT handlers, a replica read, a rebalance fetch —
 // check MD5 and CRC exactly once, in the pass that takes the bytes off
-// the socket, and the result travels on as a verified frame: the
+// the socket (a multi-frame bin/put hashes its frames side by side once
+// the batch is in, see sumFrames), and the result travels on as a
+// verified frame: the
 // 24-byte sum|len|crc32 record header plus the payload it was checked
 // against, which is both the mcsbin/1 wire frame and the DiskStore
 // record. The store stack below carries it verbatim: the proof rides

@@ -446,6 +446,88 @@ func TestIngressCorruptionMatrix(t *testing.T) {
 	}
 }
 
+// TestBinPutBadFrameStoresNothing: a bin/put batch is verified whole
+// before any frame is put. A 16-frame batch of full-size chunks — the
+// one the lane pass hashes side by side — with a forged frame (valid
+// CRC, wrong digest) first, in the middle or last, or cut off
+// mid-frame, is refused with nothing stored on any node of the ring
+// and no replica write sent; the intact batch lands everywhere.
+func TestBinPutBadFrameStoresNothing(t *testing.T) {
+	nodes, _ := newTestCluster(t, 3, 3, 2)
+	// A replica write reaches an owner as a bin/put stream, or as JSON
+	// chunk PUTs before the owner's mcsbin/1 stamp has been seen.
+	var replicaWrites atomic.Int64
+	for _, nd := range nodes {
+		fe := nd.fe
+		nd.fe = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if isReplicaRequest(r) && (r.URL.Path == "/v1/bin/put" || r.Method == http.MethodPut) {
+				replicaWrites.Add(1)
+			}
+			fe.ServeHTTP(w, r)
+		})
+		nd.up()
+	}
+	seed := uint64(0)
+	// batch returns 16 full-size frames, the one at bad forged, and
+	// every digest that must not land if the batch is refused.
+	batch := func(bad int) (body []byte, sums []Sum) {
+		var frames [][]byte
+		for i := 0; i < binMaxBatch; i++ {
+			seed++
+			data := chunkedData(t, 7000+seed, ChunkSize)
+			sum := SumBytes(data)
+			sums = append(sums, sum)
+			if i == bad {
+				frame, claimed := corruptFrame("wrong-digest", data)
+				frames = append(frames, frame)
+				sums = append(sums, claimed)
+				continue
+			}
+			frames = append(frames, appendBinFrame(nil, sum, data))
+		}
+		return binBatch(frames...), sums
+	}
+	refused := func(t *testing.T, body []byte, sums []Sum, code string) {
+		t.Helper()
+		err := doChunkReq(t, http.MethodPost, nodes[0].url+"/v1/bin/put", body, false)
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.Code != code || ae.Status != http.StatusBadRequest {
+			t.Fatalf("got %v, want a 400 %s envelope", err, code)
+		}
+		time.Sleep(20 * time.Millisecond) // anything wrongly fanned out would land by now
+		for _, nd := range nodes {
+			for _, sum := range sums {
+				if nd.local.Has(sum) {
+					t.Fatalf("%s holds %s after the rejection", nd.url, sum)
+				}
+			}
+		}
+		if n := replicaWrites.Load(); n != 0 {
+			t.Fatalf("a refused batch sent %d replica writes", n)
+		}
+	}
+	for _, bad := range []int{0, 7, 15} {
+		t.Run(fmt.Sprintf("forged-frame-%d", bad), func(t *testing.T) {
+			body, sums := batch(bad)
+			refused(t, body, sums, CodeBadDigest)
+		})
+	}
+	t.Run("truncated", func(t *testing.T) {
+		body, sums := batch(-1)
+		refused(t, body[:len(body)-ChunkSize/2], sums, CodeBadRequest)
+	})
+	t.Run("intact", func(t *testing.T) {
+		body, sums := batch(-1)
+		if err := doChunkReq(t, http.MethodPost, nodes[0].url+"/v1/bin/put", body, false); err != nil {
+			t.Fatal(err)
+		}
+		awaitReplicas(t, nodes, sums)
+		if replicaWrites.Load() == 0 {
+			t.Fatal("the intact batch reached its owners without a replica write")
+		}
+	})
+}
+
 // damageReads wraps a node's handler so every chunk it serves arrives
 // damaged: the binary dialect's frame in the given way, the JSON
 // dialect's body with a flipped bit. With bin false the node also
@@ -613,8 +695,9 @@ func (l *reqLog) take() []string {
 }
 
 // TestConcurrentHashingIsDeterministic (run under -race): the chunk
-// digests are filled by several goroutines, yet the committed
-// ChunkMD5s order and the StoreResult equal the serial client's, and
+// digests are filled on a goroutine beside the file MD5, yet the
+// committed ChunkMD5s order and the StoreResult equal the serial
+// client's, and
 // every client's request sequence is exactly the protocol order: the
 // handshake, then the /v1/bin/put batches — a single one for the
 // serial client.
@@ -673,18 +756,24 @@ func TestConcurrentHashingIsDeterministic(t *testing.T) {
 }
 
 // TestDedupHitStopsChunkHashers: a Duplicate verdict abandons the
-// chunk hashing at the next chunk boundary, and StoreFile does not
-// return while a hasher still reads the caller's buffer (the write
+// chunk hashing at the next lane group, and StoreFile does not return
+// while the chunk pass still reads the caller's buffer (the write
 // below is a data race otherwise).
 func TestDedupHitStopsChunkHashers(t *testing.T) {
-	up := newUpload(chunkedData(t, 32, 6*ChunkSize))
-	up.next.Store(2) // as if two chunks were already claimed
-	before := hashPasses.Load()
-	up.cancel()
-	up.start(3)
-	up.hashAll()
-	if n := hashPasses.Load() - before; n != 0 {
-		t.Fatalf("hashed %d bytes after the cancel", n)
+	// 40 chunks are three lane groups and a short last chunk; a pass
+	// started after the cancel hashes none of them, on its own
+	// goroutine or inline.
+	for _, started := range []bool{true, false} {
+		up := newUpload(chunkedData(t, 32, 40*ChunkSize-1))
+		before := hashPasses.Load()
+		up.cancel()
+		if started {
+			up.start()
+		}
+		up.hashAll()
+		if n := hashPasses.Load() - before; n != 0 {
+			t.Fatalf("started=%v: hashed %d bytes after the cancel", started, n)
+		}
 	}
 
 	client := ingressService(t, NewMemStore(), 4)

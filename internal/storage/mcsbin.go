@@ -73,7 +73,7 @@ const binMaxBatch = 16
 type binFrame struct {
 	frame
 	sum      Sum
-	got      Sum // MD5 of payload, computed during the streaming read if asked for
+	got      Sum // MD5 of payload, from the streaming read if asked for, or sumFrames
 	notFound bool
 }
 
@@ -96,8 +96,9 @@ func (f *binFrame) verified(crcOnly bool) (*frame, error) {
 // and, with hashMD5, the payload MD5 into f.got — is folded into the
 // read loop: one pass over the bytes as they arrive, no re-scan. An
 // ingress, which is about to vouch for the frame's digest, asks for
-// the MD5; the client's read path checks only the CRC here and hashes
-// the bytes once, into the file digest (see retrieval). Every
+// the MD5 of a lone frame; a larger batch is hashed once it is all in
+// (sumFrames), and the client's read path checks only the CRC here
+// and hashes the bytes once, into the file digest (see retrieval). Every
 // malformed input fails closed with an error wrapping a package
 // sentinel, so the server side maps it onto the typed envelope
 // (truncation → bad_request, oversized → too_large, checksum mismatch
@@ -135,6 +136,20 @@ func readBinFrame(r io.Reader, buf []byte, hashMD5 bool) (binFrame, error) {
 	}
 	f.payload = buf[:length]
 	return f, nil
+}
+
+// sumFrames computes got for a batch's frames, which readBinFrame read
+// without MD5: the full-size ones side by side in one lane pass.
+func sumFrames(frames []binFrame) {
+	payloads := make([][]byte, len(frames))
+	sums := make([]Sum, len(frames))
+	for i := range frames {
+		payloads[i] = frames[i].payload
+	}
+	sumChunks(sums, payloads)
+	for i := range frames {
+		frames[i].got = sums[i]
+	}
 }
 
 // appendBinCount appends the u32 batch-count prefix.

@@ -21,6 +21,8 @@ package storage
 import (
 	"crypto/md5"
 	"encoding/hex"
+
+	"mcloud/internal/md5lanes"
 )
 
 // ChunkSize is the fixed transfer unit of the service (§2.1).
@@ -33,6 +35,35 @@ type Sum [md5.Size]byte
 func SumBytes(b []byte) Sum {
 	hashPasses.Add(int64(len(b)))
 	return md5.Sum(b)
+}
+
+// sumChunks hashes chunks into sums[i]: those of ChunkSize side by
+// side, up to md5lanes.MaxLanes per lane pass, so independent
+// full-size chunks cost about what one costs; any shorter chunk
+// through crypto/md5.
+func sumChunks(sums []Sum, chunks [][]byte) {
+	for lo := 0; lo < len(chunks); lo += md5lanes.MaxLanes {
+		var lanes [md5lanes.MaxLanes][]byte
+		var at [md5lanes.MaxLanes]int
+		n := 0
+		for i := lo; i < min(lo+md5lanes.MaxLanes, len(chunks)); i++ {
+			if len(chunks[i]) != ChunkSize {
+				sums[i] = SumBytes(chunks[i])
+				continue
+			}
+			lanes[n], at[n] = chunks[i], i
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		var out [md5lanes.MaxLanes][md5lanes.Size]byte
+		md5lanes.Sum(out[:n], lanes[:n])
+		for j, i := range at[:n] {
+			sums[i] = out[j]
+		}
+		hashPasses.Add(int64(n) * ChunkSize)
+	}
 }
 
 // ParseSum decodes a hex digest.
