@@ -53,7 +53,6 @@ func main() {
 		segSize  = flag.Int64("segsize", 64<<20, "segment file size in bytes before rotation (with -data)")
 		compact  = flag.Float64("compactbelow", 0.5, "rewrite sealed segments whose live-byte ratio falls below this (with -data)")
 		compEvry = flag.Duration("compactevery", 30*time.Second, "background compaction sweep interval (with -data; 0 disables)")
-		coldAftr = flag.Duration("coldafter", 0, "demote chunks idle this long from RAM to the disk cold tier (needs -data; 0 serves everything from disk)")
 		nodeURL  = flag.String("node", "", "this node's advertised base URL in a cluster (default: first front-end listener)")
 		peerList = flag.String("peers", "", "comma-separated base URLs of every cluster node, self included (empty = single node, no replication)")
 		replicas = flag.Int("replicas", 3, "replica owners per chunk in a cluster (N)")
@@ -90,12 +89,11 @@ func main() {
 	reg := metrics.NewRegistry()
 	health := &metrics.Health{}
 
-	// Chunk store stack, bottom up: RAM shards, or durable segments
-	// (-data), optionally split hot-RAM/cold-disk (-coldafter), with a
-	// read-path LRU (-cache) on top of whichever base was chosen.
+	// Chunk store stack, bottom up: RAM shards or durable segments
+	// (-data), with a read-path LRU (-cache) on top of whichever base
+	// was chosen.
 	var store storage.ChunkStore
 	var disk *storage.DiskStore
-	var tiered *storage.TieredStore
 	if *dataDir != "" {
 		var err error
 		disk, err = storage.OpenDiskStore(*dataDir, storage.DiskStoreOptions{
@@ -114,21 +112,6 @@ func main() {
 		}
 		fmt.Println()
 		store = disk
-		if *coldAftr > 0 {
-			hot := storage.NewMemStoreShards(*shards)
-			tiered = storage.NewTieredStore(hot, disk, *coldAftr, nil)
-			tiered.Instrument(reg)
-			// Chunks recovered from disk start cold; a read promotes.
-			adopted := 0
-			disk.Range(func(sum storage.Sum, size int64) bool {
-				tiered.AdoptCold(sum, size)
-				adopted++
-				return true
-			})
-			store = tiered
-			fmt.Printf("mcsserver: tiering RAM-hot chunks to disk after %v idle (%d recovered chunks adopted cold)\n",
-				*coldAftr, adopted)
-		}
 	} else {
 		memStore := storage.NewMemStoreShards(*shards)
 		fmt.Printf("mcsserver: chunk store sharded %d ways\n", memStore.Shards())
@@ -467,36 +450,12 @@ func main() {
 		stopFEProbe = meta.ProbeFrontEnds(nil, 2*time.Second)
 	}
 
-	// Background maintenance: demote idle chunks to the cold tier,
-	// reclaim dead segment space, and checkpoint the metadata WAL so
-	// recovery replay stays short. All loops stop at shutdown so the
-	// final fsync in Close is the last write.
+	// Background maintenance: reclaim dead segment space and
+	// checkpoint the metadata WAL so recovery replay stays short. Both
+	// loops stop at shutdown so the final fsync in Close is the last
+	// write.
 	maintDone := make(chan struct{})
 	var maintWG sync.WaitGroup
-	if tiered != nil {
-		every := *coldAftr / 4
-		if every < time.Second {
-			every = time.Second
-		}
-		maintWG.Add(1)
-		go func() {
-			defer maintWG.Done()
-			tick := time.NewTicker(every)
-			defer tick.Stop()
-			for {
-				select {
-				case <-maintDone:
-					return
-				case <-tick.C:
-					if n, err := tiered.Migrate(); err != nil {
-						fmt.Fprintln(os.Stderr, "mcsserver: tier migrate:", err)
-					} else if n > 0 {
-						tiered.AccrueOccupancy(every)
-					}
-				}
-			}
-		}()
-	}
 	if disk != nil && *compEvry > 0 {
 		maintWG.Add(1)
 		go func() {
@@ -567,15 +526,6 @@ func main() {
 	if repl != nil {
 		repl.Close()
 	}
-	if tiered != nil {
-		// The hot tier is RAM: anything acknowledged but not yet
-		// demoted must reach the durable cold tier before it closes.
-		n, err := tiered.FlushHot()
-		if err != nil {
-			fatal(fmt.Errorf("flushing hot tier: %w", err))
-		}
-		fmt.Printf("mcsserver: flushed %d hot chunks to the cold tier\n", n)
-	}
 	if err := sink.Flush(); err != nil {
 		fatal(err)
 	}
@@ -618,11 +568,6 @@ func main() {
 		dst := disk.DiskStats()
 		fmt.Printf("mcsserver: disk store %d segments, %0.2f MB live / %0.2f MB dead, %d fsyncs, %d compactions\n",
 			dst.Segments, float64(dst.LiveBytes)/(1<<20), float64(dst.DeadBytes)/(1<<20), dst.Fsyncs, dst.Compactions)
-	}
-	if tiered != nil {
-		ti := tiered.TierStats()
-		fmt.Printf("mcsserver: tiering %d demotions, %d promotions, %d hot / %d cold reads\n",
-			ti.Demotions, ti.Promotions, ti.HotReads, ti.ColdReads)
 	}
 	if injFE != nil {
 		fmt.Printf("mcsserver: chaos injected %d front-end + %d metadata faults across %d requests\n",

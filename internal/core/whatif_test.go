@@ -106,3 +106,53 @@ func TestTieringStudyDefaults(t *testing.T) {
 		t.Errorf("defaults wrong: %+v", cfg)
 	}
 }
+
+// TestTieringStudySeed1 pins the numbers mcsanalyze -figure whatif
+// prints: the model's seed-1 outcome at the default configuration.
+func TestTieringStudySeed1(t *testing.T) {
+	res, err := RunTieringStudy(TieringStudyConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := TierStats{
+		Demotions: 2274, Promotions: 338, ColdReads: 338, HotReads: 83,
+		HotByteHours: 7.38459648e9, ColdByteHours: 1.463549952e10,
+	}
+	if res.Stats != want {
+		t.Errorf("stats = %+v, want %+v", res.Stats, want)
+	}
+	// Cold at 0.4x the hot price: 7.38459648e9 + 0.4 x 1.463549952e10.
+	if res.TieredCost != 1.3238796288e10 || res.HotOnlyCost != 2.2020096e10 {
+		t.Errorf("cost %v tiered, %v hot-only; want 1.3238796288e10, 2.2020096e10", res.TieredCost, res.HotOnlyCost)
+	}
+	if res.Saving != 0.3987857142857143 || res.ColdShareEnd != 0.968 {
+		t.Errorf("saving %v, cold share %v; want 0.3987857142857143, 0.968", res.Saving, res.ColdShareEnd)
+	}
+}
+
+// TestTieringStudyDemotionPromotion checks the model's daily order on
+// configurations with one outcome: with ReadProb 1 over two days every
+// object is read on day 1. Idle 24 h at the day-1 check, it is demoted
+// before that read when ColdAfter is 12 h (the read promotes it, and
+// it is demoted again on day 2), and stays hot when ColdAfter is 36 h.
+// Residency accrues before the check, so no day is spent cold.
+func TestTieringStudyDemotionPromotion(t *testing.T) {
+	const objects, size = 10, 1000
+	for _, tc := range []struct {
+		coldAfter time.Duration
+		want      TierStats
+	}{
+		{12 * time.Hour, TierStats{Demotions: 20, Promotions: 10, ColdReads: 10, HotByteHours: 2 * 24 * size * objects}},
+		{36 * time.Hour, TierStats{HotReads: 10, HotByteHours: 2 * 24 * size * objects}},
+	} {
+		res, err := RunTieringStudy(TieringStudyConfig{
+			Objects: objects, ObjectBytes: size, ReadProb: 1, ColdAfter: tc.coldAfter, Days: 2, Seed: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats != tc.want {
+			t.Errorf("ColdAfter %v: stats = %+v, want %+v", tc.coldAfter, res.Stats, tc.want)
+		}
+	}
+}

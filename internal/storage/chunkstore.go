@@ -64,11 +64,16 @@ func PutCtx(ctx context.Context, s ChunkStore, sum Sum, data []byte) error {
 }
 
 // Ranger is an optional ChunkStore extension enumerating held chunks,
-// used by the tiering migrator, the /v1/cluster/chunks listing and
-// the rebalancer.
+// used by the /v1/cluster/chunks listing and the rebalancer.
 type Ranger interface {
 	// Range calls f for each chunk until f returns false.
 	Range(f func(sum Sum, size int64) bool)
+}
+
+// Deleter is the optional ChunkStore extension for reclaiming space,
+// used by the rebalancer's prune.
+type Deleter interface {
+	Delete(sum Sum) error
 }
 
 // StoreStats reports chunk store occupancy and dedup effectiveness.

@@ -392,59 +392,49 @@ func TestDiskStoreCompactionConcurrent(t *testing.T) {
 	}
 }
 
-// TestDiskStoreGCWiring exercises the existing GC path end to end
-// against the durable store: deleting the last referencing file
-// tombstones its chunks and triggers the compactor.
-func TestDiskStoreGCWiring(t *testing.T) {
+// TestDiskStoreCompactionReclaimsDeleted: deleting a chunk tombstones
+// its record, and the next compaction rewrites the segment the delete
+// left sparse while every other chunk survives the move.
+func TestDiskStoreCompactionReclaimsDeleted(t *testing.T) {
 	ds, _ := newDiskStore(t, DiskStoreOptions{SegmentSize: 2 << 10, CompactBelow: 0.9})
-	meta := NewMetadata("fe")
-	rc := NewRefCounter()
 
 	content := bytes.Repeat([]byte("gcpayload!"), 600)
-	fileSum := SumBytes(content)
-	resp, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: 1, Name: "gc.bin", Size: int64(len(content)), FileMD5: fileSum.String()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sums := SplitSums(content)
 	if err := ds.PutCtx(bg, sums[0], content); err != nil {
 		t.Fatal(err)
 	}
 	// Filler chunks spread across several sealed segments so the
-	// delete sweep leaves compactable ones behind.
+	// delete leaves compactable ones behind.
 	for i := 0; i < 40; i++ {
 		data := testChunk(4, i)
 		if err := ds.PutCtx(bg, SumBytes(data), data); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := meta.CommitCtx(bg, 0, resp.URL, sums); err != nil {
-		t.Fatal(err)
-	}
-	rc.Acquire(sums)
 
-	n, err := DeleteFile(bg, nil, meta, rc, ds, 1, resp.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(sums) {
-		t.Fatalf("reclaimed %d chunks, want %d", n, len(sums))
+	for _, sum := range sums {
+		if err := ds.Delete(sum); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, sum := range sums {
 		if ds.Has(sum) {
-			t.Fatal("reclaimed chunk still present")
+			t.Fatal("deleted chunk still present")
 		}
 	}
-	// The sweep's Compact hook ran: the segment holding the reclaimed
-	// file chunk crossed the 0.9 live-ratio threshold and was rewritten.
+	// The segment holding the deleted chunk crossed the 0.9 live-ratio
+	// threshold and is rewritten.
+	if _, err := ds.Compact(); err != nil {
+		t.Fatal(err)
+	}
 	if ds.DiskStats().Compactions == 0 {
-		t.Fatal("GC sweep did not trigger compaction")
+		t.Fatal("Compact reclaimed no segment after the delete")
 	}
 	for i := 0; i < 40; i++ {
 		data := testChunk(4, i)
 		got, err := ds.GetCtx(bg, SumBytes(data))
 		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("filler chunk %d lost after GC compaction: %v", i, err)
+			t.Fatalf("filler chunk %d lost after compaction: %v", i, err)
 		}
 	}
 }

@@ -201,15 +201,6 @@ func withSyncGroup(ctx context.Context, frames int) (context.Context, *syncGroup
 	return context.WithValue(ctx, syncGroupKey{}, g), g
 }
 
-// withoutSyncGroup hides the request's sync group from the stores
-// below a layer that publishes a put as soon as it returns.
-func withoutSyncGroup(ctx context.Context) context.Context {
-	if g, _ := ctx.Value(syncGroupKey{}).(*syncGroup); g == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, syncGroupKey{}, (*syncGroup)(nil))
-}
-
 // deferSync hands the wait for lsn to the context's sync group.
 // deferred is false when there is none (or it already closed): the
 // caller syncs inline. more reports that the request has declared puts

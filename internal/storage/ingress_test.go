@@ -117,32 +117,6 @@ func TestIngressHashesOncePerNode(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("tiered-migrate", func(t *testing.T) {
-		cold, _ := newDiskStore(t, DiskStoreOptions{})
-		clock := newClock(time.Unix(0, 0))
-		ts := NewTieredStore(NewMemStore(), cold, time.Hour, clock.Now)
-		client := ingressService(t, ts, 2)
-		data := chunkedData(t, 4, size)
-
-		before := hashPasses.Load()
-		if _, err := client.StoreFile("a.bin", data); err != nil {
-			t.Fatal(err)
-		}
-		clock.Add(2 * time.Hour)
-		if n, err := ts.Migrate(); err != nil || n != size/ChunkSize {
-			t.Fatalf("Migrate = %d, %v", n, err)
-		}
-		if got := hashPasses.Load() - before - clientPasses; got != size {
-			t.Fatalf("server hashed %d bytes across ingest and migration, want %d", got, size)
-		}
-		for i, sum := range SplitSums(data) {
-			got, err := cold.GetCtx(bg, sum) // CRC-checked read of the migrated record
-			if err != nil || !bytes.Equal(got, data[i*ChunkSize:(i+1)*ChunkSize]) {
-				t.Fatalf("chunk %d after migration: %v", i, err)
-			}
-		}
-	})
 }
 
 // TestPutWithoutProofIsVerified is the fail-safe rule: proof is only
@@ -150,12 +124,10 @@ func TestIngressHashesOncePerNode(t *testing.T) {
 // other put is hashed as it always was.
 func TestPutWithoutProofIsVerified(t *testing.T) {
 	disk, _ := newDiskStore(t, DiskStoreOptions{})
-	tierCold, _ := newDiskStore(t, DiskStoreOptions{})
 	ring, _ := newTestCluster(t, 1, 1, 1)
 	stores := map[string]ChunkStore{
 		"DiskStore":       disk,
 		"MemStore":        NewMemStore(),
-		"TieredStore":     NewTieredStore(NewMemStore(), tierCold, time.Hour, nil),
 		"CachedStore":     NewCachedStore(NewMemStore(), 1<<20),
 		"ReplicatedStore": ring[0].rs,
 	}
@@ -275,19 +247,6 @@ func TestSyncGroup(t *testing.T) {
 		t.Fatalf("put without a group: %d fsyncs, want 4", n)
 	}
 	writeOuts(5, "two inline puts")
-
-	// A layer that publishes a put the moment it returns hides the
-	// group from the store below it.
-	hot, _ := newDiskStore(t, DiskStoreOptions{})
-	ts := NewTieredStore(hot, NewMemStore(), time.Hour, nil)
-	ctx, _ = withSyncGroup(context.Background(), 6)
-	data := testChunk(21, 8)
-	if err := ts.PutCtx(ctx, SumBytes(data), data); err != nil {
-		t.Fatal(err)
-	}
-	if !hot.Has(SumBytes(data)) {
-		t.Fatal("TieredStore reports a chunk its hot tier has not synced")
-	}
 }
 
 // binBatch renders a /v1/bin/put body from ready-made frames.
@@ -855,79 +814,94 @@ func firstDiff(a, b []byte) int {
 // once a batch's response arrives; the parent SIGKILLs it mid-stream,
 // reopens the directory, and every chunk of every acknowledged batch
 // must come back byte-identical (a torn tail from the batch in flight
-// is tolerated).
+// is tolerated). The child serves either the bare DiskStore or the
+// stack mcsserver -data -cache builds, a CachedStore over it: the
+// cache is the only RAM above the durable store, so it must neither
+// hold an acked put back from the disk nor hide the batch's sync group.
 func TestBinPutSIGKILLRecovery(t *testing.T) {
 	const seed, perBatch = 0xB17C, 4
 	if dir := os.Getenv("MCS_BINPUT_CRASH_DIR"); dir != "" {
-		binPutCrashChild(dir, seed, perBatch)
+		binPutCrashChild(dir, os.Getenv("MCS_BINPUT_CRASH_STACK"), seed, perBatch)
 		return
 	}
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
-
-	dir := t.TempDir()
-	cmd := exec.Command(os.Args[0], "-test.run=^TestBinPutSIGKILLRecovery$")
-	cmd.Env = append(os.Environ(), "MCS_BINPUT_CRASH_DIR="+dir)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	acked := -1
-	sc := bufio.NewScanner(stdout)
-	for sc.Scan() {
-		var b int
-		if _, err := fmt.Sscanf(sc.Text(), "acked batch %d", &b); err == nil {
-			acked = b
-			if b >= 25 {
-				break // enough durable state; kill mid-stream
+	for _, stack := range []string{"disk", "cached"} {
+		t.Run(stack, func(t *testing.T) {
+			dir := t.TempDir()
+			cmd := exec.Command(os.Args[0], "-test.run=^TestBinPutSIGKILLRecovery$")
+			cmd.Env = append(os.Environ(), "MCS_BINPUT_CRASH_DIR="+dir, "MCS_BINPUT_CRASH_STACK="+stack)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			stdout, err := cmd.StdoutPipe()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if err := cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	cmd.Wait()
-	if acked < 0 {
-		t.Fatal("child acknowledged no batch before dying")
-	}
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			acked := -1
+			sc := bufio.NewScanner(stdout)
+			for sc.Scan() {
+				var b int
+				if _, err := fmt.Sscanf(sc.Text(), "acked batch %d", &b); err == nil {
+					acked = b
+					if b >= 25 {
+						break // enough durable state; kill mid-stream
+					}
+				}
+			}
+			if err := cmd.Process.Kill(); err != nil {
+				t.Fatal(err)
+			}
+			cmd.Wait()
+			if acked < 25 {
+				// The child stops early only on a failed batch or a
+				// batch that took more than its one fsync.
+				t.Fatalf("child stopped after %d acknowledged batches: %s", acked+1, stderr.String())
+			}
 
-	ds, err := OpenDiskStore(dir, DiskStoreOptions{SegmentSize: 64 << 10})
-	if err != nil {
-		t.Fatal(err)
+			ds, err := OpenDiskStore(dir, DiskStoreOptions{SegmentSize: 64 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			lost, corrupted := 0, 0
+			for i := 0; i < (acked+1)*perBatch; i++ {
+				data := testChunk(seed, i)
+				got, err := ds.GetCtx(bg, SumBytes(data))
+				if err != nil {
+					lost++
+				} else if !bytes.Equal(got, data) {
+					corrupted++
+				}
+			}
+			if lost != 0 || corrupted != 0 {
+				t.Fatalf("of %d chunks in %d acknowledged batches: %d lost, %d corrupted", (acked+1)*perBatch, acked+1, lost, corrupted)
+			}
+			st := ds.DiskStats()
+			t.Logf("SIGKILL recovery: %d acknowledged batches of %d, 0 lost, 0 corrupted (%d torn bytes truncated)",
+				acked+1, perBatch, st.Truncated)
+		})
 	}
-	defer ds.Close()
-	lost, corrupted := 0, 0
-	for i := 0; i < (acked+1)*perBatch; i++ {
-		data := testChunk(seed, i)
-		got, err := ds.GetCtx(bg, SumBytes(data))
-		if err != nil {
-			lost++
-		} else if !bytes.Equal(got, data) {
-			corrupted++
-		}
-	}
-	if lost != 0 || corrupted != 0 {
-		t.Fatalf("of %d chunks in %d acknowledged batches: %d lost, %d corrupted", (acked+1)*perBatch, acked+1, lost, corrupted)
-	}
-	st := ds.DiskStats()
-	t.Logf("SIGKILL recovery: %d acknowledged batches of %d, 0 lost, 0 corrupted (%d torn bytes truncated)",
-		acked+1, perBatch, st.Truncated)
 }
 
 // binPutCrashChild is the SIGKILL victim: it uploads deterministic
 // batches to its own front-end forever, acknowledging each only once
-// the server has, until the parent kills it.
-func binPutCrashChild(dir string, seed int64, perBatch int) {
+// the server has, until the parent kills it. stack "cached" serves the
+// DiskStore through a CachedStore.
+func binPutCrashChild(dir, stack string, seed int64, perBatch int) {
 	ds, err := OpenDiskStore(dir, DiskStoreOptions{SegmentSize: 64 << 10})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	srv := httptest.NewServer(NewFrontEnd(FrontEndConfig{Store: ds, Meta: NewMetadata()}).Handler())
+	var store ChunkStore = ds
+	if stack == "cached" {
+		store = NewCachedStore(ds, 64<<20)
+	}
+	srv := httptest.NewServer(NewFrontEnd(FrontEndConfig{Store: store, Meta: NewMetadata()}).Handler())
 	for b := 0; ; b++ {
 		var frames [][]byte
 		for i := b * perBatch; i < (b+1)*perBatch; i++ {

@@ -118,9 +118,9 @@ func (fm *FrontEndMetrics) slowExemplar(typ trace.ReqType, sec float64) bool {
 // InstrumentStore exposes any chunk store's occupancy and dedup
 // counters as the mcs_store_* series. Values are sampled from Stats()
 // at scrape time, so the store's hot path is untouched. Register the
-// top-level store only (the one the front-ends serve from): tier- and
-// engine-specific series (mcs_tier_*, mcs_disk_*) have their own
-// Instrument methods.
+// top-level store only (the one the front-ends serve from): the cache
+// and the disk engine register their own series (mcs_cache_*,
+// mcs_disk_*) with their Instrument methods.
 func InstrumentStore(reg *metrics.Registry, s ChunkStore) {
 	reg.GaugeFunc("mcs_store_chunks", "Unique chunks resident in the store.",
 		func() float64 { return float64(s.Stats().Chunks) })
@@ -178,20 +178,4 @@ func (c *CachedStore) Instrument(reg *metrics.Registry) {
 		func() float64 { return float64(c.CacheStats().Capacity) })
 	reg.GaugeFunc("mcs_cache_entries", "Entries currently resident in the cache.",
 		func() float64 { return float64(c.CacheStats().Entries) })
-}
-
-// Instrument exposes the hot/cold tiering behaviour.
-func (t *TieredStore) Instrument(reg *metrics.Registry) {
-	reg.CounterFunc("mcs_tier_demotions_total", "Chunks migrated hot -> cold.",
-		func() float64 { return float64(t.TierStats().Demotions) })
-	reg.CounterFunc("mcs_tier_promotions_total", "Cold chunks promoted back on read.",
-		func() float64 { return float64(t.TierStats().Promotions) })
-	reg.CounterFunc("mcs_tier_hot_reads_total", "Reads served by the hot tier.",
-		func() float64 { return float64(t.TierStats().HotReads) })
-	reg.CounterFunc("mcs_tier_cold_reads_total", "Reads that had to touch the cold tier.",
-		func() float64 { return float64(t.TierStats().ColdReads) })
-	reg.GaugeFunc("mcs_tier_hot_byte_hours", "Accumulated hot-tier occupancy.",
-		func() float64 { return t.TierStats().HotByteHours })
-	reg.GaugeFunc("mcs_tier_cold_byte_hours", "Accumulated cold-tier occupancy.",
-		func() float64 { return t.TierStats().ColdByteHours })
 }

@@ -140,49 +140,6 @@ func TestFrontEndErrorCounters(t *testing.T) {
 	}
 }
 
-// TestGCMetrics checks the sweep series advance on observed deletes.
-func TestGCMetrics(t *testing.T) {
-	reg := metrics.NewRegistry()
-	gm := NewGCMetrics(reg)
-	store := NewMemStore()
-	meta := NewMetadata("http://fe")
-	rc := NewRefCounter()
-
-	data := []byte("gc instrumentation test chunk")
-	sum := SumBytes(data)
-	check, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: 1, Name: "x", Size: int64(len(data)), FileMD5: sum.String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.PutCtx(bg, sum, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := meta.CommitCtx(bg, 0, check.URL, []Sum{sum}); err != nil {
-		t.Fatal(err)
-	}
-	rc.Acquire([]Sum{sum})
-
-	n, err := DeleteFile(bg, gm, meta, rc, store, 1, check.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("reclaimed %d chunks, want 1", n)
-	}
-	if got := gm.Deletes.Value(); got != 1 {
-		t.Errorf("deletes = %d, want 1", got)
-	}
-	if got := gm.Reclaimed.Value(); got != 1 {
-		t.Errorf("reclaimed = %d, want 1", got)
-	}
-	if got := gm.Sweep.Count(); got != 1 {
-		t.Errorf("sweep observations = %d, want 1", got)
-	}
-	if store.Has(sum) {
-		t.Error("chunk should be collected")
-	}
-}
-
 // TestWriterSinkLatchesError proves a failing log writer surfaces the
 // first error at Flush instead of silently dropping records.
 func TestWriterSinkLatchesError(t *testing.T) {

@@ -460,9 +460,10 @@ func (m *Metadata) linkLocked(user uint64, f *FileMeta) {
 // UnlinkCtx removes a file from one user's namespace. When the last
 // namespace reference goes away, the catalog entry is dropped and the
 // file's chunk digests are returned with lastRef = true so the caller
-// can release chunk references (see DeleteFile). Deduplicated content
-// linked by other users survives. WAL waits are traced like
-// StoreCheckCtx's.
+// can release chunk references. No served route calls it yet; the
+// "Served deletion" entry in DESIGN.md lists what one must do with
+// those digests. Deduplicated content linked by other users survives.
+// WAL waits are traced like StoreCheckCtx's.
 func (m *Metadata) UnlinkCtx(ctx context.Context, user uint64, url string) (chunks []Sum, lastRef bool, err error) {
 	app := m.walSpan(ctx, tracing.SpanWALAppend)
 	m.mu.Lock()

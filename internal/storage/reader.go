@@ -141,11 +141,11 @@ func (cr *ChunkReader) Close() error {
 	return nil
 }
 
-// ReaderStore is the streaming-read part of ChunkStore. Every tier
+// ReaderStore is the streaming-read part of ChunkStore. Every store
 // serves it (DiskStore from pinned segment regions, MemStore and
-// CachedStore from resident slices, TieredStore and ReplicatedStore
-// by delegation), so the front-end serves any stack uniformly without
-// materializing chunk payloads.
+// CachedStore from resident slices, ReplicatedStore by delegation),
+// so the front-end serves any stack uniformly without materializing
+// chunk payloads.
 type ReaderStore interface {
 	// GetReaderCtx returns a streaming view of the chunk, or
 	// ErrNotFound. The caller must Close the reader.

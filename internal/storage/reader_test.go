@@ -143,7 +143,6 @@ func TestGetReaderAcrossTiers(t *testing.T) {
 		"mem":        NewMemStore(),
 		"cached":     NewCachedStore(NewMemStore(), 1<<20),
 		"disk":       disk,
-		"tiered":     NewTieredStore(NewMemStore(), NewMemStore(), time.Hour, nil),
 		"replicated": ring[0].rs,
 	}
 	for name, s := range stores {

@@ -129,6 +129,27 @@ func TestMemStoreConcurrent(t *testing.T) {
 	}
 }
 
+func TestMemStoreDelete(t *testing.T) {
+	m := NewMemStore()
+	data := []byte("deletable")
+	sum := SumBytes(data)
+	if err := m.PutCtx(bg, sum, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Delete(sum); err != nil {
+		t.Fatal(err)
+	}
+	if m.Has(sum) {
+		t.Error("chunk survived delete")
+	}
+	if err := m.Delete(sum); err != ErrNotFound {
+		t.Errorf("double delete: err = %v", err)
+	}
+	if st := m.Stats(); st.Chunks != 0 || st.Bytes != 0 {
+		t.Errorf("stats after delete: %+v", st)
+	}
+}
+
 func TestMetadataDedupFlow(t *testing.T) {
 	meta := NewMetadata("http://fe1")
 	req := StoreCheckRequest{UserID: 1, Name: "a.jpg", Size: 100, FileMD5: SumBytes([]byte("photo")).String()}
@@ -245,6 +266,78 @@ func newTestService(t *testing.T) (*Client, *Collector, *MemStore, *Metadata, fu
 		metaSrv.Close()
 	}
 	return client, col, store, meta, cleanup
+}
+
+func TestMetadataUnlinkSharedContent(t *testing.T) {
+	meta := NewMetadata("fe")
+	sum := SumBytes([]byte("shared photo"))
+	chunk := SumBytes([]byte("chunk0"))
+
+	// User 1 uploads; user 2 links the same content via dedup.
+	resp, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: 1, Name: "p.jpg", Size: 12, FileMD5: sum.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := meta.CommitCtx(bg, 0, resp.URL, []Sum{chunk}); err != nil {
+		t.Fatal(err)
+	}
+	resp2, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: 2, Name: "q.jpg", Size: 12, FileMD5: sum.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp2.Duplicate {
+		t.Fatal("dedup expected")
+	}
+
+	// User 1 deletes: content must survive (user 2 still links it).
+	chunks, last, err := meta.UnlinkCtx(bg, 1, resp.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last {
+		t.Error("content dropped while user 2 still links it")
+	}
+	if len(chunks) != 1 || chunks[0] != chunk {
+		t.Errorf("chunks = %v", chunks)
+	}
+	if _, err := meta.Resolve(ResolveRequest{UserID: 2, URL: resp.URL}); err != nil {
+		t.Error("user 2 lost access after user 1's delete")
+	}
+
+	// User 2 deletes: now it is the last reference.
+	_, last, err = meta.UnlinkCtx(bg, 2, resp.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !last {
+		t.Error("last unlink not reported")
+	}
+	if _, err := meta.Resolve(ResolveRequest{UserID: 2, URL: resp.URL}); err != ErrNotFound {
+		t.Errorf("resolve after full delete: err = %v", err)
+	}
+	// Content hash no longer dedups: a re-upload is fresh.
+	resp3, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: 3, Name: "r.jpg", Size: 12, FileMD5: sum.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp3.Duplicate {
+		t.Error("deleted content still dedups")
+	}
+}
+
+func TestMetadataUnlinkErrors(t *testing.T) {
+	meta := NewMetadata()
+	if _, _, err := meta.UnlinkCtx(bg, 1, "/f/x"); err != ErrNotFound {
+		t.Errorf("unknown user: err = %v", err)
+	}
+	resp, err := meta.StoreCheckCtx(bg, StoreCheckRequest{UserID: 1, Name: "a", Size: 1, FileMD5: SumBytes([]byte("a")).String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := meta.UnlinkCtx(bg, 1, "/f/other"); err != ErrNotFound {
+		t.Errorf("unknown url: err = %v", err)
+	}
+	_ = resp
 }
 
 func TestEndToEndStoreRetrieve(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"mcloud/internal/cluster"
 	"mcloud/internal/randx"
@@ -20,7 +19,6 @@ var (
 	_ ChunkStore = (*MemStore)(nil)
 	_ ChunkStore = (*DiskStore)(nil)
 	_ ChunkStore = (*CachedStore)(nil)
-	_ ChunkStore = (*TieredStore)(nil)
 	_ ChunkStore = (*ReplicatedStore)(nil)
 )
 
@@ -246,93 +244,6 @@ func TestCachedStoreZipfWorkloadOffload(t *testing.T) {
 	}
 	if hr := c.CacheStats().HitRate(); hr < 0.5 {
 		t.Errorf("Zipf hit rate = %.3f, want > 0.5 with 10%% cache", hr)
-	}
-}
-
-func TestTieredStoreDemotionPromotion(t *testing.T) {
-	clock := time.Date(2015, 8, 3, 0, 0, 0, 0, time.UTC)
-	now := func() time.Time { return clock }
-	ts := NewTieredStore(NewMemStore(), NewMemStore(), 24*time.Hour, now)
-
-	data := []byte("backup photo")
-	sum := SumBytes(data)
-	if err := ts.PutCtx(bg, sum, data); err != nil {
-		t.Fatal(err)
-	}
-	// Within a day: no demotion.
-	clock = clock.Add(12 * time.Hour)
-	if n, err := ts.Migrate(); err != nil || n != 0 {
-		t.Fatalf("early migrate: n=%d err=%v", n, err)
-	}
-	// After the idle period: demoted.
-	clock = clock.Add(36 * time.Hour)
-	n, err := ts.Migrate()
-	if err != nil || n != 1 {
-		t.Fatalf("migrate: n=%d err=%v", n, err)
-	}
-	st := ts.TierStats()
-	if st.Demotions != 1 {
-		t.Errorf("demotions = %d", st.Demotions)
-	}
-	// Reading a cold chunk promotes it and still returns the content.
-	got, err := ts.GetCtx(bg, sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("cold read returned wrong content")
-	}
-	st = ts.TierStats()
-	if st.Promotions != 1 || st.ColdReads != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-	// Promoted content serves hot now.
-	if _, err := ts.GetCtx(bg, sum); err != nil {
-		t.Fatal(err)
-	}
-	if st := ts.TierStats(); st.HotReads != 1 {
-		t.Errorf("hot reads = %d, want 1", st.HotReads)
-	}
-}
-
-func TestTieredStoreMissingChunk(t *testing.T) {
-	ts := NewTieredStore(NewMemStore(), NewMemStore(), time.Hour, nil)
-	if _, err := ts.GetCtx(bg, SumBytes([]byte("nope"))); err != ErrNotFound {
-		t.Errorf("err = %v, want ErrNotFound", err)
-	}
-}
-
-func TestTieredStoreCostAccounting(t *testing.T) {
-	clock := time.Unix(0, 0)
-	now := func() time.Time { return clock }
-	ts := NewTieredStore(NewMemStore(), NewMemStore(), time.Hour, now)
-
-	data := bytes.Repeat([]byte("z"), 1000)
-	if err := ts.PutCtx(bg, SumBytes(data), data); err != nil {
-		t.Fatal(err)
-	}
-	ts.AccrueOccupancy(10 * time.Hour) // 10h hot
-	clock = clock.Add(10 * time.Hour)
-	if _, err := ts.Migrate(); err != nil {
-		t.Fatal(err)
-	}
-	ts.AccrueOccupancy(90 * time.Hour) // 90h cold
-	st := ts.TierStats()
-	if st.HotByteHours != 10000 {
-		t.Errorf("hot byte-hours = %v, want 10000", st.HotByteHours)
-	}
-	if st.ColdByteHours != 90000 {
-		t.Errorf("cold byte-hours = %v, want 90000", st.ColdByteHours)
-	}
-	// With cold at a fifth of hot price, tiering should cut cost
-	// massively for this backup-like (write-once, rarely read) object.
-	cost := st.Cost(1.0, 0.2)
-	hotOnly := st.HotOnlyCost(1.0)
-	if cost >= hotOnly {
-		t.Errorf("tiered cost %v not below hot-only %v", cost, hotOnly)
-	}
-	if saving := 1 - cost/hotOnly; saving < 0.5 {
-		t.Errorf("saving = %.2f, want > 0.5 for a cold-dominated object", saving)
 	}
 }
 
