@@ -398,7 +398,7 @@ func benchTransferWith(workers int, quick bool, tracer *tracing.Tracer, disableB
 	defer metaSrv.Close()
 	meta.AddFrontEnd(feSrv.URL)
 
-	client := &storage.Client{
+	client := storage.NewClient(storage.ClientConfig{
 		MetaURL:    metaSrv.URL,
 		UserID:     1,
 		DeviceID:   1,
@@ -406,7 +406,7 @@ func benchTransferWith(workers int, quick bool, tracer *tracing.Tracer, disableB
 		Parallel:   workers,
 		Tracer:     tracer,
 		DisableBin: disableBin,
-	}
+	})
 
 	payloads := make([][]byte, files)
 	src := randx.New(7)
@@ -422,11 +422,11 @@ func benchTransferWith(workers int, quick bool, tracer *tracing.Tracer, disableB
 
 	start := time.Now()
 	for i, p := range payloads {
-		res, err := client.StoreFile(fmt.Sprintf("bench-%d-%d.bin", workers, i), p)
+		res, err := client.StoreFileCtx(context.Background(), fmt.Sprintf("bench-%d-%d.bin", workers, i), p)
 		if err != nil {
 			fatal(err)
 		}
-		got, err := client.RetrieveFile(res.URL)
+		got, err := client.RetrieveFileCtx(context.Background(), res.URL)
 		if err != nil {
 			fatal(err)
 		}
@@ -528,11 +528,11 @@ func benchCluster(workers int, quick bool) float64 {
 
 	start := time.Now()
 	for i, p := range payloads {
-		res, err := client.StoreFile(fmt.Sprintf("clbench-%d-%d.bin", workers, i), p)
+		res, err := client.StoreFileCtx(context.Background(), fmt.Sprintf("clbench-%d-%d.bin", workers, i), p)
 		if err != nil {
 			fatal(err)
 		}
-		got, err := client.RetrieveFile(res.URL)
+		got, err := client.RetrieveFileCtx(context.Background(), res.URL)
 		if err != nil {
 			fatal(err)
 		}

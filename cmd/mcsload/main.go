@@ -96,8 +96,8 @@ func main() {
 			defer wg.Done()
 			// Tag the loader goroutines (and the chunk-window goroutines
 			// they spawn) so CPU profiles split client from server work.
-			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-				pprof.Labels("component", "client")))
+			ctx := pprof.WithLabels(context.Background(), pprof.Labels("component", "client"))
+			pprof.SetGoroutineLabels(ctx)
 			src := randx.Derive(*seed, fmt.Sprintf("loader/%d", d))
 			dev := trace.Android
 			if src.Bool(1 - workload.AndroidShare) {
@@ -150,7 +150,7 @@ func main() {
 				for j := range data {
 					data[j] = byte(content.Uint64())
 				}
-				res, err := client.StoreFile(fmt.Sprintf("d%d-f%d.bin", d, i), data)
+				res, err := client.StoreFileCtx(ctx, fmt.Sprintf("d%d-f%d.bin", d, i), data)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "mcsload: store: %v\n", err)
 					mu.Lock()
@@ -172,7 +172,7 @@ func main() {
 				if !src.Bool(*retr) {
 					continue
 				}
-				data, err := client.RetrieveFile(u)
+				data, err := client.RetrieveFileCtx(ctx, u)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "mcsload: retrieve: %v\n", err)
 					mu.Lock()
@@ -214,7 +214,7 @@ func main() {
 	if *verify && len(acked) > 0 {
 		verifier := storage.NewClient(storage.ClientConfig{MetaURL: *metaURL, UserID: 999, DeviceID: 999, Device: trace.PC, Metrics: cm, Parallel: *parallel})
 		for url, md5 := range acked {
-			data, err := verifier.RetrieveFile(url)
+			data, err := verifier.RetrieveFileCtx(context.Background(), url)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "mcsload: verify %s: %v\n", url, err)
 				lost++

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -103,6 +104,7 @@ func main() {
 		}
 	}
 
+	ctx := context.Background()
 	wallStart := time.Now()
 	content := randx.New(*seed)
 	urls := map[uint64][]string{} // per-user stored URLs for retrievals
@@ -112,7 +114,7 @@ func main() {
 
 	for _, op := range ops {
 		virtual := op.at
-		client := &storage.Client{
+		client := storage.NewClient(storage.ClientConfig{
 			MetaURL:  metaURL,
 			UserID:   op.log.UserID,
 			DeviceID: op.log.DeviceID,
@@ -121,7 +123,7 @@ func main() {
 			Proxied:  op.log.Proxied,
 			SimClock: func() time.Time { return virtual },
 			Tracer:   tracer,
-		}
+		})
 		size := op.bytes / *scale
 		if size < 4<<10 {
 			size = 4 << 10
@@ -132,7 +134,7 @@ func main() {
 			for j := range data {
 				data[j] = byte(cs.Uint64())
 			}
-			res, err := client.StoreFile(fmt.Sprintf("u%d-%d.bin", op.log.UserID, replayed), data)
+			res, err := client.StoreFileCtx(ctx, fmt.Sprintf("u%d-%d.bin", op.log.UserID, replayed), data)
 			if err != nil {
 				fatal(err)
 			}
@@ -156,7 +158,7 @@ func main() {
 				continue
 			}
 			url := pool[int(op.log.DeviceID+uint64(replayed))%len(pool)]
-			data, err := client.RetrieveFile(url)
+			data, err := client.RetrieveFileCtx(ctx, url)
 			if err != nil {
 				fatal(err)
 			}

@@ -118,6 +118,7 @@ func main() {
 		store = memStore
 	}
 	storage.InstrumentStore(reg, store)
+	base := store
 	var cached *storage.CachedStore
 	if *cacheMB > 0 {
 		cached = storage.NewCachedStore(store, int64(*cacheMB)<<20)
@@ -328,35 +329,32 @@ func main() {
 	}
 
 	// Replication: with -peers, every chunk maps onto N ring owners
-	// and this node fans writes out / fails reads over among them; the
-	// local store stack serves replica-internal traffic directly.
-	serveStore := store
-	var repl *storage.ReplicatedStore
+	// and this node fans writes out / fails reads over among them.
+	var rc *storage.ReplicatedConfig
 	if *peerList != "" {
 		peers := strings.Split(*peerList, ",")
 		for i := range peers {
 			peers[i] = strings.TrimSpace(peers[i])
 		}
-		var err error
-		repl, err = storage.NewReplicatedStore(storage.ReplicatedConfig{
+		rc = &storage.ReplicatedConfig{
 			Self:        selfNode,
 			Peers:       peers,
 			Replicas:    *replicas,
 			WriteQuorum: *quorum,
-			Local:       store,
 			DisableBin:  !*binAPI,
-		})
-		if err != nil {
-			fatal(err)
 		}
+	}
+	var repl *storage.ReplicatedStore
+	cfg.Store, cfg.Local, repl, err = frontEndStores(base, store, rc)
+	if err != nil {
+		fatal(err)
+	}
+	if repl != nil {
 		repl.Instrument(reg)
-		serveStore = repl
 		info := repl.Info()
 		fmt.Printf("mcsserver: cluster node %s (%d peers, N=%d W=%d)\n",
 			selfNode, len(info.Peers), info.Replicas, info.Quorum)
 	}
-	cfg.Store = serveStore
-	cfg.Local = store
 
 	newServer := func(h http.Handler) *http.Server {
 		return &http.Server{
@@ -577,6 +575,24 @@ func main() {
 		ss := shedder.Stats()
 		fmt.Printf("mcsserver: overload shed %d of %d requests\n", ss.Sheds, ss.Sheds+ss.Admitted)
 	}
+}
+
+// frontEndStores wires a node's front-ends over its store stack: base,
+// the RAM shards or -data segments, and top, which is base under the
+// -cache LRU when one is set. Client traffic reads top, through the
+// chunk ring on a cluster node (rc set), whose local owner top is.
+// Replica-internal traffic — peer PUTs and GETs, census ranges, prune
+// deletes — reaches base itself: the cache is write-around, so base
+// holds every chunk the node stores, and only base can delete one.
+func frontEndStores(base, top storage.ChunkStore, rc *storage.ReplicatedConfig) (serve, local storage.ChunkStore, repl *storage.ReplicatedStore, err error) {
+	if rc == nil {
+		return top, base, nil, nil
+	}
+	rc.Local = top
+	if repl, err = storage.NewReplicatedStore(*rc); err != nil {
+		return nil, nil, nil, err
+	}
+	return repl, base, repl, nil
 }
 
 // hostify rewrites a wildcard listen address into a dialable one.

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -64,9 +65,12 @@ func main() {
 		return b
 	}
 
-	alice := &storage.Client{MetaURL: metaURL, UserID: 1, DeviceID: 11, Device: trace.Android, SimRTT: 90 * time.Millisecond}
-	bob := &storage.Client{MetaURL: metaURL, UserID: 2, DeviceID: 21, Device: trace.IOS, SimRTT: 60 * time.Millisecond}
-	bobPad := &storage.Client{MetaURL: metaURL, UserID: 2, DeviceID: 22, Device: trace.Android, SimRTT: 120 * time.Millisecond}
+	// Every file operation takes a context; the whole demo gets a minute.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	alice := storage.NewClient(storage.ClientConfig{MetaURL: metaURL, UserID: 1, DeviceID: 11, Device: trace.Android, SimRTT: 90 * time.Millisecond})
+	bob := storage.NewClient(storage.ClientConfig{MetaURL: metaURL, UserID: 2, DeviceID: 21, Device: trace.IOS, SimRTT: 60 * time.Millisecond})
+	bobPad := storage.NewClient(storage.ClientConfig{MetaURL: metaURL, UserID: 2, DeviceID: 22, Device: trace.Android, SimRTT: 120 * time.Millisecond})
 
 	// Alice backs up a batch of "photos" (sizes from the paper's
 	// store mixture component 1).
@@ -79,7 +83,7 @@ func main() {
 		if size > 3<<20 {
 			size = 3 << 20
 		}
-		res, err := alice.StoreFile(fmt.Sprintf("photo-%d.jpg", i), mkData(size, src.Split()))
+		res, err := alice.StoreFileCtx(ctx, fmt.Sprintf("photo-%d.jpg", i), mkData(size, src.Split()))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -90,11 +94,11 @@ func main() {
 	// Bob uploads a video, then his second device uploads the *same*
 	// video — the metadata server deduplicates it.
 	video := mkData(5<<20/2, src.Split())
-	res1, err := bob.StoreFile("clip.mp4", video)
+	res1, err := bob.StoreFileCtx(ctx, "clip.mp4", video)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res2, err := bobPad.StoreFile("clip-copy.mp4", video)
+	res2, err := bobPad.StoreFileCtx(ctx, "clip-copy.mp4", video)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -106,7 +110,7 @@ func main() {
 
 	// Bob's pad retrieves one of Alice's files via its shared URL (the
 	// content-distribution usage pattern of §3.2.1).
-	got, err := bobPad.RetrieveFile(aliceURLs[0])
+	got, err := bobPad.RetrieveFileCtx(ctx, aliceURLs[0])
 	if err != nil {
 		log.Fatal(err)
 	}

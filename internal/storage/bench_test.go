@@ -106,13 +106,13 @@ func BenchmarkTransferWindow(b *testing.B) {
 
 	for _, window := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
-			client := &Client{
+			client := NewClient(ClientConfig{
 				MetaURL:  metaSrv.URL,
 				UserID:   1,
 				DeviceID: 1,
 				Device:   trace.Android,
 				Parallel: window,
-			}
+			})
 			b.SetBytes(int64(len(payload)) * 2)
 			for i := 0; i < b.N; i++ {
 				res, err := client.StoreFile(fmt.Sprintf("bench-w%d-%d.bin", window, i), payload)
@@ -196,7 +196,7 @@ func BenchmarkStoreFileHashing(b *testing.B) {
 	data := chunks[0]
 	for _, parallel := range []int{1, 2} {
 		b.Run(fmt.Sprintf("parallel=%d", parallel), func(b *testing.B) {
-			c := &Client{Parallel: parallel}
+			c := NewClient(ClientConfig{Parallel: parallel})
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

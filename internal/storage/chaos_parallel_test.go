@@ -40,9 +40,10 @@ func TestChaosConcurrentClientInvariant(t *testing.T) {
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
-			client := base.Clone()
-			client.DeviceID = uint64(d)
-			client.Parallel = 4
+			client := reconfigure(base, func(cfg *ClientConfig) {
+				cfg.DeviceID = uint64(d)
+				cfg.Parallel = 4
+			})
 			src := randx.Derive(123, fmt.Sprintf("chaospar/%d", d))
 			for i := 0; i < filesPer; i++ {
 				// 3-5 chunks so the window genuinely overlaps requests.
@@ -77,9 +78,10 @@ func TestChaosConcurrentClientInvariant(t *testing.T) {
 		rwg.Add(1)
 		go func(d int) {
 			defer rwg.Done()
-			client := base.Clone()
-			client.DeviceID = uint64(100 + d)
-			client.Parallel = 4
+			client := reconfigure(base, func(cfg *ClientConfig) {
+				cfg.DeviceID = uint64(100 + d)
+				cfg.Parallel = 4
+			})
 			for i := d; i < len(files); i += devices {
 				f := files[i]
 				var data []byte

@@ -54,7 +54,7 @@ func chaosService(t *testing.T, sc faults.Scenario, reg *metrics.Registry) (*Cli
 	pol := fastRetry
 	pol.MaxAttempts = 6
 	pol.Budget = 256
-	client := &Client{
+	client := NewClient(ClientConfig{
 		MetaURL:    metaSrv.URL,
 		UserID:     42,
 		DeviceID:   7,
@@ -67,7 +67,7 @@ func chaosService(t *testing.T, sc faults.Scenario, reg *metrics.Registry) (*Cli
 		// is chaos-tested separately (see chaos_parallel_test.go).
 		Parallel: 1,
 		HTTP:     &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
-	}
+	})
 	cleanup := func() {
 		feSrv.Close()
 		metaSrv.Close()
@@ -84,10 +84,11 @@ func TestChaosStoreRetrieveInvariant(t *testing.T) {
 	reg := metrics.NewRegistry()
 	client, col, injFE, cleanup := chaosService(t, chaosScenario, reg)
 	defer cleanup()
-	client.Metrics = NewClientMetrics(reg)
-
 	clock := time.Date(2015, 8, 4, 9, 0, 0, 0, time.UTC)
-	client.SimClock = func() time.Time { return clock }
+	client = reconfigure(client, func(cfg *ClientConfig) {
+		cfg.Metrics = NewClientMetrics(reg)
+		cfg.SimClock = func() time.Time { return clock }
+	})
 
 	src := randx.New(99)
 	type storedFile struct {
@@ -140,7 +141,7 @@ func TestChaosStoreRetrieveInvariant(t *testing.T) {
 	if injFE.Injected() == 0 {
 		t.Error("no faults injected at the front-end; scenario inert")
 	}
-	st := client.Metrics.Stats()
+	st := client.cfg.Metrics.Stats()
 	if st.Retries == 0 {
 		t.Error("no client retries recorded under a 10% fault rate")
 	}

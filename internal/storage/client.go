@@ -32,62 +32,11 @@ import (
 // interrupted uploads resume from the front-end's missing-chunk set
 // instead of restarting the file; downloads check every chunk as it
 // arrives, re-fetch corrupted ones, and verify the assembled file
-// against its MD5.
+// against its MD5. A file operation ends when its context does.
+//
+// Build one with NewClient; its configuration is fixed from then on.
 type Client struct {
-	MetaURL  string // base URL of the metadata server
-	UserID   uint64
-	DeviceID uint64
-	Device   trace.DeviceType
-	// SimRTT, when nonzero, is reported to the front-end as the
-	// connection's average RTT (the simulated path latency).
-	SimRTT time.Duration
-	// Proxied marks requests as relayed via an HTTP proxy.
-	Proxied bool
-	// HTTP is the underlying client. Nil means a shared internal
-	// client with connection reuse and a cap timeout (never the
-	// timeoutless http.DefaultClient).
-	HTTP *http.Client
-	// Retry tunes resilience; nil means DefaultRetry.
-	Retry *RetryPolicy
-	// RetrySeed seeds the deterministic backoff jitter stream.
-	RetrySeed uint64
-	// MaxResumes bounds how many times one upload re-queries the
-	// missing-chunk set after mid-file failures; 0 means 3.
-	MaxResumes int
-	// Parallel is the chunk-transfer window: how many chunk PUTs/GETs
-	// one file operation keeps in flight. 0 means DefaultParallel; 1
-	// keeps one request in flight at a time (a retrieve still batches
-	// its chunks into it). When InterChunkDelay is set the
-	// client transfers one chunk per request, sequentially, since the
-	// delay models the sequential inter-chunk gaps of §4.
-	Parallel int
-	// Metrics, when non-nil, receives retry/resume/refetch counters
-	// (see NewClientMetrics). May be shared across clients.
-	Metrics *ClientMetrics
-	// InterChunkDelay, when set, is called between consecutive chunk
-	// requests and the client sleeps for the returned duration. It
-	// models the client processing time Tclt that §4 shows dominates
-	// inter-chunk idle gaps.
-	InterChunkDelay func() time.Duration
-	// SimClock, when set, stamps every request with a virtual
-	// timestamp (X-Sim-Time) that the front-end logs instead of the
-	// wall clock — used to replay pre-generated traces through the
-	// live service in compressed time.
-	SimClock func() time.Time
-	// Tracer, when non-nil, roots a distributed trace per file
-	// operation (subject to the tracer's sampling rate) and
-	// propagates it on every request via X-MCS-Trace/X-MCS-Span.
-	Tracer *tracing.Tracer
-
-	// LegacyAPI pins the client to the unversioned wire paths,
-	// skipping negotiation (used to exercise the compatibility path in
-	// tests).
-	LegacyAPI bool
-
-	// DisableBin pins the client to the JSON chunk paths even against
-	// binary-capable servers — the knob mcsbench and tests use for
-	// like-for-like dialect comparisons.
-	DisableBin bool
+	cfg ClientConfig
 
 	rngMu sync.Mutex
 	rng   *randx.Source
@@ -121,6 +70,62 @@ type Client struct {
 	metaRt   *metaRouter
 }
 
+// ClientConfig is a client's configuration. The zero value of every
+// field but MetaURL is a working default.
+type ClientConfig struct {
+	// MetaURL is the metadata plane's bootstrap list, comma-separated,
+	// primary first, standbys after.
+	MetaURL  string
+	UserID   uint64
+	DeviceID uint64
+	Device   trace.DeviceType
+	// SimRTT, when nonzero, is reported to the front-end as the
+	// connection's average RTT (the simulated path latency).
+	SimRTT time.Duration
+	// Proxied marks requests as relayed via an HTTP proxy.
+	Proxied bool
+	// HTTP is the underlying client. Nil means a shared internal
+	// client with connection reuse and a cap timeout (never the
+	// timeoutless http.DefaultClient).
+	HTTP *http.Client
+	// Retry tunes resilience; nil means DefaultRetry.
+	Retry *RetryPolicy
+	// RetrySeed seeds the deterministic backoff jitter stream.
+	RetrySeed uint64
+	// MaxResumes bounds how many times one upload re-queries the
+	// missing-chunk set after mid-file failures; 0 means 3.
+	MaxResumes int
+	// Parallel is the chunk-transfer window: how many chunk PUTs/GETs
+	// one file operation keeps in flight. 0 means DefaultParallel; 1
+	// keeps one request in flight at a time (a retrieve still batches
+	// its chunks into it).
+	Parallel int
+	// Metrics, when non-nil, receives retry/resume/refetch counters
+	// (see NewClientMetrics). May be shared across clients.
+	Metrics *ClientMetrics
+	// SimClock, when set, stamps every request with a virtual
+	// timestamp (X-Sim-Time) that the front-end logs instead of the
+	// wall clock — used to replay pre-generated traces through the
+	// live service in compressed time.
+	SimClock func() time.Time
+	// Tracer, when non-nil, roots a distributed trace per file
+	// operation (subject to the tracer's sampling rate) whose context
+	// carries no span, and propagates it on every request via
+	// X-MCS-Trace/X-MCS-Span.
+	Tracer *tracing.Tracer
+	// LegacyAPI pins the client to the unversioned wire paths,
+	// skipping negotiation (used to exercise the compatibility path in
+	// tests).
+	LegacyAPI bool
+	// DisableBin pins the client to the JSON chunk paths even against
+	// binary-capable servers — the knob mcsbench and tests use for
+	// like-for-like dialect comparisons.
+	DisableBin bool
+}
+
+// NewClient returns a client built from cfg.
+func NewClient(cfg ClientConfig) *Client { return &Client{cfg: cfg} }
+
 // markLegacy records that base speaks only the unversioned API.
 func (c *Client) markLegacy(base string) {
 	c.legacyMu.Lock()
@@ -133,7 +138,7 @@ func (c *Client) markLegacy(base string) {
 
 // useV1 reports whether requests to base should take the /v1 paths.
 func (c *Client) useV1(base string) bool {
-	if c.LegacyAPI {
+	if c.cfg.LegacyAPI {
 		return false
 	}
 	c.legacyMu.Lock()
@@ -152,7 +157,7 @@ type binCaps struct {
 // noteBin records the dialect capability a response from base
 // advertised (or stopped advertising).
 func (c *Client) noteBin(base string, h http.Header) {
-	if c.DisableBin || c.LegacyAPI {
+	if c.cfg.DisableBin || c.cfg.LegacyAPI {
 		return
 	}
 	v := binCaps{bin: binAdvertised(h), fileRetrieve: h.Get(BinOpsHeader) == BinOpFileRetrieve}
@@ -168,7 +173,7 @@ func (c *Client) noteBin(base string, h http.Header) {
 // nothing unless the client allows it and the host's last response
 // carried the stamps.
 func (c *Client) binCapsOf(base string) binCaps {
-	if c.DisableBin || !c.useV1(base) {
+	if c.cfg.DisableBin || !c.useV1(base) {
 		return binCaps{}
 	}
 	c.binMu.Lock()
@@ -199,7 +204,7 @@ var errLegacyRetry = errors.New("storage: legacy server detected, retrying unver
 // with X-MCS-API, so a 404 without it on a /v1 request means the
 // server predates the versioned API.
 func (c *Client) checkLegacy(base string, resp *http.Response) bool {
-	if c.LegacyAPI || !c.useV1(base) {
+	if c.cfg.LegacyAPI || !c.useV1(base) {
 		return false
 	}
 	if resp.StatusCode == http.StatusNotFound && resp.Header.Get(APIHeader) == "" {
@@ -245,14 +250,17 @@ func (c *Client) fetchRing(frontend string) *cluster.Ring {
 
 // getV1 is one GET of a /v1 JSON resource under the per-attempt
 // deadline and without retries: the ring and shard-map fetches are
-// fast paths whose absence costs a forwarding hop or a redirect.
+// fast paths whose absence costs a forwarding hop or a redirect. What
+// they fetch is the client's, shared by every later operation, so no
+// operation's context bounds them: one cancelled operation must not
+// leave the rest without a ring or a shard map.
 func (c *Client) getV1(base, path string, out interface{}) error {
 	req, err := http.NewRequest(http.MethodGet, base+path, nil)
 	if err != nil {
 		return err
 	}
 	req.Header.Set(APIHeader, APIV1)
-	ctx, cancel := context.WithTimeout(context.TODO(), c.policy().RequestTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), c.policy().RequestTimeout)
 	defer cancel()
 	resp, err := c.httpClient().Do(req.WithContext(ctx))
 	if err != nil {
@@ -285,104 +293,33 @@ func (c *Client) StatChunks(frontend string, chunkMD5s []string) (*StatResponse,
 		return nil, fmt.Errorf("storage: %s does not speak /v1/op/stat", frontend)
 	}
 	var resp StatResponse
-	budget := c.newBudget()
+	budget := c.newBudget(context.TODO())
 	if err := c.postJSON(frontend, "/op/stat", StatRequest{ChunkMD5s: chunkMD5s}, &resp, budget); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
-// ClientConfig configures a client built with NewClient; the fields
-// mirror Client's (see their docs there). The options struct exists
-// so cluster-era knobs extend it without another signature break.
-type ClientConfig struct {
-	MetaURL         string
-	UserID          uint64
-	DeviceID        uint64
-	Device          trace.DeviceType
-	SimRTT          time.Duration
-	Proxied         bool
-	HTTP            *http.Client
-	Retry           *RetryPolicy
-	RetrySeed       uint64
-	MaxResumes      int
-	Parallel        int
-	Metrics         *ClientMetrics
-	InterChunkDelay func() time.Duration
-	SimClock        func() time.Time
-	Tracer          *tracing.Tracer
-	LegacyAPI       bool
-	DisableBin      bool
-}
-
-// NewClient returns a client built from cfg.
-func NewClient(cfg ClientConfig) *Client {
-	return &Client{
-		MetaURL:         cfg.MetaURL,
-		UserID:          cfg.UserID,
-		DeviceID:        cfg.DeviceID,
-		Device:          cfg.Device,
-		SimRTT:          cfg.SimRTT,
-		Proxied:         cfg.Proxied,
-		HTTP:            cfg.HTTP,
-		Retry:           cfg.Retry,
-		RetrySeed:       cfg.RetrySeed,
-		MaxResumes:      cfg.MaxResumes,
-		Parallel:        cfg.Parallel,
-		Metrics:         cfg.Metrics,
-		InterChunkDelay: cfg.InterChunkDelay,
-		SimClock:        cfg.SimClock,
-		Tracer:          cfg.Tracer,
-		LegacyAPI:       cfg.LegacyAPI,
-		DisableBin:      cfg.DisableBin,
-	}
-}
-
-// Clone returns an independent client with the same configuration and
-// a fresh backoff-jitter stream. Client holds internal locked state,
-// so it must not be copied by value; retarget a Clone instead.
-func (c *Client) Clone() *Client {
-	return &Client{
-		MetaURL:         c.MetaURL,
-		UserID:          c.UserID,
-		DeviceID:        c.DeviceID,
-		Device:          c.Device,
-		SimRTT:          c.SimRTT,
-		Proxied:         c.Proxied,
-		HTTP:            c.HTTP,
-		Retry:           c.Retry,
-		RetrySeed:       c.RetrySeed,
-		MaxResumes:      c.MaxResumes,
-		Parallel:        c.Parallel,
-		Metrics:         c.Metrics,
-		InterChunkDelay: c.InterChunkDelay,
-		SimClock:        c.SimClock,
-		Tracer:          c.Tracer,
-		LegacyAPI:       c.LegacyAPI,
-		DisableBin:      c.DisableBin,
-	}
-}
-
 func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
+	if c.cfg.HTTP != nil {
+		return c.cfg.HTTP
 	}
 	return defaultHTTPClient
 }
 
 // setIdentity attaches the identity headers the front-end logs.
 func (c *Client) setIdentity(req *http.Request) {
-	req.Header.Set("X-Device-Type", c.Device.String())
-	req.Header.Set("X-Device-ID", strconv.FormatUint(c.DeviceID, 10))
-	req.Header.Set("X-User-ID", strconv.FormatUint(c.UserID, 10))
-	if c.SimRTT > 0 {
-		req.Header.Set("X-Sim-RTT", strconv.FormatInt(int64(c.SimRTT), 10))
+	req.Header.Set("X-Device-Type", c.cfg.Device.String())
+	req.Header.Set("X-Device-ID", strconv.FormatUint(c.cfg.DeviceID, 10))
+	req.Header.Set("X-User-ID", strconv.FormatUint(c.cfg.UserID, 10))
+	if c.cfg.SimRTT > 0 {
+		req.Header.Set("X-Sim-RTT", strconv.FormatInt(int64(c.cfg.SimRTT), 10))
 	}
-	if c.Proxied {
+	if c.cfg.Proxied {
 		req.Header.Set("X-Forwarded-For", "10.0.0.1")
 	}
-	if c.SimClock != nil {
-		req.Header.Set("X-Sim-Time", strconv.FormatInt(c.SimClock().UnixNano(), 10))
+	if c.cfg.SimClock != nil {
+		req.Header.Set("X-Sim-Time", strconv.FormatInt(c.cfg.SimClock().UnixNano(), 10))
 	}
 }
 
@@ -433,7 +370,7 @@ func (c *Client) jsonRequest(base, path string, body []byte) (*http.Request, err
 // meta returns the client's metadata router.
 func (c *Client) meta() *metaRouter {
 	c.metaOnce.Do(func() {
-		c.metaRt = newMetaRouter(splitEndpoints(c.MetaURL), nil, c.fetchShardMap)
+		c.metaRt = newMetaRouter(splitEndpoints(c.cfg.MetaURL), nil, c.fetchShardMap)
 	})
 	return c.metaRt
 }
@@ -458,7 +395,7 @@ func (c *Client) postMetaJSON(shard int, path string, in, out interface{}, budge
 	if err != nil {
 		return err
 	}
-	return c.meta().call(context.TODO(), c.exec(budget, budget.span), shard,
+	return c.meta().call(budget.ctx, c.exec(budget, budget.span), shard,
 		func(ep string) (*http.Request, error) { return c.jsonRequest(ep, path, body) },
 		c.checkLegacy, out)
 }
@@ -500,14 +437,23 @@ type StoreResult struct {
 	Resumes      int // times the upload re-queried the missing-chunk set
 }
 
-// StoreFile uploads one file: dedup check at the metadata server, then
-// a file storage operation request and chunk storage requests at the
-// front-end. A mid-file failure does not restart the upload — the
+// StoreFile is StoreFileCtx without a deadline.
+func (c *Client) StoreFile(name string, data []byte) (StoreResult, error) {
+	return c.StoreFileCtx(context.Background(), name, data)
+}
+
+// StoreFileCtx uploads one file: dedup check at the metadata server,
+// then a file storage operation request and chunk storage requests at
+// the front-end. A mid-file failure does not restart the upload — the
 // client re-issues the file operation request, learns which chunks the
-// front-end is still missing, and sends only those.
-func (c *Client) StoreFile(name string, data []byte) (res StoreResult, err error) {
-	budget := c.newBudget()
-	budget.span = c.Tracer.StartRoot(tracing.CompClient, tracing.SpanStoreFile)
+// front-end is still missing, and sends only those. The upload ends
+// with ctx, and its span is a child of the one ctx carries.
+func (c *Client) StoreFileCtx(ctx context.Context, name string, data []byte) (res StoreResult, err error) {
+	if err := ctx.Err(); err != nil {
+		return StoreResult{}, err
+	}
+	budget := c.newBudget(ctx)
+	budget.span = c.opSpan(ctx, tracing.SpanStoreFile)
 	budget.span.AnnotateInt("bytes", int64(len(data)))
 	defer func() { budget.span.EndErr(err) }()
 	// The chunk digests are needed only if the dedup check says
@@ -530,14 +476,14 @@ func (c *Client) StoreFile(name string, data []byte) (res StoreResult, err error
 		}
 		// On any early return — error, or a Duplicate verdict — the
 		// pass stops at the next lane group and lets go of the caller's
-		// bytes before StoreFile returns.
+		// bytes before StoreFileCtx returns.
 		defer up.cancel()
 		fileSum = SumBytes(data)
 	}
-	shard := c.meta().shardFor(c.UserID)
+	shard := c.meta().shardFor(c.cfg.UserID)
 	var check StoreCheckResponse
 	err = c.postMetaJSON(shard, "/meta/store-check", StoreCheckRequest{
-		UserID:  c.UserID,
+		UserID:  c.cfg.UserID,
 		Name:    name,
 		Size:    int64(len(data)),
 		FileMD5: fileSum.String(),
@@ -562,9 +508,9 @@ func (c *Client) StoreFile(name string, data []byte) (res StoreResult, err error
 		}
 	}
 	opReq := FileOpRequest{
-		UserID:    c.UserID,
-		DeviceID:  c.DeviceID,
-		Device:    c.Device.String(),
+		UserID:    c.cfg.UserID,
+		DeviceID:  c.cfg.DeviceID,
+		Device:    c.cfg.Device.String(),
 		Name:      name,
 		Size:      int64(len(data)),
 		FileMD5:   fileSum.String(),
@@ -574,7 +520,7 @@ func (c *Client) StoreFile(name string, data []byte) (res StoreResult, err error
 		Shard: check.Shard,
 	}
 
-	maxResumes := c.MaxResumes
+	maxResumes := c.cfg.MaxResumes
 	if maxResumes <= 0 {
 		maxResumes = 3
 	}
@@ -584,7 +530,7 @@ func (c *Client) StoreFile(name string, data []byte) (res StoreResult, err error
 	for pass := 0; pass <= maxResumes; pass++ {
 		if pass > 0 {
 			res.Resumes++
-			c.Metrics.resume()
+			c.cfg.Metrics.resume()
 		}
 		var opResp FileOpResponse
 		err = c.postJSON(check.FrontEnd, "/op/store?url="+check.URL, opReq, &opResp, budget)
@@ -606,11 +552,20 @@ func (c *Client) StoreFile(name string, data []byte) (res StoreResult, err error
 		if lastErr == nil {
 			return res, nil
 		}
-		if !retryable(lastErr) || !opResp.Resumable {
+		if !retryable(lastErr) || !opResp.Resumable || ctx.Err() != nil {
 			break
 		}
 	}
 	return res, lastErr
+}
+
+// opSpan opens a file operation's span: a child of the span ctx
+// carries, else a root of the client's tracer.
+func (c *Client) opSpan(ctx context.Context, name string) *tracing.Span {
+	if parent := tracing.FromContext(ctx); parent != nil {
+		return parent.StartChild(tracing.CompClient, name)
+	}
+	return c.cfg.Tracer.StartRoot(tracing.CompClient, name)
 }
 
 // upload is one file being stored: its bytes and, per chunk, the
@@ -708,11 +663,11 @@ const DefaultParallel = 4
 // window resolves the effective in-flight window for an operation of
 // the given chunk count.
 func (c *Client) window(chunks int) int {
-	w := c.Parallel
+	w := c.cfg.Parallel
 	if w == 0 {
 		w = DefaultParallel
 	}
-	if w < 1 || c.InterChunkDelay != nil {
+	if w < 1 {
 		w = 1
 	}
 	if w > chunks {
@@ -727,9 +682,7 @@ func (c *Client) window(chunks int) int {
 // position, so reporting does not depend on goroutine interleaving.
 func (c *Client) sendChunks(frontend, url string, todo []string, up *upload, budget *retryBudget, res *StoreResult) error {
 	w := c.window(len(todo))
-	// Every window batches over mcsbin/1; only a paced client keeps one
-	// request per chunk, as in §4.
-	if c.InterChunkDelay == nil && c.binHost(frontend) {
+	if c.binHost(frontend) {
 		if err := c.sendChunksBin(frontend, url, todo, up, budget, res, w); err == nil {
 			return nil
 		}
@@ -743,9 +696,6 @@ func (c *Client) sendChunks(frontend, url string, todo []string, up *upload, bud
 		i, ok := up.byDigest[todo[j]]
 		if !ok {
 			return fmt.Errorf("storage: front-end wants unknown chunk %s", todo[j])
-		}
-		if j > 0 && c.InterChunkDelay != nil {
-			time.Sleep(c.InterChunkDelay())
 		}
 		p := up.chunk(i)
 		if err := c.putChunk(frontend, url, up.sums[i], p, budget); err != nil {

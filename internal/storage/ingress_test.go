@@ -53,7 +53,7 @@ func ingressService(t *testing.T, store ChunkStore, parallel int) *Client {
 	t.Cleanup(feSrv.Close)
 	t.Cleanup(metaSrv.Close)
 	meta.AddFrontEnd(feSrv.URL)
-	return &Client{MetaURL: metaSrv.URL, UserID: 1, DeviceID: 1, Device: trace.Android, Parallel: parallel}
+	return NewClient(ClientConfig{MetaURL: metaSrv.URL, UserID: 1, DeviceID: 1, Device: trace.Android, Parallel: parallel})
 }
 
 // TestIngressHashesOncePerNode pins the pass count on one node: a 4 MB
@@ -77,8 +77,8 @@ func TestIngressHashesOncePerNode(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ds, _ := newDiskStore(t, DiskStoreOptions{})
 			wrap := &ctxOnlyStore{ChunkStore: ds}
-			client := ingressService(t, NewCachedStore(wrap, 64<<20), tc.parallel)
-			client.DisableBin = tc.disableBin
+			client := reconfigure(ingressService(t, NewCachedStore(wrap, 64<<20), tc.parallel),
+				func(cfg *ClientConfig) { cfg.DisableBin = tc.disableBin })
 			data := chunkedData(t, uint64(len(tc.name)), size)
 			fsyncs := ds.DiskStats().Fsyncs
 			writeOuts := writeOutCounter(t, ds)
@@ -673,7 +673,7 @@ func TestConcurrentHashingIsDeterministic(t *testing.T) {
 		defer feSrv.Close()
 		defer metaSrv.Close()
 		meta.AddFrontEnd(feSrv.URL)
-		client := &Client{MetaURL: metaSrv.URL, UserID: 9, DeviceID: 9, Device: trace.Android, Parallel: parallel}
+		client := NewClient(ClientConfig{MetaURL: metaSrv.URL, UserID: 9, DeviceID: 9, Device: trace.Android, Parallel: parallel})
 		res, err := client.StoreFile("d.bin", data)
 		if err != nil {
 			t.Fatal(err)
@@ -1000,10 +1000,10 @@ func newRetrieveRig(t *testing.T, parallel int) *retrieveRig {
 	t.Cleanup(metaSrv.Close)
 	rig.meta.AddFrontEnd(feSrv.URL)
 	pol := fastRetry
-	rig.client = &Client{
+	rig.client = NewClient(ClientConfig{
 		MetaURL: metaSrv.URL, UserID: 5, DeviceID: 5, Device: trace.Android,
 		Parallel: parallel, Retry: &pol, Metrics: NewClientMetrics(metrics.NewRegistry()),
-	}
+	})
 	return rig
 }
 
@@ -1063,28 +1063,30 @@ func forgeFirstFrame(_ bool, body []byte) {
 	encodeHeader(body[:recHeaderSize], sum, n, payload)
 }
 
-// retrieveGoroutines counts the goroutines still running retrieve code.
-func retrieveGoroutines() int {
+// opGoroutines counts the goroutines still running file-operation
+// code: a retrieve's fold, an upload's hasher, either's window.
+func opGoroutines() int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	n := 0
 	for _, g := range bytes.Split(buf, []byte("\n\n")) {
-		if bytes.Contains(g, []byte("(*retrieval)")) || bytes.Contains(g, []byte("storage.runWindow")) {
+		if bytes.Contains(g, []byte("(*retrieval)")) || bytes.Contains(g, []byte("(*upload)")) ||
+			bytes.Contains(g, []byte("storage.runWindow")) {
 			n++
 		}
 	}
 	return n
 }
 
-// checkNoRetrieveGoroutines fails if a goroutine a retrieve started is
-// still alive shortly after the retrieve returned (the grace covers a
+// checkNoOpGoroutines fails if a goroutine a file operation started is
+// still alive shortly after the operation returned (the grace covers a
 // goroutine between its last statement and its exit).
-func checkNoRetrieveGoroutines(t *testing.T) {
+func checkNoOpGoroutines(t *testing.T) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for retrieveGoroutines() > 0 {
+	for opGoroutines() > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d retrieve goroutines outlived the call", retrieveGoroutines())
+			t.Fatalf("%d file-operation goroutines outlived the call", opGoroutines())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -1106,7 +1108,7 @@ func TestRetrieveCorruptionMatrix(t *testing.T) {
 			rig := func(t *testing.T) *retrieveRig {
 				seed++
 				rig := newRetrieveRig(t, parallel)
-				rig.client.DisableBin = dialect == "json"
+				rig.client = reconfigure(rig.client, func(cfg *ClientConfig) { cfg.DisableBin = dialect == "json" })
 				return rig
 			}
 			name := fmt.Sprintf("parallel=%d/%s/", parallel, dialect)
@@ -1120,15 +1122,15 @@ func TestRetrieveCorruptionMatrix(t *testing.T) {
 				if err != nil || !bytes.Equal(got, data) {
 					t.Fatalf("retrieve after a flipped bit: %v (equal %v)", err, bytes.Equal(got, data))
 				}
-				if !rig.damaged.Load() || rig.client.Metrics.Stats().Refetches < 1 {
-					t.Fatalf("damaged %v, refetches %d", rig.damaged.Load(), rig.client.Metrics.Stats().Refetches)
+				if !rig.damaged.Load() || rig.client.cfg.Metrics.Stats().Refetches < 1 {
+					t.Fatalf("damaged %v, refetches %d", rig.damaged.Load(), rig.client.cfg.Metrics.Stats().Refetches)
 				}
 				// Caught by the CRC inside the batch and retried there:
 				// one more bin/get than there are batches, no JSON GET.
 				if asked, jsonGot := rig.requests(); dialect == "bin" && (len(asked) != parallel+1 || len(jsonGot) != 0) {
 					t.Fatalf("bin/get %d, JSON GET %d; want %d and 0", len(asked), len(jsonGot), parallel+1)
 				}
-				checkNoRetrieveGoroutines(t)
+				checkNoOpGoroutines(t)
 			})
 
 			if dialect == "bin" {
@@ -1141,15 +1143,15 @@ func TestRetrieveCorruptionMatrix(t *testing.T) {
 					if err != nil || !bytes.Equal(got, data) {
 						t.Fatalf("retrieve after a forged frame: %v (equal %v)", err, bytes.Equal(got, data))
 					}
-					if !rig.damaged.Load() || rig.client.Metrics.Stats().Refetches < 1 {
-						t.Fatalf("damaged %v, refetches %d", rig.damaged.Load(), rig.client.Metrics.Stats().Refetches)
+					if !rig.damaged.Load() || rig.client.cfg.Metrics.Stats().Refetches < 1 {
+						t.Fatalf("damaged %v, refetches %d", rig.damaged.Load(), rig.client.cfg.Metrics.Stats().Refetches)
 					}
 					// The CRC passed, so no batch retried; the file digest
 					// caught it and exactly the forged chunk was re-fetched.
 					if asked, jsonGot := rig.requests(); len(asked) != parallel || len(jsonGot) != 1 {
 						t.Fatalf("bin/get %d, JSON GET %d; want %d and 1", len(asked), len(jsonGot), parallel)
 					}
-					checkNoRetrieveGoroutines(t)
+					checkNoOpGoroutines(t)
 				})
 			}
 
@@ -1178,7 +1180,7 @@ func TestRetrieveCorruptionMatrix(t *testing.T) {
 					if !errors.Is(err, errFileDigest) || got != nil {
 						t.Fatalf("%d chunks: RetrieveFile = %d bytes, %v; want no bytes and a digest error", chunks, len(got), err)
 					}
-					checkNoRetrieveGoroutines(t)
+					checkNoOpGoroutines(t)
 				}
 			})
 		}
@@ -1194,8 +1196,8 @@ func TestRetrieveCorruptionMatrix(t *testing.T) {
 func TestRetrieveHashesEachByteOnce(t *testing.T) {
 	for _, parallel := range []int{1, 2} {
 		for _, json := range []bool{false, true} {
-			client := ingressService(t, NewMemStore(), parallel)
-			client.DisableBin = json
+			client := reconfigure(ingressService(t, NewMemStore(), parallel),
+				func(cfg *ClientConfig) { cfg.DisableBin = json })
 			passes := int64(1)
 			if json {
 				passes = 2
@@ -1231,15 +1233,19 @@ func TestBatchRetryFetchesOnlyMissing(t *testing.T) {
 	for _, attempts := range []int{4, 2} {
 		t.Run(fmt.Sprintf("attempts=%d", attempts), func(t *testing.T) {
 			rig := newRetrieveRig(t, 1)
-			rig.client.Retry.MaxAttempts = attempts
 			data := chunkedData(t, 71, 8*ChunkSize)
 			url := rig.upload(t, data)
-			rig.client.HTTP = &http.Client{Transport: faults.NewTransport(faults.Scenario{
-				Seed:          1,
-				TruncateRate:  1,
-				TruncateAfter: frames * (recHeaderSize + ChunkSize),
-				PathPrefix:    "/v1/bin/get",
-			}, nil)}
+			rig.client = reconfigure(rig.client, func(cfg *ClientConfig) {
+				pol := *cfg.Retry
+				pol.MaxAttempts = attempts
+				cfg.Retry = &pol
+				cfg.HTTP = &http.Client{Transport: faults.NewTransport(faults.Scenario{
+					Seed:          1,
+					TruncateRate:  1,
+					TruncateAfter: frames * (recHeaderSize + ChunkSize),
+					PathPrefix:    "/v1/bin/get",
+				}, nil)}
+			})
 			got, err := rig.client.RetrieveFile(url)
 			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("retrieve through a cutting transport: %v", err)
@@ -1261,136 +1267,7 @@ func TestBatchRetryFetchesOnlyMissing(t *testing.T) {
 			if !reflect.DeepEqual(jsonGot, wantJSON) {
 				t.Errorf("JSON fallback fetched %v, want %v", jsonGot, wantJSON)
 			}
-			checkNoRetrieveGoroutines(t)
+			checkNoOpGoroutines(t)
 		})
-	}
-}
-
-// TestInterChunkDelayPacesEachChunk: the modelled client processing
-// time separates consecutive chunks, so on a ring a paced retrieve
-// still requests its chunks one at a time in file order, whichever
-// host each chunk routes to and whichever dialect that host is known
-// to speak, and hashes each byte once over mcsbin/1 (twice over JSON).
-func TestInterChunkDelayPacesEachChunk(t *testing.T) {
-	nodes, meta := newTestCluster(t, 3, 3, 2)
-	metaSrv := httptest.NewServer(meta.Handler())
-	t.Cleanup(metaSrv.Close)
-	meta.AddFrontEnd(nodes[0].url)
-	var (
-		mu      sync.Mutex
-		order   [][]Sum // per client chunk request, in arrival order
-		viaJSON = map[Sum]bool{}
-		paced   atomic.Int64
-	)
-	for _, nd := range nodes {
-		fe := nd.fe
-		nd.handler.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			var asked []Sum
-			switch {
-			case r.Header.Get(ReplicaHeader) != "":
-			case r.URL.Path == "/v1/bin/get":
-				body, _ := io.ReadAll(r.Body)
-				asked, _ = decodeBinGetRequest(bytes.NewReader(body), binMaxBatch)
-				r.Body = io.NopCloser(bytes.NewReader(body))
-			case r.Method == http.MethodGet && isChunkReq(r):
-				sum, _ := ParseSum(trimChunkPath(r.URL.Path))
-				asked = []Sum{sum}
-			}
-			if asked != nil {
-				mu.Lock()
-				order = append(order, asked)
-				if r.Method == http.MethodGet {
-					viaJSON[asked[0]] = true
-				}
-				mu.Unlock()
-			}
-			fe.ServeHTTP(w, r)
-		}))
-	}
-	client := &Client{
-		MetaURL: metaSrv.URL, UserID: 9, DeviceID: 9, Device: trace.Android, Parallel: 4,
-		InterChunkDelay: func() time.Duration { paced.Add(1); return 0 },
-	}
-	// Ports, and so ring positions, differ per run: pick data whose
-	// chunks grouping by host would reorder, and leave one host that is
-	// not the front-end (the client hears mcsbin/1 from that on every
-	// operation) on the JSON path.
-	var (
-		data     []byte
-		sums     []Sum
-		targets  []string
-		jsonHost string
-	)
-	for seed := uint64(83); jsonHost == ""; seed++ {
-		data = chunkedData(t, seed, 8*ChunkSize+99)
-		sums, targets = SplitSums(data), nil
-		interleaved := false
-		for i, s := range sums {
-			targets = append(targets, client.chunkTarget(nodes[0].url, s))
-			interleaved = interleaved || i > 0 && targets[i] < targets[i-1]
-		}
-		for _, h := range targets {
-			if interleaved && h != nodes[0].url {
-				jsonHost = h
-				break
-			}
-		}
-	}
-	res, err := client.StoreFile("paced.bin", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// W=2 acks with the third replica in flight; let it land, so no
-	// server-side replica read hashes bytes during the retrieve.
-	deadline := time.Now().Add(5 * time.Second)
-	for _, nd := range nodes {
-		for _, s := range sums {
-			for !nd.local.Has(s) {
-				if time.Now().After(deadline) {
-					t.Fatalf("%s never received chunk %s", nd.url, s)
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}
-	for _, nd := range nodes {
-		if nd.url != jsonHost {
-			h := http.Header{}
-			h.Set(BinHeader, BinV1)
-			client.noteBin(nd.url, h)
-		}
-	}
-	mu.Lock()
-	order, viaJSON = nil, map[Sum]bool{}
-	mu.Unlock()
-	paced.Store(0)
-
-	before := hashPasses.Load()
-	got, err := client.RetrieveFile(res.URL)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("paced retrieve: %v", err)
-	}
-	passes := hashPasses.Load() - before
-	var want [][]Sum
-	wantJSON := map[Sum]bool{}
-	wantPasses := int64(len(data))
-	for i, s := range sums {
-		want = append(want, []Sum{s})
-		if targets[i] == jsonHost {
-			wantJSON[s] = true
-			wantPasses += min(ChunkSize, int64(len(data)-i*ChunkSize))
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if !reflect.DeepEqual(order, want) || paced.Load() != int64(len(want)-1) {
-		t.Fatalf("paced requests asked for %v chunks (want one each, in file order), paced %d times (want %d)",
-			lens(order), paced.Load(), len(want)-1)
-	}
-	if !reflect.DeepEqual(viaJSON, wantJSON) {
-		t.Fatalf("%d chunks took the JSON path, want the %d routed to %s", len(viaJSON), len(wantJSON), jsonHost)
-	}
-	if passes != wantPasses {
-		t.Errorf("paced retrieve hashed %d bytes, want %d", passes, wantPasses)
 	}
 }

@@ -31,9 +31,9 @@ func TestInstrumentedServiceExposition(t *testing.T) {
 	metaSrv := httptest.NewServer(meta.Handler())
 	defer metaSrv.Close()
 
-	client := &Client{
+	client := NewClient(ClientConfig{
 		MetaURL: metaSrv.URL, UserID: 7, DeviceID: 1, Device: trace.IOS,
-	}
+	})
 	data := make([]byte, ChunkSize+ChunkSize/2) // 2 chunks
 	for i := range data {
 		data[i] = byte(i)

@@ -152,7 +152,7 @@ func TestBinNegotiation(t *testing.T) {
 		metaSrv := httptest.NewServer(meta.Handler())
 		meta.AddFrontEnd(feSrv.URL)
 		pol := fastRetry
-		client := &Client{MetaURL: metaSrv.URL, UserID: 9, DeviceID: 2, Device: trace.Android, Retry: &pol, Parallel: 4}
+		client := NewClient(ClientConfig{MetaURL: metaSrv.URL, UserID: 9, DeviceID: 2, Device: trace.Android, Retry: &pol, Parallel: 4})
 		return client, &binHits, func() { feSrv.Close(); metaSrv.Close() }
 	}
 
@@ -194,7 +194,7 @@ func TestBinNegotiation(t *testing.T) {
 	t.Run("json-pinned-client", func(t *testing.T) {
 		client, hits, cleanup := newSvc(false)
 		defer cleanup()
-		client.DisableBin = true
+		client = reconfigure(client, func(cfg *ClientConfig) { cfg.DisableBin = true })
 		roundTrip(t, client, 23)
 		if hits.Load() != 0 {
 			t.Fatalf("DisableBin client issued %d /v1/bin requests", hits.Load())

@@ -282,7 +282,11 @@ func (r *metaRouter) call(ctx context.Context, x retryExec, shard int, newReq fu
 			att.AnnotateInt("shard", int64(shard))
 			att.Annotate("endpoint", ep)
 			if err != nil {
-				rt.health.ReportFailure(ep)
+				// A caller that gave up ended the attempt, not the
+				// endpoint: its breaker is every caller's.
+				if ctx.Err() == nil {
+					rt.health.ReportFailure(ep)
+				}
 				return err
 			}
 			if legacy != nil && legacy(ep, resp) {

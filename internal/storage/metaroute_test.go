@@ -137,7 +137,7 @@ var routingCallers = []struct {
 	open func(t *testing.T, env *routeEnv, pol RetryPolicy) (op func(i int) error, r *metaRouter)
 }{
 	{"Client", func(t *testing.T, env *routeEnv, pol RetryPolicy) (func(int) error, *metaRouter) {
-		c := &Client{MetaURL: strings.Join(env.eps, ","), UserID: env.user, Retry: &pol, HTTP: &http.Client{Transport: env}}
+		c := NewClient(ClientConfig{MetaURL: strings.Join(env.eps, ","), UserID: env.user, Retry: &pol, HTTP: &http.Client{Transport: env}})
 		if env.smap != nil {
 			r := c.meta()
 			r.smap, r.fetched = env.smap, true

@@ -81,7 +81,7 @@ func TestClientWrongShardOneBounce(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := fastRetry
-	c := &Client{MetaURL: srv0.URL, UserID: user, Retry: &pol}
+	c := NewClient(ClientConfig{MetaURL: srv0.URL, UserID: user, Retry: &pol})
 	r := c.meta()
 	r.smap, r.fetched = stale, true
 

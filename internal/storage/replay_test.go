@@ -20,7 +20,7 @@ func TestVirtualTimeReplay(t *testing.T) {
 	defer cleanup()
 
 	clock := time.Date(2015, 8, 4, 9, 0, 0, 0, time.UTC)
-	client.SimClock = func() time.Time { return clock }
+	client = reconfigure(client, func(cfg *ClientConfig) { cfg.SimClock = func() time.Time { return clock } })
 
 	src := randx.New(91)
 	mkData := func(n int) []byte {

@@ -415,7 +415,7 @@ func newDiskRing(t *testing.T, n, w, legacy int, wrap func(http.RoundTripper) ht
 	meta.AddFrontEnd(nodes[0].url)
 	pol := fastRetry
 	return nodes, meta, func(parallel int) *Client {
-		return &Client{MetaURL: metaSrv.URL, UserID: 1, DeviceID: 1, Device: trace.Android, Retry: &pol, Parallel: parallel}
+		return NewClient(ClientConfig{MetaURL: metaSrv.URL, UserID: 1, DeviceID: 1, Device: trace.Android, Retry: &pol, Parallel: parallel})
 	}
 }
 
@@ -578,8 +578,7 @@ func TestFanoutFaultMatrix(t *testing.T) {
 		nodes, meta, newClient := newDiskRing(t, 3, 2, -1, nil)
 		data := chunkedData(t, 63, 4*ChunkSize)
 		sum := SumBytes(data)
-		client := newClient(1)
-		client.MaxResumes = 1
+		client := reconfigure(newClient(1), func(cfg *ClientConfig) { cfg.MaxResumes = 1 })
 		nodes[1].down()
 		nodes[2].down()
 		err := doChunkReq(t, http.MethodPost, nodes[0].url+"/v1/bin/put", binBatch(appendBinFrame(nil, SplitSums(data)[0], data[:ChunkSize])), false)
@@ -786,8 +785,7 @@ func TestNothingAckedEarly(t *testing.T) {
 	fail(1, true)
 	fail(2, true)
 	file := chunkedData(t, 68, 3*ChunkSize)
-	client := newClient(1)
-	client.MaxResumes = 1
+	client := reconfigure(newClient(1), func(cfg *ClientConfig) { cfg.MaxResumes = 1 })
 	if _, err := client.StoreFile("unsynced.bin", file); !errors.Is(err, ErrUnavailable) || !retryable(err) {
 		t.Fatalf("store while every peer's fsync fails: %v, want retryable ErrUnavailable", err)
 	}
@@ -814,7 +812,7 @@ func TestReplicatedHopsAreNotClientRequests(t *testing.T) {
 	metaSrv := httptest.NewServer(meta.Handler())
 	defer metaSrv.Close()
 	meta.AddFrontEnd(nodes[0].url)
-	client := &Client{MetaURL: metaSrv.URL, UserID: 7, DeviceID: 3, Device: trace.Android, Parallel: 2}
+	client := NewClient(ClientConfig{MetaURL: metaSrv.URL, UserID: 7, DeviceID: 3, Device: trace.Android, Parallel: 2})
 
 	const chunks = 4
 	data := chunkedData(t, 11, chunks*ChunkSize)
@@ -855,7 +853,7 @@ func TestReplicatedHopsAreNotClientRequests(t *testing.T) {
 	counts := map[trace.ReqType]int{}
 	for _, l := range col.Logs() {
 		counts[l.Type]++
-		if l.UserID != client.UserID {
+		if l.UserID != client.cfg.UserID {
 			t.Errorf("%s record for user %d: a replica hop was logged as a client request", l.Type, l.UserID)
 		}
 	}

@@ -42,18 +42,26 @@ func newFlakyService(t *testing.T, wrap func(http.Handler) http.Handler) (*Clien
 	metaSrv := httptest.NewServer(meta.Handler())
 	meta.AddFrontEnd(feSrv.URL)
 	pol := fastRetry
-	client := &Client{
+	client := NewClient(ClientConfig{
 		MetaURL:  metaSrv.URL,
 		UserID:   42,
 		DeviceID: 7,
 		Device:   trace.Android,
 		Retry:    &pol,
-	}
+	})
 	cleanup := func() {
 		feSrv.Close()
 		metaSrv.Close()
 	}
 	return client, store, cleanup
+}
+
+// reconfigure returns a new client from c's configuration as edit
+// changes it: a client's configuration never changes under it.
+func reconfigure(c *Client, edit func(*ClientConfig)) *Client {
+	cfg := c.cfg
+	edit(&cfg)
+	return NewClient(cfg)
 }
 
 // isChunkReq matches chunk requests in either API dialect
@@ -97,7 +105,7 @@ func TestRetryTransient5xx(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	pol := fastRetry
-	client := &Client{MetaURL: srv.URL, UserID: 1, Retry: &pol, Metrics: NewClientMetrics(reg)}
+	client := NewClient(ClientConfig{MetaURL: srv.URL, UserID: 1, Retry: &pol, Metrics: NewClientMetrics(reg)})
 	res, err := client.StoreFile("a.bin", []byte("hello"))
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +116,7 @@ func TestRetryTransient5xx(t *testing.T) {
 	if attempts != 3 {
 		t.Errorf("server saw %d attempts, want 3", attempts)
 	}
-	st := client.Metrics.Stats()
+	st := client.cfg.Metrics.Stats()
 	if st.Retries != 2 || st.RetrySuccess != 1 {
 		t.Errorf("stats = %+v, want 2 retries / 1 recovered", st)
 	}
@@ -131,7 +139,7 @@ func TestPermanent4xxFailsFast(t *testing.T) {
 	defer srv.Close()
 
 	pol := fastRetry
-	client := &Client{MetaURL: srv.URL, UserID: 1, Retry: &pol}
+	client := NewClient(ClientConfig{MetaURL: srv.URL, UserID: 1, Retry: &pol})
 	if _, err := client.StoreFile("a.bin", []byte("hello")); err == nil {
 		t.Fatal("400 response did not surface as an error")
 	}
@@ -159,14 +167,14 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	pol := fastRetry
-	client := &Client{MetaURL: srv.URL, UserID: 1, Retry: &pol, Metrics: NewClientMetrics(reg)}
+	client := NewClient(ClientConfig{MetaURL: srv.URL, UserID: 1, Retry: &pol, Metrics: NewClientMetrics(reg)})
 	if _, err := client.StoreFile("a.bin", []byte("hello")); err == nil {
 		t.Fatal("persistent 500s did not surface as an error")
 	}
 	if attempts != pol.MaxAttempts {
 		t.Errorf("server saw %d attempts, want %d", attempts, pol.MaxAttempts)
 	}
-	if st := client.Metrics.Stats(); st.GiveUps != 1 {
+	if st := client.cfg.Metrics.Stats(); st.GiveUps != 1 {
 		t.Errorf("giveups = %d, want 1", st.GiveUps)
 	}
 }
@@ -207,9 +215,11 @@ func TestDownloadTruncationRefetched(t *testing.T) {
 	defer cleanup()
 	// The injected truncation targets the per-chunk JSON GET; pin the
 	// dialect so the batched binary path does not route around it.
-	client.DisableBin = true
 	reg := metrics.NewRegistry()
-	client.Metrics = NewClientMetrics(reg)
+	client = reconfigure(client, func(cfg *ClientConfig) {
+		cfg.DisableBin = true
+		cfg.Metrics = NewClientMetrics(reg)
+	})
 
 	data := chunkedData(t, 11, ChunkSize+999) // 2 chunks
 	res, err := client.StoreFile("v.bin", data)
@@ -226,7 +236,7 @@ func TestDownloadTruncationRefetched(t *testing.T) {
 	if !truncated {
 		t.Fatal("test never injected the truncation")
 	}
-	if st := client.Metrics.Stats(); st.Refetches < 1 {
+	if st := client.cfg.Metrics.Stats(); st.Refetches < 1 {
 		t.Errorf("refetches = %d, want >= 1", st.Refetches)
 	}
 }
@@ -254,9 +264,11 @@ func TestUploadConnectionResetRecovered(t *testing.T) {
 	defer cleanup()
 	// The injected reset targets the per-chunk JSON PUT; pin the
 	// dialect so the batched binary path does not route around it.
-	client.DisableBin = true
 	reg := metrics.NewRegistry()
-	client.Metrics = NewClientMetrics(reg)
+	client = reconfigure(client, func(cfg *ClientConfig) {
+		cfg.DisableBin = true
+		cfg.Metrics = NewClientMetrics(reg)
+	})
 
 	data := chunkedData(t, 12, ChunkSize+1)
 	res, err := client.StoreFile("v.bin", data)
@@ -273,7 +285,7 @@ func TestUploadConnectionResetRecovered(t *testing.T) {
 	if st := store.Stats(); st.Chunks != 2 {
 		t.Errorf("store has %d chunks, want 2", st.Chunks)
 	}
-	if st := client.Metrics.Stats(); st.Retries < 1 || st.RetrySuccess < 1 {
+	if st := client.cfg.Metrics.Stats(); st.Retries < 1 || st.RetrySuccess < 1 {
 		t.Errorf("stats = %+v, want at least one recovered retry", st)
 	}
 }
@@ -306,15 +318,17 @@ func TestStoreResumeSendsOnlyMissing(t *testing.T) {
 	client, _, cleanup := newFlakyService(t, wrap)
 	defer cleanup()
 	// Per-chunk upload accounting only holds on the JSON dialect; the
-	// binary path batches PUTs.
-	client.DisableBin = true
-	// One attempt per request: the injected 503 immediately fails the
-	// chunk PUT, forcing the resume path rather than an in-place retry.
+	// binary path batches PUTs. One attempt per request: the injected
+	// 503 immediately fails the chunk PUT, forcing the resume path
+	// rather than an in-place retry.
 	pol := fastRetry
 	pol.MaxAttempts = 1
-	client.Retry = &pol
 	reg := metrics.NewRegistry()
-	client.Metrics = NewClientMetrics(reg)
+	client = reconfigure(client, func(cfg *ClientConfig) {
+		cfg.DisableBin = true
+		cfg.Retry = &pol
+		cfg.Metrics = NewClientMetrics(reg)
+	})
 
 	data := chunkedData(t, 13, 2*ChunkSize+100) // 3 chunks
 	sums := SplitSums(data)
@@ -340,7 +354,7 @@ func TestStoreResumeSendsOnlyMissing(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("retrieved content differs after resumed upload")
 	}
-	if st := client.Metrics.Stats(); st.Resumes != 1 {
+	if st := client.cfg.Metrics.Stats(); st.Resumes != 1 {
 		t.Errorf("metrics resumes = %d, want 1", st.Resumes)
 	}
 }
@@ -354,11 +368,11 @@ func TestStoreOpReportsMissingAfterPartialUpload(t *testing.T) {
 
 	data := chunkedData(t, 14, 2*ChunkSize+100) // 3 chunks
 	sums := SplitSums(data)
-	budget := client.newBudget()
+	budget := client.newBudget(bg)
 
 	var check StoreCheckResponse
-	err := client.postJSON(client.MetaURL, "/meta/store-check", StoreCheckRequest{
-		UserID: client.UserID, Name: "p.bin", Size: int64(len(data)), FileMD5: SumBytes(data).String(),
+	err := client.postJSON(client.cfg.MetaURL, "/meta/store-check", StoreCheckRequest{
+		UserID: client.cfg.UserID, Name: "p.bin", Size: int64(len(data)), FileMD5: SumBytes(data).String(),
 	}, &check, budget)
 	if err != nil {
 		t.Fatal(err)
@@ -367,7 +381,7 @@ func TestStoreOpReportsMissingAfterPartialUpload(t *testing.T) {
 	for i, s := range sums {
 		strs[i] = s.String()
 	}
-	op := FileOpRequest{UserID: client.UserID, Name: "p.bin", Size: int64(len(data)), FileMD5: SumBytes(data).String(), ChunkMD5s: strs}
+	op := FileOpRequest{UserID: client.cfg.UserID, Name: "p.bin", Size: int64(len(data)), FileMD5: SumBytes(data).String(), ChunkMD5s: strs}
 
 	var resp FileOpResponse
 	if err := client.postJSON(check.FrontEnd, "/op/store?url="+check.URL, op, &resp, budget); err != nil {

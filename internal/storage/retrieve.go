@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash"
@@ -9,7 +10,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"time"
 
 	"mcloud/internal/tracing"
 )
@@ -44,28 +44,28 @@ func (p *retrievePlan) slot(buf []byte, i int) []byte {
 }
 
 // openRetrieve resolves url at the metadata plane and settles the file
-// retrieval operation request: the handshake RetrieveFile and
-// NewDownload share. A URL is a shareable capability: it lives on the
-// shard of the user who STORED it, which the requester's own hash says
-// nothing about. The resolve tries our shard first (own files, the
-// common case), then scatters across the remaining shards on a miss,
-// and the operation request is pinned to the shard that answered.
+// retrieval operation request. A URL is a shareable capability: it
+// lives on the shard of the user who STORED it, which the requester's
+// own hash says nothing about. The resolve tries our shard first (own
+// files, the common case), then scatters across the remaining shards
+// on a miss, and the operation request is pinned to the shard that
+// answered.
 //
-// With ride set, when the resolve lists the chunks and chunk 0's host
-// has advertised that its batches carry the operation, the request is
-// left on the plan for that batch: one round trip fewer. Otherwise it
-// goes to the assigned front-end now, as in the paper's flow, and its
-// answer supplies the chunk list.
-func (c *Client) openRetrieve(url string, budget *retryBudget, ride bool) (*retrievePlan, error) {
-	own := c.meta().shardFor(c.UserID)
+// When the resolve lists the chunks and chunk 0's host has advertised
+// that its batches carry the operation, the request is left on the
+// plan for that batch: one round trip fewer. Otherwise it goes to the
+// assigned front-end now, as in the paper's flow, and its answer
+// supplies the chunk list.
+func (c *Client) openRetrieve(url string, budget *retryBudget) (*retrievePlan, error) {
+	own := c.meta().shardFor(c.cfg.UserID)
 	var res ResolveResponse
-	err := c.postMetaJSON(own, "/meta/resolve", ResolveRequest{UserID: c.UserID, URL: url}, &res, budget)
+	err := c.postMetaJSON(own, "/meta/resolve", ResolveRequest{UserID: c.cfg.UserID, URL: url}, &res, budget)
 	if errors.Is(err, ErrNotFound) {
 		for s := 0; s < c.meta().shardMap().NumShards(); s++ {
 			if s == own {
 				continue
 			}
-			err = c.postMetaJSON(s, "/meta/resolve", ResolveRequest{UserID: c.UserID, URL: url}, &res, budget)
+			err = c.postMetaJSON(s, "/meta/resolve", ResolveRequest{UserID: c.cfg.UserID, URL: url}, &res, budget)
 			if !errors.Is(err, ErrNotFound) {
 				break
 			}
@@ -86,14 +86,14 @@ func (c *Client) openRetrieve(url string, budget *retryBudget, ride bool) (*retr
 		return nil, err
 	}
 	op := &FileOpRequest{
-		UserID:   c.UserID,
-		DeviceID: c.DeviceID,
-		Device:   c.Device.String(),
+		UserID:   c.cfg.UserID,
+		DeviceID: c.cfg.DeviceID,
+		Device:   c.cfg.Device.String(),
 		FileMD5:  res.FileMD5,
 		Size:     res.Size,
 		Shard:    res.Shard,
 	}
-	if ride && len(p.sums) > 0 && c.binCapsOf(c.chunkTarget(p.frontend, p.sums[0])).fileRetrieve {
+	if len(p.sums) > 0 && c.binCapsOf(c.chunkTarget(p.frontend, p.sums[0])).fileRetrieve {
 		p.op = op
 	} else {
 		var resp FileOpResponse
@@ -113,20 +113,30 @@ func (c *Client) openRetrieve(url string, budget *retryBudget, ride bool) (*retr
 	return p, nil
 }
 
-// RetrieveFile downloads the file behind a service URL and returns its
-// contents: URL resolution at the metadata server, the file retrieval
-// operation request (riding the first chunk batch where the front-end
-// takes it), then the chunks as one retrieval (see retrieval). The
-// returned bytes hash to the file digest metadata holds.
-func (c *Client) RetrieveFile(url string) (out []byte, err error) {
-	budget := c.newBudget()
-	budget.span = c.Tracer.StartRoot(tracing.CompClient, tracing.SpanRetrieveFile)
+// RetrieveFile is RetrieveFileCtx without a deadline.
+func (c *Client) RetrieveFile(url string) ([]byte, error) {
+	return c.RetrieveFileCtx(context.Background(), url)
+}
+
+// RetrieveFileCtx downloads the file behind a service URL and returns
+// its contents: URL resolution at the metadata server, the file
+// retrieval operation request (riding the first chunk batch where the
+// front-end takes it), then the chunks as one retrieval (see
+// retrieval). The returned bytes hash to the file digest metadata
+// holds. The download ends with ctx, and its span is a child of the
+// one ctx carries.
+func (c *Client) RetrieveFileCtx(ctx context.Context, url string) (out []byte, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	budget := c.newBudget(ctx)
+	budget.span = c.opSpan(ctx, tracing.SpanRetrieveFile)
 	budget.span.Annotate("url", url)
 	defer func() {
 		budget.span.AnnotateInt("bytes", int64(len(out)))
 		budget.span.EndErr(err)
 	}()
-	p, err := c.openRetrieve(url, budget, true)
+	p, err := c.openRetrieve(url, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -214,12 +224,8 @@ func (r *retrieval) fold(out chan<- Sum) {
 // per-chunk JSON path for whatever they could not deliver — chunks of
 // hosts without the dialect, chunks a host answered not-found for (the
 // assigned front-end may serve them from a replica), and the unlanded
-// rest of a batch that exhausted its retries. A paced client fetches
-// chunk by chunk instead (see fetchPaced).
+// rest of a batch that exhausted its retries.
 func (r *retrieval) fetch() error {
-	if r.c.InterChunkDelay != nil {
-		return r.fetchPaced()
-	}
 	w := r.c.window(len(r.p.sums))
 	rest := r.fetchBin(w)
 	if err := r.sendOp(); err != nil {
@@ -245,35 +251,27 @@ func (r *retrieval) sendOp() error {
 	return nil
 }
 
-// fetchPaced fetches one chunk per request, in file order, sleeping the
-// modelled client processing time between consecutive chunks, as in
-// §4. Each chunk takes mcsbin/1 where its host speaks it and the
-// per-chunk JSON path where that could not deliver it, as in fetch.
-func (r *retrieval) fetchPaced() error {
-	c := r.c
-	for i, sum := range r.p.sums {
-		if i > 0 {
-			time.Sleep(c.InterChunkDelay())
-		}
-		if t := c.chunkTarget(r.p.frontend, sum); !c.binHost(t) || len(r.getBatch(t, []int{i})) > 0 {
-			if err := r.getSlot(i); err != nil {
-				return err
-			}
-		}
-		if err := r.sendOp(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // getSlot fetches chunk i over the MD5-verified per-chunk path and
 // lands it.
 func (r *retrieval) getSlot(i int) error {
-	if err := r.c.getSlot(r.p, r.buf, i, r.budget); err != nil {
-		return fmt.Errorf("chunk %d: %w", i, err)
+	if err := r.fetchSlot(i); err != nil {
+		return err
 	}
 	r.landed <- i
+	return nil
+}
+
+// fetchSlot fetches chunk i into its slot over the MD5-verified
+// per-chunk path.
+func (r *retrieval) fetchSlot(i int) error {
+	s := r.slot(i)
+	data, err := r.c.getChunk(r.p.frontend, r.p.sums[i], r.budget, s[:0])
+	if err != nil {
+		return fmt.Errorf("chunk %d: %w", i, err)
+	}
+	if len(data) != len(s) {
+		return fmt.Errorf("chunk %d: storage: chunk length %d does not fit file layout", i, len(data))
+	}
 	return nil
 }
 
@@ -375,7 +373,7 @@ func (r *retrieval) getBatch(host string, ids []int) []int {
 					err = fmt.Errorf("mcsbin frame mismatch for chunk %d", i)
 				}
 				if err != nil {
-					c.Metrics.refetch()
+					c.cfg.Metrics.refetch()
 					return &corruptError{err: err}
 				}
 				pending = pending[1:]
@@ -406,37 +404,20 @@ func (r *retrieval) repair() error {
 	for i, sum := range r.p.sums {
 		if SumBytes(r.slot(i)) != sum {
 			bad = append(bad, i)
-			r.c.Metrics.refetch()
+			r.c.cfg.Metrics.refetch()
 		}
 	}
 	if len(bad) == 0 {
 		return fmt.Errorf("%w: every chunk matches its digest, so the chunk list disagrees with the file digest", errFileDigest)
 	}
 	err := runWindow(r.c.window(len(bad)), len(bad), func(k int) error {
-		if err := r.c.getSlot(r.p, r.buf, bad[k], r.budget); err != nil {
-			return fmt.Errorf("chunk %d: %w", bad[k], err)
-		}
-		return nil
+		return r.fetchSlot(bad[k])
 	})
 	if err != nil {
 		return err
 	}
 	if SumBytes(r.buf) != r.p.file {
 		return errFileDigest
-	}
-	return nil
-}
-
-// getSlot fetches chunk i of a planned file into its slot of buf over
-// the MD5-verified per-chunk path.
-func (c *Client) getSlot(p *retrievePlan, buf []byte, i int, budget *retryBudget) error {
-	s := p.slot(buf, i)
-	data, err := c.getChunk(p.frontend, p.sums[i], budget, s[:0])
-	if err != nil {
-		return err
-	}
-	if len(data) != len(s) {
-		return fmt.Errorf("storage: chunk length %d does not fit file layout", len(data))
 	}
 	return nil
 }
@@ -484,12 +465,12 @@ func (c *Client) getChunk(frontend string, sum Sum, budget *retryBudget, dst []b
 			defer putChunkBuf(scratch)
 			n, overflow, err := readBody(resp.Body, *scratch)
 			if err != nil {
-				c.Metrics.refetch()
+				c.cfg.Metrics.refetch()
 				return &corruptError{err: err}
 			}
 			data := (*scratch)[:n]
 			if overflow || SumBytes(data) != sum {
-				c.Metrics.refetch()
+				c.cfg.Metrics.refetch()
 				return &corruptError{err: fmt.Errorf("chunk digest mismatch (%d bytes)", n)}
 			}
 			out = append(dst[:0], data...)

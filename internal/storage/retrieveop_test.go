@@ -66,7 +66,7 @@ func newOpService(t *testing.T, disableBin bool, wrap func(http.Handler) http.Ha
 
 func (s *opService) client(user uint64, parallel int) *Client {
 	pol := fastRetry
-	return &Client{MetaURL: s.metaURL, UserID: user, DeviceID: user, Device: trace.Android, Parallel: parallel, Retry: &pol}
+	return NewClient(ClientConfig{MetaURL: s.metaURL, UserID: user, DeviceID: user, Device: trace.Android, Parallel: parallel, Retry: &pol})
 }
 
 // opFile is one file of the record-fidelity set, stored and then
@@ -134,8 +134,8 @@ func retrieveRecords(t *testing.T, col *Collector, log *reqLog, f opFile) (file 
 	if len(files) != 1 {
 		t.Fatalf("%s: %d file-retrieve records, want exactly 1", f.name, len(files))
 	}
-	if files[0].UserID != f.client.UserID {
-		t.Errorf("%s: file-retrieve record for user %d, want %d", f.name, files[0].UserID, f.client.UserID)
+	if files[0].UserID != f.client.cfg.UserID {
+		t.Errorf("%s: file-retrieve record for user %d, want %d", f.name, files[0].UserID, f.client.cfg.UserID)
 	}
 	if len(chunks) != f.chunks {
 		t.Errorf("%s: %d chunk-retrieve records, want %d", f.name, len(chunks), f.chunks)
@@ -224,7 +224,7 @@ func TestRetrieveLogsOneFileRecord(t *testing.T) {
 		meta.AddFrontEnd(nodes[0].url)
 		pol := fastRetry
 		newClient := func(user uint64, parallel int) *Client {
-			return &Client{MetaURL: metaSrv.URL, UserID: user, DeviceID: user, Device: trace.Android, Parallel: parallel, Retry: &pol}
+			return NewClient(ClientConfig{MetaURL: metaSrv.URL, UserID: user, DeviceID: user, Device: trace.Android, Parallel: parallel, Retry: &pol})
 		}
 		for _, f := range storeOpFiles(t, newClient) {
 			seen.take()
@@ -323,9 +323,12 @@ func TestRetrieveOpFaultPaths(t *testing.T) {
 		}
 		return n
 	}
-	setup := func(t *testing.T, wrap func(http.Handler) http.Handler) (*opService, *Client, string) {
+	setup := func(t *testing.T, wrap func(http.Handler) http.Handler, rt http.RoundTripper) (*opService, *Client, string) {
 		s := newOpService(t, false, wrap)
 		client := s.client(1, 1)
+		if rt != nil {
+			client = reconfigure(client, func(cfg *ClientConfig) { cfg.HTTP = &http.Client{Transport: rt} })
+		}
 		res, err := client.StoreFile("f.bin", data)
 		if err != nil {
 			t.Fatal(err)
@@ -345,13 +348,13 @@ func TestRetrieveOpFaultPaths(t *testing.T) {
 				refused.Add(1)
 				writeAPIError(w, r, http.StatusServiceUnavailable, fmt.Errorf("%w: test refusal", ErrUnavailable))
 			})
-		})
+		}, nil)
 		got, err := client.RetrieveFile(url)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("retrieve: %v", err)
 		}
-		if n := refused.Load(); n != int64(client.Retry.MaxAttempts) {
-			t.Errorf("%d chunk-0 batch attempts carried the operation, want every one of %d", n, client.Retry.MaxAttempts)
+		if n := refused.Load(); n != int64(client.cfg.Retry.MaxAttempts) {
+			t.Errorf("%d chunk-0 batch attempts carried the operation, want every one of %d", n, client.cfg.Retry.MaxAttempts)
 		}
 		fe := s.feLog.take()
 		ops, gets := 0, 0
@@ -369,13 +372,12 @@ func TestRetrieveOpFaultPaths(t *testing.T) {
 		if n := records(s.col, trace.FileRetrieve); n != 1 {
 			t.Errorf("%d file-retrieve records, want 1", n)
 		}
-		checkNoRetrieveGoroutines(t)
+		checkNoOpGoroutines(t)
 	})
 
 	t.Run("cut-after-200", func(t *testing.T) {
-		s, client, url := setup(t, nil)
 		cut := &cutFirstBinGet{after: recHeaderSize + ChunkSize + 100}
-		client.HTTP = &http.Client{Transport: cut}
+		s, client, url := setup(t, nil, cut)
 		got, err := client.RetrieveFile(url)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("retrieve: %v", err)
@@ -392,11 +394,11 @@ func TestRetrieveOpFaultPaths(t *testing.T) {
 		if n := records(s.col, trace.FileRetrieve); n != 1 {
 			t.Errorf("%d file-retrieve records, want 1", n)
 		}
-		checkNoRetrieveGoroutines(t)
+		checkNoOpGoroutines(t)
 	})
 
 	t.Run("reserved-uncommitted", func(t *testing.T) {
-		s, client, _ := setup(t, nil)
+		s, client, _ := setup(t, nil, nil)
 		other := chunkedData(t, 312, 2*ChunkSize)
 		chk, err := s.meta.StoreCheckCtx(bg, StoreCheckRequest{
 			UserID: 1, Name: "pending.bin", Size: int64(len(other)), FileMD5: SumBytes(other).String(),
@@ -416,6 +418,6 @@ func TestRetrieveOpFaultPaths(t *testing.T) {
 		if n := records(s.col, trace.FileRetrieve); n != 0 {
 			t.Errorf("%d file-retrieve records for a retrieve that found nothing", n)
 		}
-		checkNoRetrieveGoroutines(t)
+		checkNoOpGoroutines(t)
 	})
 }

@@ -98,11 +98,13 @@ func (p RetryPolicy) backoff(n int, u float64) time.Duration {
 
 // retryBudget tracks the retries remaining for one file operation.
 // Concurrent chunk requests of one operation share it, so the counter
-// is atomic. It also carries the operation's root span (nil when the
-// client is untraced or the trace was not sampled) so every request
-// of the operation lands in one trace.
+// is atomic. It also carries the operation's context, which ends every
+// attempt and backoff sleep of the operation, and its span (nil when
+// the client is untraced or the trace was not sampled) so every
+// request of the operation lands in one trace.
 type retryBudget struct {
 	remaining atomic.Int64
+	ctx       context.Context
 	span      *tracing.Span
 }
 
@@ -284,8 +286,9 @@ var defaultHTTPClient = &http.Client{
 // attempt gets its own deadline; failures the server or transport
 // marks transient back off exponentially with deterministic jitter,
 // stretched to any Retry-After hint and capped at MaxDelay, until the
-// attempt cap or the operation's retry budget runs out; the sleep
-// between attempts ends early when ctx does.
+// attempt cap or the operation's retry budget runs out. Once ctx ends,
+// so does the request: the attempt in flight fails, and neither a
+// retry nor a backoff sleep follows.
 //
 // Each attempt is a span (comp/name, child of parent, annotated with
 // the attempt number and the fault observed on failure) whose trace
@@ -333,6 +336,9 @@ func (x retryExec) do(ctx context.Context, build func() (*http.Request, error), 
 			}
 			return nil
 		}
+		if ctx.Err() != nil {
+			return fmt.Errorf("storage: %w (last error: %v)", ctx.Err(), err)
+		}
 		if errors.Is(err, errLegacyRetry) {
 			// Dialect probe, not a failure: the host is now marked
 			// legacy, so the rebuilt request takes the unversioned
@@ -366,7 +372,7 @@ func (c *Client) exec(budget *retryBudget, parent *tracing.Span) retryExec {
 		http:    c.httpClient(),
 		pol:     c.policy(),
 		budget:  budget,
-		metrics: c.Metrics,
+		metrics: c.cfg.Metrics,
 		jitter:  c.jitterDraw,
 		parent:  parent,
 		comp:    tracing.CompClient,
@@ -374,11 +380,11 @@ func (c *Client) exec(budget *retryBudget, parent *tracing.Span) retryExec {
 	}
 }
 
-// doRetry runs one front-end request through the client's executor;
-// handle sees only responses (transport failures are retried as they
-// are).
+// doRetry runs one front-end request of budget's operation through the
+// client's executor; handle sees only responses (transport failures are
+// retried as they are).
 func (c *Client) doRetry(budget *retryBudget, parent *tracing.Span, build func() (*http.Request, error), handle func(*http.Response) error) error {
-	return c.exec(budget, parent).do(context.TODO(), build, func(_ *tracing.Span, resp *http.Response, err error) error {
+	return c.exec(budget, parent).do(budget.ctx, build, func(_ *tracing.Span, resp *http.Response, err error) error {
 		if err != nil {
 			return err
 		}
@@ -388,15 +394,15 @@ func (c *Client) doRetry(budget *retryBudget, parent *tracing.Span, build func()
 
 // policy resolves the effective retry policy.
 func (c *Client) policy() RetryPolicy {
-	if c.Retry != nil {
-		return c.Retry.withDefaults()
+	if c.cfg.Retry != nil {
+		return c.cfg.Retry.withDefaults()
 	}
 	return DefaultRetry
 }
 
-// newBudget returns the retry budget for one file operation.
-func (c *Client) newBudget() *retryBudget {
-	b := &retryBudget{}
+// newBudget returns the retry budget for one file operation under ctx.
+func (c *Client) newBudget(ctx context.Context) *retryBudget {
+	b := &retryBudget{ctx: ctx}
 	b.remaining.Store(int64(c.policy().Budget))
 	return b
 }
@@ -408,7 +414,7 @@ func (c *Client) jitterDraw() float64 {
 	c.rngMu.Lock()
 	defer c.rngMu.Unlock()
 	if c.rng == nil {
-		c.rng = randx.Derive(c.RetrySeed, fmt.Sprintf("client/%d/%d", c.UserID, c.DeviceID))
+		c.rng = randx.Derive(c.cfg.RetrySeed, fmt.Sprintf("client/%d/%d", c.cfg.UserID, c.cfg.DeviceID))
 	}
 	return c.rng.Float64()
 }

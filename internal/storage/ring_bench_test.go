@@ -42,7 +42,7 @@ func benchRing(b *testing.B, nodes int) *Client {
 	metaSrv := httptest.NewServer(meta.Handler())
 	b.Cleanup(metaSrv.Close)
 	meta.AddFrontEnd(peers[0])
-	return &Client{MetaURL: metaSrv.URL, UserID: 1, DeviceID: 1, Device: trace.Android, Parallel: 1}
+	return NewClient(ClientConfig{MetaURL: metaSrv.URL, UserID: 1, DeviceID: 1, Device: trace.Android, Parallel: 1})
 }
 
 // BenchmarkRingStore times whole stores through a replicated ring where

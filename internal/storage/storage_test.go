@@ -254,13 +254,13 @@ func newTestService(t *testing.T) (*Client, *Collector, *MemStore, *Metadata, fu
 	feSrv := httptest.NewServer(fe.Handler())
 	metaSrv := httptest.NewServer(meta.Handler())
 	meta.AddFrontEnd(feSrv.URL)
-	client := &Client{
+	client := NewClient(ClientConfig{
 		MetaURL:  metaSrv.URL,
 		UserID:   42,
 		DeviceID: 7,
 		Device:   trace.Android,
 		SimRTT:   89 * time.Millisecond,
-	}
+	})
 	cleanup := func() {
 		feSrv.Close()
 		metaSrv.Close()
@@ -423,8 +423,7 @@ func TestEndToEndDeduplication(t *testing.T) {
 
 	// A different user uploading identical content should not move any
 	// bytes.
-	other := client.Clone()
-	other.UserID = 77
+	other := reconfigure(client, func(cfg *ClientConfig) { cfg.UserID = 77 })
 	second, err := other.StoreFile("b.bin", data)
 	if err != nil {
 		t.Fatal(err)
@@ -462,7 +461,7 @@ func TestRetrieveMissingFile(t *testing.T) {
 func TestProxiedFlagPropagates(t *testing.T) {
 	client, col, _, _, cleanup := newTestService(t)
 	defer cleanup()
-	client.Proxied = true
+	client = reconfigure(client, func(cfg *ClientConfig) { cfg.Proxied = true })
 	if _, err := client.StoreFile("p.bin", []byte("proxied upload")); err != nil {
 		t.Fatal(err)
 	}
@@ -501,9 +500,10 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := client.Clone()
-			c.UserID = uint64(100 + g)
-			c.DeviceID = uint64(g)
+			c := reconfigure(client, func(cfg *ClientConfig) {
+				cfg.UserID = uint64(100 + g)
+				cfg.DeviceID = uint64(g)
+			})
 			src := randx.New(uint64(g))
 			data := make([]byte, 100*1024+src.Intn(100*1024))
 			for i := range data {
@@ -560,8 +560,8 @@ func TestChunkTooLargeRejected(t *testing.T) {
 
 	big := make([]byte, ChunkSize+1)
 	sum := SumBytes(big)
-	client := &Client{MetaURL: srv.URL}
-	if err := client.putChunk(srv.URL, "/f/x/1", sum, big, client.newBudget()); err == nil {
+	client := NewClient(ClientConfig{MetaURL: srv.URL})
+	if err := client.putChunk(srv.URL, "/f/x/1", sum, big, client.newBudget(bg)); err == nil {
 		t.Error("oversized chunk accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -247,114 +246,11 @@ func TestCachedStoreZipfWorkloadOffload(t *testing.T) {
 	}
 }
 
-// flakyTransport fails every request after the first failAfter
-// round trips, then works again after Reset.
-type flakyTransport struct {
-	mu        sync.Mutex
-	calls     int
-	failAfter int
-	broken    bool
-}
-
-func (f *flakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	f.mu.Lock()
-	f.calls++
-	fail := f.broken || (f.failAfter > 0 && f.calls > f.failAfter)
-	if fail {
-		f.broken = true
-		f.mu.Unlock()
-		return nil, fmt.Errorf("flaky: connection reset")
-	}
-	f.mu.Unlock()
-	return http.DefaultTransport.RoundTrip(req)
-}
-
-func (f *flakyTransport) Reset() {
-	f.mu.Lock()
-	f.calls = 0
-	f.broken = false
-	f.failAfter = 0
-	f.mu.Unlock()
-}
-
-func TestDownloadResume(t *testing.T) {
-	client, _, _, _, cleanup := newTestService(t)
-	defer cleanup()
-
-	// Store a 5-chunk file.
-	src := randx.New(77)
-	data := make([]byte, 4*ChunkSize+999)
-	for i := range data {
-		data[i] = byte(src.Uint64())
-	}
-	res, err := client.StoreFile("big.bin", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Download with a transport that dies mid-transfer.
-	flaky := &flakyTransport{}
-	dlClient := client.Clone()
-	dlClient.HTTP = &http.Client{Transport: flaky}
-
-	dl, err := dlClient.NewDownload(res.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dl.Total() != 5 {
-		t.Fatalf("chunk manifest has %d entries, want 5", dl.Total())
-	}
-	flaky.mu.Lock()
-	flaky.calls = 0     // NewDownload's metadata round trips don't count
-	flaky.failAfter = 2 // allow two chunk fetches, then break
-	flaky.mu.Unlock()
-
-	err = dl.Resume()
-	if err == nil {
-		t.Fatal("expected a mid-download failure")
-	}
-	if dl.Done() == 0 || dl.Complete() {
-		t.Fatalf("done = %d after failure", dl.Done())
-	}
-	progress := dl.Done()
-	if _, err := dl.Bytes(); err == nil {
-		t.Fatal("Bytes should refuse an incomplete download")
-	}
-
-	// Network recovers; resume must fetch only the remaining chunks.
-	flaky.Reset()
-	if err := dl.Resume(); err != nil {
-		t.Fatal(err)
-	}
-	if !dl.Complete() {
-		t.Fatal("download incomplete after resume")
-	}
-	got, err := dl.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("resumed content differs")
-	}
-	if refetched := flaky.calls; refetched > dl.Total()-progress+1 {
-		t.Errorf("resume made %d requests for %d missing chunks — refetching completed chunks",
-			refetched, dl.Total()-progress)
-	}
-}
-
-func TestDownloadUnknownURL(t *testing.T) {
-	client, _, _, _, cleanup := newTestService(t)
-	defer cleanup()
-	if _, err := client.NewDownload("/f/doesnotexist/1"); err == nil {
-		t.Error("expected error for unknown URL")
-	}
-}
-
-// TestDownloadResolvesLikeRetrieve: NewDownload takes RetrieveFile's
-// path to a file — a comma-separated MetaURL, shard routing, the
-// cross-shard scatter for a URL another user stored on the other
-// shard, and the shard pin on the retrieval operation — and
-// Download.Bytes refuses bytes that do not hash to the file digest.
+// TestDownloadResolvesLikeRetrieve: a download (RetrieveFileCtx) takes
+// a comma-separated MetaURL, routes by shard, scatters to the other
+// shard for a URL another user stored there, and pins the retrieval
+// operation to the shard that answered. It hands back no bytes for a
+// commit whose chunk list contradicts its file digest.
 func TestDownloadResolvesLikeRetrieve(t *testing.T) {
 	meta0, meta1 := NewMetadata(), NewMetadata()
 	srv0 := httptest.NewServer(meta0.Handler())
@@ -374,30 +270,20 @@ func TestDownloadResolvesLikeRetrieve(t *testing.T) {
 	meta1.AddFrontEnd(feSrv.URL)
 
 	pol := fastRetry
-	owner := &Client{MetaURL: srv1.URL, UserID: shardUser(t, smap, 1, nil), Retry: &pol}
+	owner := NewClient(ClientConfig{MetaURL: srv1.URL, UserID: shardUser(t, smap, 1, nil), Retry: &pol})
 	data := chunkedData(t, 61, 3*ChunkSize+77)
-	res, err := owner.StoreFile("shared.bin", data)
+	res, err := owner.StoreFileCtx(bg, "shared.bin", data)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	reader := &Client{MetaURL: srv0.URL + "," + srv1.URL, UserID: shardUser(t, smap, 0, nil), Retry: &pol}
-	dl, err := reader.NewDownload(res.URL)
-	if err != nil {
-		t.Fatalf("NewDownload of a URL stored on the other shard: %v", err)
-	}
-	if err := dl.Resume(); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := dl.Bytes(); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("Bytes: %v (equal %v)", err, bytes.Equal(got, data))
-	}
-	if got, err := reader.RetrieveFile(res.URL); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("RetrieveFile: %v", err)
+	reader := NewClient(ClientConfig{MetaURL: srv0.URL + "," + srv1.URL, UserID: shardUser(t, smap, 0, nil), Retry: &pol})
+	if got, err := reader.RetrieveFileCtx(bg, res.URL); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("retrieve of a URL stored on the other shard: %v (equal %v)", err, bytes.Equal(got, data))
 	}
 
 	// A commit whose chunk list disagrees with its file digest: every
-	// chunk verifies, the file does not, and Bytes says so.
+	// chunk verifies, the file does not, and no bytes come back.
 	claimed := append([]byte(nil), data...)
 	claimed[0] ^= 0xFF
 	user := shardUser(t, smap, 1, nil)
@@ -408,15 +294,18 @@ func TestDownloadResolvesLikeRetrieve(t *testing.T) {
 	if err := meta1.CommitCtx(bg, 1, chk.URL, SplitSums(data)); err != nil {
 		t.Fatal(err)
 	}
-	dl, err = reader.NewDownload(chk.URL)
-	if err != nil {
-		t.Fatal(err)
+	if got, err := reader.RetrieveFileCtx(bg, chk.URL); !errors.Is(err, errFileDigest) || got != nil {
+		t.Fatalf("retrieve of a file that fails its digest = %d bytes, %v", len(got), err)
 	}
-	if err := dl.Resume(); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := dl.Bytes(); !errors.Is(err, errFileDigest) || got != nil {
-		t.Fatalf("Bytes of a file that fails its digest = %d bytes, %v", len(got), err)
+}
+
+// TestDownloadUnknownURL: a download of a URL no metadata shard knows
+// hands back no bytes and ErrNotFound.
+func TestDownloadUnknownURL(t *testing.T) {
+	client, _, _, _, cleanup := newTestService(t)
+	defer cleanup()
+	if got, err := client.RetrieveFileCtx(bg, "/f/doesnotexist/1"); !errors.Is(err, ErrNotFound) || got != nil {
+		t.Fatalf("retrieve of an unknown URL = %d bytes, %v; want ErrNotFound", len(got), err)
 	}
 }
 
@@ -431,7 +320,7 @@ func TestFrontEndWithDiskStoreBacking(t *testing.T) {
 	defer metaSrv.Close()
 	meta.AddFrontEnd(srv.URL)
 
-	client := &Client{MetaURL: metaSrv.URL, UserID: 9}
+	client := NewClient(ClientConfig{MetaURL: metaSrv.URL, UserID: 9})
 	data := bytes.Repeat([]byte("disk-backed"), 100000)
 	res, err := client.StoreFile("d.bin", data)
 	if err != nil {

@@ -29,14 +29,14 @@ func tracedService(t *testing.T, wrap func(http.Handler) http.Handler) (*Client,
 	metaSrv := httptest.NewServer(meta.Handler())
 	meta.AddFrontEnd(feSrv.URL)
 	pol := fastRetry
-	client := &Client{
+	client := NewClient(ClientConfig{
 		MetaURL:  metaSrv.URL,
 		UserID:   42,
 		DeviceID: 7,
 		Device:   trace.Android,
 		Retry:    &pol,
 		Tracer:   tr,
-	}
+	})
 	return client, tr, func() { feSrv.Close(); metaSrv.Close() }
 }
 
@@ -265,7 +265,7 @@ func TestTraceJoinsAcrossCluster(t *testing.T) {
 
 	clientTr := tracing.New(tracing.Config{Node: "loadgen"})
 	pol := fastRetry
-	client := &Client{
+	client := NewClient(ClientConfig{
 		MetaURL:  metaSrv.URL,
 		UserID:   5,
 		DeviceID: 5,
@@ -273,7 +273,7 @@ func TestTraceJoinsAcrossCluster(t *testing.T) {
 		Retry:    &pol,
 		Parallel: 4,
 		Tracer:   clientTr,
-	}
+	})
 
 	var urls []string
 	for i := 0; i < 3; i++ {

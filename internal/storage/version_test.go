@@ -112,7 +112,7 @@ func TestLegacyClientAgainstV1Server(t *testing.T) {
 	}
 	client, _, cleanup := newFlakyService(t, record)
 	defer cleanup()
-	client.LegacyAPI = true
+	client = reconfigure(client, func(cfg *ClientConfig) { cfg.LegacyAPI = true })
 
 	data := chunkedData(t, 32, ChunkSize+55)
 	res, err := client.StoreFile("pinned.bin", data)

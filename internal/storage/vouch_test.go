@@ -73,7 +73,7 @@ func clusterClient(t *testing.T, nodes []*clusterNode, meta *Metadata, parallel 
 	metaSrv := httptest.NewServer(meta.Handler())
 	t.Cleanup(metaSrv.Close)
 	meta.AddFrontEnd(nodes[0].url)
-	return &Client{MetaURL: metaSrv.URL, UserID: 1, DeviceID: 1, Device: trace.Android, Parallel: parallel}
+	return NewClient(ClientConfig{MetaURL: metaSrv.URL, UserID: 1, DeviceID: 1, Device: trace.Android, Parallel: parallel})
 }
 
 // TestClusterHashesOncePerCluster pins the server's MD5 passes for a
