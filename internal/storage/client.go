@@ -117,10 +117,6 @@ type ClientConfig struct {
 	// skipping negotiation (used to exercise the compatibility path in
 	// tests).
 	LegacyAPI bool
-	// DisableBin pins the client to the JSON chunk paths even against
-	// binary-capable servers — the knob mcsbench and tests use for
-	// like-for-like dialect comparisons.
-	DisableBin bool
 }
 
 // NewClient returns a client built from cfg.
@@ -157,7 +153,7 @@ type binCaps struct {
 // noteBin records the dialect capability a response from base
 // advertised (or stopped advertising).
 func (c *Client) noteBin(base string, h http.Header) {
-	if c.cfg.DisableBin || c.cfg.LegacyAPI {
+	if c.cfg.LegacyAPI {
 		return
 	}
 	v := binCaps{bin: binAdvertised(h), fileRetrieve: h.Get(BinOpsHeader) == BinOpFileRetrieve}
@@ -170,10 +166,10 @@ func (c *Client) noteBin(base string, h http.Header) {
 }
 
 // binCapsOf returns what base may be sent over the binary dialect:
-// nothing unless the client allows it and the host's last response
-// carried the stamps.
+// nothing unless the host speaks /v1 and its last response carried
+// the stamps.
 func (c *Client) binCapsOf(base string) binCaps {
-	if c.cfg.DisableBin || !c.useV1(base) {
+	if !c.useV1(base) {
 		return binCaps{}
 	}
 	c.binMu.Lock()
@@ -218,15 +214,20 @@ func (c *Client) checkLegacy(base string, resp *http.Response) bool {
 // /v1/cluster/info. Nil means route everything through the assigned
 // front-end: single-node deployments, legacy servers, or an info
 // fetch that failed (forwarding keeps working regardless — the ring
-// is a latency optimization, not a correctness requirement).
-func (c *Client) clusterRing(frontend string) *cluster.Ring {
+// is a latency optimization, not a correctness requirement). The
+// fetch runs under the operation's ctx; one cut off by ctx is not
+// remembered, so the next operation fetches again.
+func (c *Client) clusterRing(ctx context.Context, frontend string) *cluster.Ring {
 	c.ringMu.Lock()
 	ring, ok := c.rings[frontend]
 	c.ringMu.Unlock()
 	if ok {
 		return ring
 	}
-	ring = c.fetchRing(frontend)
+	ring = c.fetchRing(ctx, frontend)
+	if ring == nil && ctx.Err() != nil {
+		return nil
+	}
 	c.ringMu.Lock()
 	if c.rings == nil {
 		c.rings = make(map[string]*cluster.Ring)
@@ -236,9 +237,9 @@ func (c *Client) clusterRing(frontend string) *cluster.Ring {
 	return ring
 }
 
-func (c *Client) fetchRing(frontend string) *cluster.Ring {
+func (c *Client) fetchRing(ctx context.Context, frontend string) *cluster.Ring {
 	var info ClusterInfo
-	if !c.useV1(frontend) || c.getV1(frontend, "/v1/cluster/info", &info) != nil || len(info.Peers) < 2 {
+	if !c.useV1(frontend) || c.getV1(ctx, frontend, "/v1/cluster/info", &info) != nil || len(info.Peers) < 2 {
 		return nil
 	}
 	ring, err := cluster.NewRing(info.Peers, 0)
@@ -249,18 +250,15 @@ func (c *Client) fetchRing(frontend string) *cluster.Ring {
 }
 
 // getV1 is one GET of a /v1 JSON resource under the per-attempt
-// deadline and without retries: the ring and shard-map fetches are
-// fast paths whose absence costs a forwarding hop or a redirect. What
-// they fetch is the client's, shared by every later operation, so no
-// operation's context bounds them: one cancelled operation must not
-// leave the rest without a ring or a shard map.
-func (c *Client) getV1(base, path string, out interface{}) error {
+// deadline and ctx, without retries: the ring and shard-map fetches
+// are fast paths whose absence costs a forwarding hop or a redirect.
+func (c *Client) getV1(ctx context.Context, base, path string, out interface{}) error {
 	req, err := http.NewRequest(http.MethodGet, base+path, nil)
 	if err != nil {
 		return err
 	}
 	req.Header.Set(APIHeader, APIV1)
-	ctx, cancel := context.WithTimeout(context.Background(), c.policy().RequestTimeout)
+	ctx, cancel := context.WithTimeout(ctx, c.policy().RequestTimeout)
 	defer cancel()
 	resp, err := c.httpClient().Do(req.WithContext(ctx))
 	if err != nil {
@@ -276,8 +274,8 @@ func (c *Client) getV1(base, path string, out interface{}) error {
 
 // chunkTarget picks the host to address for one chunk: the chunk's
 // primary owner when the ring is known, else the assigned front-end.
-func (c *Client) chunkTarget(frontend string, sum Sum) string {
-	ring := c.clusterRing(frontend)
+func (c *Client) chunkTarget(ctx context.Context, frontend string, sum Sum) string {
+	ring := c.clusterRing(ctx, frontend)
 	if ring == nil {
 		return frontend
 	}
@@ -378,10 +376,10 @@ func (c *Client) meta() *metaRouter {
 // fetchShardMap asks the bootstrap endpoints, in order, for the shard
 // map. Returns nil when none answered (or the server predates sharding
 // / speaks only the legacy API).
-func (c *Client) fetchShardMap(boot []string) *cluster.MetaShardMap {
+func (c *Client) fetchShardMap(ctx context.Context, boot []string) *cluster.MetaShardMap {
 	for _, ep := range boot {
 		var m cluster.MetaShardMap
-		if c.useV1(ep) && c.getV1(ep, "/v1/meta/shards", &m) == nil && len(m.Shards) > 0 {
+		if c.useV1(ep) && c.getV1(ctx, ep, "/v1/meta/shards", &m) == nil && len(m.Shards) > 0 {
 			return &m
 		}
 	}
@@ -480,7 +478,7 @@ func (c *Client) StoreFileCtx(ctx context.Context, name string, data []byte) (re
 		defer up.cancel()
 		fileSum = SumBytes(data)
 	}
-	shard := c.meta().shardFor(c.cfg.UserID)
+	shard := c.meta().shardFor(budget.ctx, c.cfg.UserID)
 	var check StoreCheckResponse
 	err = c.postMetaJSON(shard, "/meta/store-check", StoreCheckRequest{
 		UserID:  c.cfg.UserID,

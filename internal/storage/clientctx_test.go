@@ -30,6 +30,8 @@ func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error)
 //   - a deadline that runs out against a stalled front-end returns
 //     within the deadline plus slack, with no hasher, fold or window
 //     goroutine left behind;
+//   - so does one that runs out while the front-end's ring is on its
+//     way, and the next operation asks for the ring again;
 //   - a context carrying a span makes the operation's span its child;
 //   - an operation whose deadline runs out while the shard map is on
 //     its way does not stop the next one from routing by shard.
@@ -80,11 +82,6 @@ func TestClientOpsHonourContext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The front-end's ring is the client's, fetched once on its own
-		// deadline rather than an operation's: learn it before the stall.
-		if _, err := client.RetrieveFileCtx(bg, stored.URL); err != nil {
-			t.Fatal(err)
-		}
 		stall.Store(true)
 		other := chunkedData(t, 402, 5*ChunkSize+444)
 		for _, op := range []struct {
@@ -112,6 +109,53 @@ func TestClientOpsHonourContext(t *testing.T) {
 				t.Errorf("%s took %v past a %v deadline", op.name, took, deadline)
 			}
 			checkNoOpGoroutines(t)
+		}
+	})
+
+	t.Run("ring-fetch-under-deadline", func(t *testing.T) {
+		var stall atomic.Bool
+		var infos atomic.Int64
+		s := newOpService(t, false, func(next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/cluster/info" {
+					infos.Add(1)
+				}
+				if stall.Load() {
+					<-r.Context().Done()
+					return
+				}
+				next.ServeHTTP(w, r)
+			})
+		})
+		client := s.client(1, 4)
+		stored, err := client.StoreFileCtx(bg, "r.bin", data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := infos.Load(); n != 0 {
+			t.Fatalf("a store asked for the ring %d times; the retrieve below must be the first to", n)
+		}
+		stall.Store(true)
+		ctx, cancel := context.WithTimeout(bg, deadline)
+		start := time.Now()
+		_, err = client.RetrieveFileCtx(ctx, stored.URL)
+		took := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("retrieve whose deadline ran out during the ring fetch: %v, want %v", err, context.DeadlineExceeded)
+		}
+		if took > deadline+slack {
+			t.Errorf("retrieve took %v past a %v deadline", took, deadline)
+		}
+		checkNoOpGoroutines(t)
+		stall.Store(false)
+		for i := 0; i < 2; i++ {
+			if _, err := client.RetrieveFileCtx(bg, stored.URL); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := infos.Load(); n != 2 {
+			t.Errorf("ring fetches: %d, want 2 (the cut-off one, then one that is kept)", n)
 		}
 	})
 
@@ -176,8 +220,12 @@ func TestClientOpsHonourContext(t *testing.T) {
 		client := NewClient(ClientConfig{MetaURL: srv0.URL, UserID: user, Device: trace.Android, Retry: &pol})
 		ctx, cancel := context.WithTimeout(bg, deadline)
 		defer cancel()
+		start := time.Now()
 		if _, err := client.StoreFileCtx(ctx, "first.bin", small); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("store whose deadline ran out during the shard-map fetch: %v", err)
+		}
+		if took := time.Since(start); took > deadline+slack {
+			t.Errorf("first store took %v past a %v deadline", took, deadline)
 		}
 		res, err := client.StoreFileCtx(bg, "second.bin", small)
 		if err != nil || !res.Deduplicated {

@@ -53,7 +53,11 @@ type DiskStore struct {
 	// group-commit path tracks how far fsyncs have covered it.
 	appendLSN atomic.Int64
 	syncedLSN atomic.Int64
-	syncMu    sync.Mutex
+	// syncMu guards syncing (a group-commit fsync is in flight);
+	// syncDone, on syncMu, is broadcast when that fsync ends.
+	syncMu   sync.Mutex
+	syncDone sync.Cond
+	syncing  bool
 
 	// compactMu runs one Compact at a time. A second compactor would
 	// find no live records in a segment whose copies the first has
@@ -161,6 +165,7 @@ func OpenDiskStore(dir string, opts DiskStoreOptions) (*DiskStore, error) {
 		index: make(map[Sum]recLoc),
 		segs:  make(map[uint32]*segment),
 	}
+	ds.syncDone.L = &ds.syncMu
 	start := time.Now()
 	if err := ds.recover(); err != nil {
 		return nil, err
@@ -399,22 +404,42 @@ func (ds *DiskStore) appendLocked(hdr, payload []byte) (recLoc, error) {
 	return loc, nil
 }
 
-// syncTo blocks until an fsync has covered lsn. Writers arriving
-// while another writer's fsync is in flight queue on syncMu and
-// usually find their record already covered when they get the lock —
-// the group commit that keeps fsync count sublinear in writer count.
+// syncTo blocks until an fsync has covered lsn. One writer at a time
+// runs the group-commit fsync, which covers every record appended
+// before it starts; writers arriving meanwhile wait for it to end. Then
+// they all wake: those it covered return at once, and one of the rest
+// runs the next fsync for itself and everyone queued behind it — the
+// group commit that keeps fsync count sublinear in writer count. (A
+// covered writer that queued for a lock instead would sit out the next
+// writer's whole fsync before it could return and append again, and
+// each fsync would cover about two puts.)
 func (ds *DiskStore) syncTo(lsn int64) error {
-	if ds.opts.NoSync {
-		return nil
-	}
-	if ds.syncedLSN.Load() >= lsn {
+	if ds.opts.NoSync || ds.syncedLSN.Load() >= lsn {
 		return nil
 	}
 	ds.syncMu.Lock()
 	defer ds.syncMu.Unlock()
-	if ds.syncedLSN.Load() >= lsn {
-		return nil
+	for ds.syncedLSN.Load() < lsn {
+		if ds.syncing {
+			ds.syncDone.Wait()
+			continue
+		}
+		ds.syncing = true
+		ds.syncMu.Unlock()
+		err := ds.syncTail()
+		ds.syncMu.Lock()
+		ds.syncing = false
+		ds.syncDone.Broadcast()
+		if err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// syncTail fsyncs the active segment and advances syncedLSN over every
+// record appended before it started.
+func (ds *DiskStore) syncTail() error {
 	ds.mu.RLock()
 	f := ds.active.f
 	cover := ds.appendLSN.Load()

@@ -43,12 +43,13 @@ func (s *ctxOnlyStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 	return err
 }
 
-// ingressService serves store from one front-end plus a metadata
+// ingressService serves one front-end built from cfg plus a metadata
 // server and returns a client of it.
-func ingressService(t *testing.T, store ChunkStore, parallel int) *Client {
+func ingressService(t *testing.T, cfg FrontEndConfig, parallel int) *Client {
 	t.Helper()
 	meta := NewMetadata()
-	feSrv := httptest.NewServer(NewFrontEnd(FrontEndConfig{Store: store, Meta: meta}).Handler())
+	cfg.Meta = meta
+	feSrv := httptest.NewServer(NewFrontEnd(cfg).Handler())
 	metaSrv := httptest.NewServer(meta.Handler())
 	t.Cleanup(feSrv.Close)
 	t.Cleanup(metaSrv.Close)
@@ -77,8 +78,7 @@ func TestIngressHashesOncePerNode(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ds, _ := newDiskStore(t, DiskStoreOptions{})
 			wrap := &ctxOnlyStore{ChunkStore: ds}
-			client := reconfigure(ingressService(t, NewCachedStore(wrap, 64<<20), tc.parallel),
-				func(cfg *ClientConfig) { cfg.DisableBin = tc.disableBin })
+			client := ingressService(t, FrontEndConfig{Store: NewCachedStore(wrap, 64<<20), DisableBin: tc.disableBin}, tc.parallel)
 			data := chunkedData(t, uint64(len(tc.name)), size)
 			fsyncs := ds.DiskStats().Fsyncs
 			writeOuts := writeOutCounter(t, ds)
@@ -735,7 +735,7 @@ func TestDedupHitStopsChunkHashers(t *testing.T) {
 		}
 	}
 
-	client := ingressService(t, NewMemStore(), 4)
+	client := ingressService(t, FrontEndConfig{Store: NewMemStore()}, 4)
 	data := chunkedData(t, 33, 6*ChunkSize)
 	if _, err := client.StoreFile("first.bin", data); err != nil {
 		t.Fatal(err)
@@ -958,10 +958,10 @@ type retrieveRig struct {
 	damaged atomic.Bool
 }
 
-func newRetrieveRig(t *testing.T, parallel int) *retrieveRig {
+func newRetrieveRig(t *testing.T, parallel int, disableBin bool) *retrieveRig {
 	t.Helper()
 	rig := &retrieveRig{store: NewMemStore(), meta: NewMetadata()}
-	next := NewFrontEnd(FrontEndConfig{Store: rig.store, Meta: rig.meta}).Handler()
+	next := NewFrontEnd(FrontEndConfig{Store: rig.store, Meta: rig.meta, DisableBin: disableBin}).Handler()
 	feSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		bin := r.URL.Path == "/v1/bin/get"
 		switch {
@@ -1107,9 +1107,7 @@ func TestRetrieveCorruptionMatrix(t *testing.T) {
 		for _, dialect := range []string{"bin", "json"} {
 			rig := func(t *testing.T) *retrieveRig {
 				seed++
-				rig := newRetrieveRig(t, parallel)
-				rig.client = reconfigure(rig.client, func(cfg *ClientConfig) { cfg.DisableBin = dialect == "json" })
-				return rig
+				return newRetrieveRig(t, parallel, dialect == "json")
 			}
 			name := fmt.Sprintf("parallel=%d/%s/", parallel, dialect)
 
@@ -1196,8 +1194,7 @@ func TestRetrieveCorruptionMatrix(t *testing.T) {
 func TestRetrieveHashesEachByteOnce(t *testing.T) {
 	for _, parallel := range []int{1, 2} {
 		for _, json := range []bool{false, true} {
-			client := reconfigure(ingressService(t, NewMemStore(), parallel),
-				func(cfg *ClientConfig) { cfg.DisableBin = json })
+			client := ingressService(t, FrontEndConfig{Store: NewMemStore(), DisableBin: json}, parallel)
 			passes := int64(1)
 			if json {
 				passes = 2
@@ -1232,7 +1229,7 @@ func TestBatchRetryFetchesOnlyMissing(t *testing.T) {
 	const frames = 3
 	for _, attempts := range []int{4, 2} {
 		t.Run(fmt.Sprintf("attempts=%d", attempts), func(t *testing.T) {
-			rig := newRetrieveRig(t, 1)
+			rig := newRetrieveRig(t, 1, false)
 			data := chunkedData(t, 71, 8*ChunkSize)
 			url := rig.upload(t, data)
 			rig.client = reconfigure(rig.client, func(cfg *ClientConfig) {

@@ -134,10 +134,12 @@ func FuzzBinFrame(f *testing.F) {
 }
 
 // TestBinNegotiation runs one client against a binary-capable and a
-// JSON-pinned front-end: transfers succeed on both, and the binary
-// endpoints only see traffic when the server advertises them.
+// JSON-pinned front-end, and against one that serves the binary
+// endpoints without advertising them: transfers succeed on all three,
+// and the binary endpoints only see traffic when the server
+// advertises them.
 func TestBinNegotiation(t *testing.T) {
-	newSvc := func(disable bool) (*Client, *atomic.Int64, func()) {
+	newSvc := func(disable, unadvertised bool) (*Client, *atomic.Int64, func()) {
 		store := NewMemStore()
 		meta := NewMetadata()
 		fe := NewFrontEnd(FrontEndConfig{Store: store, Meta: meta, DisableBin: disable})
@@ -147,7 +149,19 @@ func TestBinNegotiation(t *testing.T) {
 			if strings.HasPrefix(r.URL.Path, "/v1/bin/") {
 				binHits.Add(1)
 			}
-			h.ServeHTTP(w, r)
+			if !unadvertised {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			rec.Header().Del(BinHeader)
+			rec.Header().Del(BinOpsHeader)
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
 		}))
 		metaSrv := httptest.NewServer(meta.Handler())
 		meta.AddFrontEnd(feSrv.URL)
@@ -176,7 +190,7 @@ func TestBinNegotiation(t *testing.T) {
 	}
 
 	t.Run("binary", func(t *testing.T) {
-		client, hits, cleanup := newSvc(false)
+		client, hits, cleanup := newSvc(false, false)
 		defer cleanup()
 		roundTrip(t, client, 21)
 		if hits.Load() == 0 {
@@ -184,20 +198,21 @@ func TestBinNegotiation(t *testing.T) {
 		}
 	})
 	t.Run("json-pinned-server", func(t *testing.T) {
-		client, hits, cleanup := newSvc(true)
+		client, hits, cleanup := newSvc(true, false)
 		defer cleanup()
 		roundTrip(t, client, 22)
 		if hits.Load() != 0 {
 			t.Fatalf("JSON-pinned host saw %d /v1/bin requests", hits.Load())
 		}
 	})
+	// The client is pinned to JSON by what the host advertises alone:
+	// the binary endpoints are there, the stamps are not.
 	t.Run("json-pinned-client", func(t *testing.T) {
-		client, hits, cleanup := newSvc(false)
+		client, hits, cleanup := newSvc(false, true)
 		defer cleanup()
-		client = reconfigure(client, func(cfg *ClientConfig) { cfg.DisableBin = true })
 		roundTrip(t, client, 23)
 		if hits.Load() != 0 {
-			t.Fatalf("DisableBin client issued %d /v1/bin requests", hits.Load())
+			t.Fatalf("client of a host that does not advertise mcsbin/1 issued %d /v1/bin requests", hits.Load())
 		}
 	})
 }

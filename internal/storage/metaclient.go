@@ -104,7 +104,7 @@ func (m *RemoteMeta) SetRetry(pol RetryPolicy, seed uint64) {
 // ShardMap returns the map this router was configured with (nil when
 // unsharded).
 func (m *RemoteMeta) ShardMap() *cluster.MetaShardMap {
-	return m.router.shardMap()
+	return m.router.shardMap(context.Background())
 }
 
 // Discover probes a shard's endpoints via /v1/meta/wal/status and
@@ -120,7 +120,7 @@ func (m *RemoteMeta) Discover(ctx context.Context, shard int) string {
 // this router's view: shard count and map version from the configured
 // map, each shard's primary from its (throttled) discovery sweep.
 func (m *RemoteMeta) Summary(ctx context.Context) *MetaShardSummary {
-	smap := m.router.shardMap()
+	smap := m.router.shardMap(ctx)
 	sum := &MetaShardSummary{Shards: smap.NumShards()}
 	if smap != nil {
 		sum.MapVersion = smap.Version

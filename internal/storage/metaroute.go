@@ -41,12 +41,12 @@ type metaRouter struct {
 	// fetch, when set, loads the shard map from the bootstrap list: on
 	// first use, and again after a redirect names a newer map version.
 	// Nil keeps the map the router was built with.
-	fetch func(boot []string) *cluster.MetaShardMap
+	fetch func(ctx context.Context, boot []string) *cluster.MetaShardMap
 	boot  []string
 
 	mu      sync.Mutex
 	smap    *cluster.MetaShardMap // nil: unsharded, every shard routes through boot
-	fetched bool                  // fetch ran since the last newer-version sighting
+	fetched bool                  // fetch ran, and its ctx did not cut it off, since the last newer-version sighting
 	shards  map[int]*shardRoute
 }
 
@@ -63,7 +63,7 @@ type shardRoute struct {
 	primaryEpoch atomic.Uint64 // epoch of the last discovered primary
 }
 
-func newMetaRouter(boot []string, smap *cluster.MetaShardMap, fetch func([]string) *cluster.MetaShardMap) *metaRouter {
+func newMetaRouter(boot []string, smap *cluster.MetaShardMap, fetch func(context.Context, []string) *cluster.MetaShardMap) *metaRouter {
 	if len(boot) == 0 {
 		boot = []string{""}
 	}
@@ -74,8 +74,9 @@ func newMetaRouter(boot []string, smap *cluster.MetaShardMap, fetch func([]strin
 // due. Nil (unsharded, legacy, or no endpoint answered) routes every
 // call through the bootstrap list; a wrong_shard redirect still
 // corrects the routing, so the fetch is a fast path, not a correctness
-// requirement.
-func (r *metaRouter) shardMap() *cluster.MetaShardMap {
+// requirement. The fetch runs under the calling operation's ctx; one
+// that ctx cut off is due again for the next caller.
+func (r *metaRouter) shardMap(ctx context.Context) *cluster.MetaShardMap {
 	r.mu.Lock()
 	if r.fetch == nil || r.fetched {
 		m := r.smap
@@ -85,9 +86,12 @@ func (r *metaRouter) shardMap() *cluster.MetaShardMap {
 	r.fetched = true
 	r.mu.Unlock()
 
-	m := r.fetch(r.boot)
+	m := r.fetch(ctx, r.boot)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if m == nil && ctx.Err() != nil {
+		r.fetched = false
+	}
 	if m != nil && (r.smap == nil || m.Version >= r.smap.Version) {
 		r.smap = m
 	}
@@ -95,8 +99,8 @@ func (r *metaRouter) shardMap() *cluster.MetaShardMap {
 }
 
 // shardFor maps a user to the owning shard (0 when unsharded).
-func (r *metaRouter) shardFor(user uint64) int {
-	return r.shardMap().ShardFor(user)
+func (r *metaRouter) shardFor(ctx context.Context, user uint64) int {
+	return r.shardMap(ctx).ShardFor(user)
 }
 
 // mapVersion is the version of the map held (0 when none), stamped

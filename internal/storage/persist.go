@@ -1,10 +1,8 @@
 package storage
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"syscall"
 )
@@ -35,16 +33,6 @@ type userSnapshot struct {
 
 const snapshotVersion = 1
 
-// Snapshot serializes the catalog and user namespaces to w.
-func (m *Metadata) Snapshot(w io.Writer) error {
-	m.mu.RLock()
-	snap := m.snapshotLocked()
-	m.mu.RUnlock()
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(snap)
-}
-
 // snapshotLocked builds the serializable form of the durable state
 // (caller holds mu in either mode). The WAL checkpoint and the
 // standby snapshot transfer reuse it, so every durability path shares
@@ -73,22 +61,6 @@ func (m *Metadata) snapshotLocked() metaSnapshot {
 		snap.Users = append(snap.Users, us)
 	}
 	return snap
-}
-
-// Restore loads a snapshot into an empty metadata server. Restoring
-// into a non-empty server is an error (merge semantics would be
-// ambiguous).
-func (m *Metadata) Restore(r io.Reader) error {
-	var snap metaSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("storage: restore: %w", err)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.byURL) != 0 || len(m.users) != 0 {
-		return fmt.Errorf("storage: restore into non-empty metadata server")
-	}
-	return m.restoreLocked(snap)
 }
 
 // restoreLocked rebuilds the in-memory state from a snapshot (caller

@@ -28,12 +28,13 @@ var fastRetry = RetryPolicy{
 }
 
 // newFlakyService is newTestService with a middleware hook on the
-// front-end handler, for injecting targeted failures.
-func newFlakyService(t *testing.T, wrap func(http.Handler) http.Handler) (*Client, *MemStore, func()) {
+// front-end handler, for injecting targeted failures; disableBin pins
+// the front-end to the JSON chunk paths.
+func newFlakyService(t *testing.T, disableBin bool, wrap func(http.Handler) http.Handler) (*Client, *MemStore, func()) {
 	t.Helper()
 	store := NewMemStore()
 	meta := NewMetadata()
-	fe := NewFrontEnd(FrontEndConfig{Store: store, Meta: meta})
+	fe := NewFrontEnd(FrontEndConfig{Store: store, Meta: meta, DisableBin: disableBin})
 	h := fe.Handler()
 	if wrap != nil {
 		h = wrap(h)
@@ -211,15 +212,12 @@ func TestDownloadTruncationRefetched(t *testing.T) {
 			panic(http.ErrAbortHandler)
 		})
 	}
-	client, _, cleanup := newFlakyService(t, wrap)
-	defer cleanup()
 	// The injected truncation targets the per-chunk JSON GET; pin the
 	// dialect so the batched binary path does not route around it.
+	client, _, cleanup := newFlakyService(t, true, wrap)
+	defer cleanup()
 	reg := metrics.NewRegistry()
-	client = reconfigure(client, func(cfg *ClientConfig) {
-		cfg.DisableBin = true
-		cfg.Metrics = NewClientMetrics(reg)
-	})
+	client = reconfigure(client, func(cfg *ClientConfig) { cfg.Metrics = NewClientMetrics(reg) })
 
 	data := chunkedData(t, 11, ChunkSize+999) // 2 chunks
 	res, err := client.StoreFile("v.bin", data)
@@ -260,15 +258,12 @@ func TestUploadConnectionResetRecovered(t *testing.T) {
 			next.ServeHTTP(w, r)
 		})
 	}
-	client, store, cleanup := newFlakyService(t, wrap)
-	defer cleanup()
 	// The injected reset targets the per-chunk JSON PUT; pin the
 	// dialect so the batched binary path does not route around it.
+	client, store, cleanup := newFlakyService(t, true, wrap)
+	defer cleanup()
 	reg := metrics.NewRegistry()
-	client = reconfigure(client, func(cfg *ClientConfig) {
-		cfg.DisableBin = true
-		cfg.Metrics = NewClientMetrics(reg)
-	})
+	client = reconfigure(client, func(cfg *ClientConfig) { cfg.Metrics = NewClientMetrics(reg) })
 
 	data := chunkedData(t, 12, ChunkSize+1)
 	res, err := client.StoreFile("v.bin", data)
@@ -315,17 +310,16 @@ func TestStoreResumeSendsOnlyMissing(t *testing.T) {
 			next.ServeHTTP(w, r)
 		})
 	}
-	client, _, cleanup := newFlakyService(t, wrap)
-	defer cleanup()
 	// Per-chunk upload accounting only holds on the JSON dialect; the
 	// binary path batches PUTs. One attempt per request: the injected
 	// 503 immediately fails the chunk PUT, forcing the resume path
 	// rather than an in-place retry.
+	client, _, cleanup := newFlakyService(t, true, wrap)
+	defer cleanup()
 	pol := fastRetry
 	pol.MaxAttempts = 1
 	reg := metrics.NewRegistry()
 	client = reconfigure(client, func(cfg *ClientConfig) {
-		cfg.DisableBin = true
 		cfg.Retry = &pol
 		cfg.Metrics = NewClientMetrics(reg)
 	})
@@ -363,7 +357,7 @@ func TestStoreResumeSendsOnlyMissing(t *testing.T) {
 // of resume directly: op re-issue reports exactly the chunks that have
 // not arrived, and an op re-issue with nothing missing commits.
 func TestStoreOpReportsMissingAfterPartialUpload(t *testing.T) {
-	client, _, cleanup := newFlakyService(t, nil)
+	client, _, cleanup := newFlakyService(t, false, nil)
 	defer cleanup()
 
 	data := chunkedData(t, 14, 2*ChunkSize+100) // 3 chunks

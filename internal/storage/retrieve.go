@@ -57,11 +57,11 @@ func (p *retrievePlan) slot(buf []byte, i int) []byte {
 // assigned front-end now, as in the paper's flow, and its answer
 // supplies the chunk list.
 func (c *Client) openRetrieve(url string, budget *retryBudget) (*retrievePlan, error) {
-	own := c.meta().shardFor(c.cfg.UserID)
+	own := c.meta().shardFor(budget.ctx, c.cfg.UserID)
 	var res ResolveResponse
 	err := c.postMetaJSON(own, "/meta/resolve", ResolveRequest{UserID: c.cfg.UserID, URL: url}, &res, budget)
 	if errors.Is(err, ErrNotFound) {
-		for s := 0; s < c.meta().shardMap().NumShards(); s++ {
+		for s := 0; s < c.meta().shardMap(budget.ctx).NumShards(); s++ {
 			if s == own {
 				continue
 			}
@@ -93,7 +93,7 @@ func (c *Client) openRetrieve(url string, budget *retryBudget) (*retrievePlan, e
 		Size:     res.Size,
 		Shard:    res.Shard,
 	}
-	if len(p.sums) > 0 && c.binCapsOf(c.chunkTarget(p.frontend, p.sums[0])).fileRetrieve {
+	if len(p.sums) > 0 && c.binCapsOf(c.chunkTarget(budget.ctx, p.frontend, p.sums[0])).fileRetrieve {
 		p.op = op
 	} else {
 		var resp FileOpResponse
@@ -287,7 +287,7 @@ func (r *retrieval) fetchBin(w int) []int {
 	rest := make([]int, 0, len(r.p.sums))
 	byHost := make(map[string][]int)
 	for i, sum := range r.p.sums {
-		if t := c.chunkTarget(r.p.frontend, sum); c.binHost(t) {
+		if t := c.chunkTarget(r.budget.ctx, r.p.frontend, sum); c.binHost(t) {
 			byHost[t] = append(byHost[t], i)
 		} else {
 			rest = append(rest, i)
@@ -442,7 +442,7 @@ func (c *Client) getChunk(frontend string, sum Sum, budget *retryBudget, dst []b
 			tries++
 			base = frontend
 			if tries == 1 {
-				base = c.chunkTarget(frontend, sum)
+				base = c.chunkTarget(budget.ctx, frontend, sum)
 			}
 			req, err := http.NewRequest(http.MethodGet, c.apiPath(base, "/chunk/"+sum.String()), nil)
 			if err != nil {

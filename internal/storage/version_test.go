@@ -63,7 +63,7 @@ func TestV1ClientFallsBackToLegacyServer(t *testing.T) {
 			inner.ServeHTTP(w, r)
 		})
 	}
-	client, _, cleanup := newFlakyService(t, record)
+	client, _, cleanup := newFlakyService(t, false, record)
 	defer cleanup()
 
 	data := chunkedData(t, 31, ChunkSize+123)
@@ -110,7 +110,7 @@ func TestLegacyClientAgainstV1Server(t *testing.T) {
 			next.ServeHTTP(w, r)
 		})
 	}
-	client, _, cleanup := newFlakyService(t, record)
+	client, _, cleanup := newFlakyService(t, false, record)
 	defer cleanup()
 	client = reconfigure(client, func(cfg *ClientConfig) { cfg.LegacyAPI = true })
 
