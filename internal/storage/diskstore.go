@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,25 +38,17 @@ import (
 // segment order, so the newest location wins and the stale segment is
 // simply re-collected on the next pass.
 type DiskStore struct {
-	dir  string
 	opts DiskStoreOptions
 
 	mu        sync.RWMutex
 	index     map[Sum]recLoc
 	segs      map[uint32]*segment
 	active    *segment
-	nextID    uint32
 	dataBytes int64 // live payload bytes (headers excluded)
 
-	// appendLSN counts bytes ever appended (across segments); the
-	// group-commit path tracks how far fsyncs have covered it.
-	appendLSN atomic.Int64
-	syncedLSN atomic.Int64
-	// syncMu guards syncing (a group-commit fsync is in flight);
-	// syncDone, on syncMu, is broadcast when that fsync ends.
-	syncMu   sync.Mutex
-	syncDone sync.Cond
-	syncing  bool
+	// log holds the segment files' lifecycle, the recovery scan and the
+	// group-commit LSNs.
+	log *segLog
 
 	// compactMu runs one Compact at a time. A second compactor would
 	// find no live records in a segment whose copies the first has
@@ -69,12 +60,10 @@ type DiskStore struct {
 	dedupHits   atomic.Int64
 	bytesStored atomic.Int64
 
-	fsyncs      atomic.Int64
 	writeOuts   atomic.Int64 // records whose device write started ahead of their fsync
 	compactions atomic.Int64
 	streamReads atomic.Int64 // GetReaderCtx opens (zero-copy read path)
 	recovery    time.Duration
-	truncated   int64 // torn-tail bytes discarded at open
 	closed      bool
 }
 
@@ -87,9 +76,6 @@ type DiskStoreOptions struct {
 	// a sealed segment. Default 0.5; <= 0 keeps the default, >= 1
 	// compacts any segment with dead bytes.
 	CompactBelow float64
-	// NoSync disables fsync entirely (benchmarking only; the
-	// durability contract is void).
-	NoSync bool
 }
 
 func (o *DiskStoreOptions) setDefaults() {
@@ -147,9 +133,7 @@ func recordSize(n uint32) int64 {
 func encodeHeader(hdr []byte, sum Sum, length uint32, payload []byte) {
 	copy(hdr[:16], sum[:])
 	binary.LittleEndian.PutUint32(hdr[16:20], length)
-	crc := crc32.ChecksumIEEE(hdr[:20])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	binary.LittleEndian.PutUint32(hdr[20:24], crc)
+	binary.LittleEndian.PutUint32(hdr[20:24], frameCRC(hdr[:recHeaderSize], payload))
 }
 
 // OpenDiskStore opens (creating if needed) a segment store rooted at
@@ -160,172 +144,71 @@ func OpenDiskStore(dir string, opts DiskStoreOptions) (*DiskStore, error) {
 		return nil, fmt.Errorf("storage: diskstore: %w", err)
 	}
 	ds := &DiskStore{
-		dir:   dir,
 		opts:  opts,
 		index: make(map[Sum]recLoc),
 		segs:  make(map[uint32]*segment),
 	}
-	ds.syncDone.L = &ds.syncMu
+	ds.log = newSegLog(dir, segPattern, recHeaderSize, ChunkSize, 0)
 	start := time.Now()
 	if err := ds.recover(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("storage: diskstore: %w", err)
 	}
 	ds.recovery = time.Since(start)
 	return ds, nil
 }
 
 // recover scans the segment files in id order, replaying data and
-// tombstone records into the index. Only the final segment may hold a
-// torn record (earlier ones were fsynced before rotation); the torn
-// tail is truncated so appends resume at a clean offset.
+// tombstone records into the index.
 func (ds *DiskStore) recover() error {
-	entries, err := os.ReadDir(ds.dir)
+	ids, err := ds.log.ids()
 	if err != nil {
 		return err
 	}
-	var ids []uint32
-	for _, e := range entries {
-		var id uint32
-		if _, err := fmt.Sscanf(e.Name(), segPattern, &id); err == nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
 	for i, id := range ids {
-		if _, err := ds.scanSegment(id, i == len(ids)-1); err != nil {
-			return err
-		}
-		if id >= ds.nextID {
-			ds.nextID = id + 1
-		}
-	}
-
-	// Resume appending into the final segment if it has room;
-	// otherwise (or with no segments at all) start a fresh one.
-	if n := len(ids); n > 0 {
-		last := ds.segs[ids[n-1]]
-		if last.size < ds.opts.SegmentSize {
-			f, err := os.OpenFile(filepath.Join(ds.dir, segName(last.id)), os.O_RDWR, 0o644)
-			if err != nil {
-				return err
-			}
-			last.f.Close()
-			last.f = f
-			ds.active = last
-		}
-	}
-	if ds.active == nil {
-		if err := ds.newActiveLocked(); err != nil {
-			return err
-		}
-	}
-	ds.appendLSN.Store(totalSize(ds.segs))
-	ds.syncedLSN.Store(ds.appendLSN.Load())
-	return nil
-}
-
-func totalSize(segs map[uint32]*segment) int64 {
-	var n int64
-	for _, s := range segs {
-		n += s.size
-	}
-	return n
-}
-
-// scanSegment replays one segment file, updating the index and
-// returning its occupancy accounting. final marks the last segment,
-// whose torn tail (if any) is truncated rather than rejected.
-func (ds *DiskStore) scanSegment(id uint32, final bool) (*segment, error) {
-	path := filepath.Join(ds.dir, segName(id))
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	seg := &segment{id: id, f: f}
-	// Register before scanning so tombstones and duplicates that refer
-	// back into this same segment adjust its accounting.
-	ds.segs[id] = seg
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	fileSize := info.Size()
-
-	var off int64
-	hdr := make([]byte, recHeaderSize)
-	var payload []byte
-	for off < fileSize {
-		ok, length, sum := false, uint32(0), Sum{}
-		if fileSize-off >= recHeaderSize {
-			if _, err := f.ReadAt(hdr, off); err != nil {
-				f.Close()
-				return nil, err
-			}
+		// Register before scanning so tombstones and duplicates that refer
+		// back into this same segment adjust its accounting.
+		seg := &segment{id: id}
+		ds.segs[id] = seg
+		seg.f, seg.size, err = ds.log.scan(id, i == len(ids)-1, func(off int64, hdr, _ []byte) bool {
+			var sum Sum
 			copy(sum[:], hdr[:16])
-			length = binary.LittleEndian.Uint32(hdr[16:20])
-			want := binary.LittleEndian.Uint32(hdr[20:24])
-			switch {
-			case length == tombstoneLen:
-				ok = crc32.ChecksumIEEE(hdr[:20]) == want
-			case length <= ChunkSize && off+recordSize(length) <= fileSize:
-				if int(length) > cap(payload) {
-					payload = make([]byte, length)
+			length := binary.LittleEndian.Uint32(hdr[16:20])
+			rs := recordSize(length)
+			if length == tombstoneLen {
+				seg.dead += rs
+				if loc, live := ds.index[sum]; live {
+					ds.deadenLocked(loc)
+					delete(ds.index, sum)
+					ds.dataBytes -= int64(loc.n)
 				}
-				payload = payload[:length]
-				if _, err := f.ReadAt(payload, off+recHeaderSize); err != nil {
-					f.Close()
-					return nil, err
-				}
-				crc := crc32.ChecksumIEEE(hdr[:20])
-				ok = crc32.Update(crc, crc32.IEEETable, payload) == want
+				return true
 			}
-		}
-		if !ok {
-			if !final {
-				f.Close()
-				return nil, fmt.Errorf("storage: diskstore: corrupt record in sealed segment %s at offset %d", segName(id), off)
-			}
-			// Torn tail from the crash that this recovery is healing:
-			// discard it so the next append starts on a record boundary.
-			ds.truncated += fileSize - off
-			f.Close()
-			if err := os.Truncate(path, off); err != nil {
-				return nil, err
-			}
-			if f, err = os.Open(path); err != nil {
-				return nil, err
-			}
-			seg.f = f
-			fileSize = off
-			break
-		}
-
-		rs := recordSize(length)
-		if length == tombstoneLen {
-			seg.dead += rs
-			if loc, live := ds.index[sum]; live {
-				ds.deadenLocked(loc)
-				delete(ds.index, sum)
-				ds.dataBytes -= int64(loc.n)
-			}
-		} else {
 			if old, dup := ds.index[sum]; dup {
-				// Duplicate data record (e.g. a crash between a
-				// compaction copy and the old segment's unlink): the
-				// newest location wins.
+				// Duplicate data record (e.g. a crash between a compaction
+				// copy and the old segment's unlink): the newest location
+				// wins.
 				ds.deadenLocked(old)
 				ds.dataBytes -= int64(old.n)
 			}
 			ds.index[sum] = recLoc{seg: id, off: off, n: length}
 			seg.live += rs
 			ds.dataBytes += int64(length)
+			return true
+		})
+		if err != nil {
+			return err
 		}
-		off += rs
 	}
-	seg.size = fileSize
-	return seg, nil
+
+	// Resume appending into the final segment (scan left it open for
+	// writing) if it has room; otherwise, or with no segments at all,
+	// start a fresh one.
+	if n := len(ids); n > 0 && ds.segs[ids[n-1]].size < ds.opts.SegmentSize {
+		ds.active = ds.segs[ids[n-1]]
+		ds.log.active.Store(ds.active.f)
+		return nil
+	}
+	return ds.newActiveLocked()
 }
 
 // deadenLocked moves one record's bytes from live to dead in its
@@ -338,44 +221,17 @@ func (ds *DiskStore) deadenLocked(loc recLoc) {
 	}
 }
 
-// newActiveLocked seals nothing and opens the next segment file for
+// newActiveLocked seals nothing and creates the next segment file for
 // appending (caller holds mu, or is single-threaded open).
 func (ds *DiskStore) newActiveLocked() error {
-	id := ds.nextID
-	ds.nextID++
-	f, err := os.OpenFile(filepath.Join(ds.dir, segName(id)), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	id, err := ds.log.create()
 	if err != nil {
 		return err
 	}
-	seg := &segment{id: id, f: f}
+	seg := &segment{id: id, f: ds.log.active.Load()}
 	ds.segs[id] = seg
 	ds.active = seg
 	return nil
-}
-
-// sealActiveLocked fsyncs the active segment and rotates to a new one
-// (caller holds mu). Sealed files are never written again, which is
-// what confines torn records to the final segment.
-func (ds *DiskStore) sealActiveLocked() error {
-	if !ds.opts.NoSync {
-		if err := ds.active.f.Sync(); err != nil {
-			return err
-		}
-		ds.fsyncs.Add(1)
-	}
-	// Everything appended so far lives in sealed, synced files.
-	maxLSN(&ds.syncedLSN, ds.appendLSN.Load())
-	return ds.newActiveLocked()
-}
-
-// maxLSN raises v to at least lsn.
-func maxLSN(v *atomic.Int64, lsn int64) {
-	for {
-		cur := v.Load()
-		if cur >= lsn || v.CompareAndSwap(cur, lsn) {
-			return
-		}
-	}
 }
 
 // appendLocked writes one record — its 24-byte header, then the
@@ -385,7 +241,12 @@ func maxLSN(v *atomic.Int64, lsn int64) {
 // recovery discards like any other torn tail.
 func (ds *DiskStore) appendLocked(hdr, payload []byte) (recLoc, error) {
 	if ds.active.size >= ds.opts.SegmentSize {
-		if err := ds.sealActiveLocked(); err != nil {
+		// Seal the full segment and rotate. Sealed files are never
+		// written again, which confines torn records to the final one.
+		if err := ds.log.seal(); err != nil {
+			return recLoc{}, err
+		}
+		if err := ds.newActiveLocked(); err != nil {
 			return recLoc{}, err
 		}
 	}
@@ -399,69 +260,10 @@ func (ds *DiskStore) appendLocked(hdr, payload []byte) (recLoc, error) {
 		}
 	}
 	rs := recHeaderSize + int64(len(payload))
-	loc := recLoc{seg: seg.id, off: seg.size, n: uint32(len(payload)), lsn: ds.appendLSN.Add(rs)}
+	loc := recLoc{seg: seg.id, off: seg.size, n: uint32(len(payload)), lsn: ds.log.appendLSN.Add(rs)}
 	seg.size += rs
 	return loc, nil
 }
-
-// syncTo blocks until an fsync has covered lsn. One writer at a time
-// runs the group-commit fsync, which covers every record appended
-// before it starts; writers arriving meanwhile wait for it to end. Then
-// they all wake: those it covered return at once, and one of the rest
-// runs the next fsync for itself and everyone queued behind it — the
-// group commit that keeps fsync count sublinear in writer count. (A
-// covered writer that queued for a lock instead would sit out the next
-// writer's whole fsync before it could return and append again, and
-// each fsync would cover about two puts.)
-func (ds *DiskStore) syncTo(lsn int64) error {
-	if ds.opts.NoSync || ds.syncedLSN.Load() >= lsn {
-		return nil
-	}
-	ds.syncMu.Lock()
-	defer ds.syncMu.Unlock()
-	for ds.syncedLSN.Load() < lsn {
-		if ds.syncing {
-			ds.syncDone.Wait()
-			continue
-		}
-		ds.syncing = true
-		ds.syncMu.Unlock()
-		err := ds.syncTail()
-		ds.syncMu.Lock()
-		ds.syncing = false
-		ds.syncDone.Broadcast()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// syncTail fsyncs the active segment and advances syncedLSN over every
-// record appended before it started.
-func (ds *DiskStore) syncTail() error {
-	ds.mu.RLock()
-	f := ds.active.f
-	cover := ds.appendLSN.Load()
-	ds.mu.RUnlock()
-	if fault := fsyncFault.Load(); fault != nil {
-		if err := (*fault)(ds); err != nil {
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	ds.fsyncs.Add(1)
-	// Records at or below cover sit either in the file just synced or
-	// in a segment that was fsynced when it was sealed.
-	maxLSN(&ds.syncedLSN, cover)
-	return nil
-}
-
-// fsyncFault, when set, runs before every group-commit fsync and can
-// stall it or fail it the way the syscall would (tests).
-var fsyncFault atomic.Pointer[func(*DiskStore) error]
 
 // pageSize is the unit the page cache writes back in.
 var pageSize = int64(os.Getpagesize())
@@ -476,7 +278,7 @@ var pageSize = int64(os.Getpagesize())
 // nothing counts on it: the fsync alone decides what is acknowledged.
 func (ds *DiskStore) startWriteOut(seg *segment, loc recLoc) {
 	end := (loc.off + recordSize(loc.n)) &^ (pageSize - 1)
-	if !ds.opts.NoSync && end > loc.off && writeOutRange(seg.f, loc.off, end-loc.off) {
+	if end > loc.off && writeOutRange(seg.f, loc.off, end-loc.off) {
 		ds.writeOuts.Add(1)
 	}
 }
@@ -539,7 +341,7 @@ func (ds *DiskStore) PutCtx(ctx context.Context, sum Sum, data []byte) error {
 	}
 	app.End()
 	fs := tracing.ChildFromContext(ctx, tracing.CompDisk, tracing.SpanDiskFsync)
-	err = ds.syncTo(loc.lsn)
+	err = ds.log.syncTo(loc.lsn)
 	fs.EndErr(err)
 	return err
 }
@@ -576,9 +378,7 @@ func (ds *DiskStore) record(sum Sum) ([]byte, error) {
 	if _, err := seg.f.ReadAt(buf, loc.off); err != nil {
 		return nil, err
 	}
-	crc := crc32.ChecksumIEEE(buf[:20])
-	crc = crc32.Update(crc, crc32.IEEETable, buf[recHeaderSize:])
-	if binary.LittleEndian.Uint32(buf[20:24]) != crc {
+	if binary.LittleEndian.Uint32(buf[20:24]) != frameCRC(buf[:recHeaderSize], buf[recHeaderSize:]) {
 		return nil, fmt.Errorf("storage: diskstore: on-disk corruption for %s", sum)
 	}
 	return buf, nil
@@ -640,7 +440,7 @@ func (ds *DiskStore) Has(sum Sum) bool {
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
 	loc, ok := ds.index[sum]
-	return ok && (ds.opts.NoSync || loc.lsn <= ds.syncedLSN.Load())
+	return ok && loc.lsn <= ds.log.syncedLSN.Load()
 }
 
 // Stats implements ChunkStore. Chunks/Bytes are rebuilt from the
@@ -684,7 +484,7 @@ func (ds *DiskStore) Delete(sum Sum) error {
 	ds.dataBytes -= int64(loc.n)
 	ds.segs[ds.active.id].dead += recHeaderSize // the tombstone itself is never live
 	ds.mu.Unlock()
-	return ds.syncTo(tomb.lsn)
+	return ds.log.syncTo(tomb.lsn)
 }
 
 // compactableLocked lists sealed segments whose live ratio is below
@@ -782,7 +582,7 @@ func (ds *DiskStore) compactSegment(id uint32) error {
 	// The copies must be durable before the originals disappear,
 	// otherwise a crash right after the unlink could lose live chunks.
 	if maxLSNCopied > 0 {
-		if err := ds.syncTo(maxLSNCopied); err != nil {
+		if err := ds.log.syncTo(maxLSNCopied); err != nil {
 			return err
 		}
 	}
@@ -795,7 +595,7 @@ func (ds *DiskStore) compactSegment(id uint32) error {
 	delete(ds.segs, id)
 	ds.mu.Unlock()
 
-	if err := os.Remove(filepath.Join(ds.dir, segName(id))); err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(ds.log.path(id)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	// Readers that grabbed the segment before the index swap may still
@@ -815,14 +615,7 @@ func (ds *DiskStore) Close() error {
 		return nil
 	}
 	ds.closed = true
-	var first error
-	if !ds.opts.NoSync {
-		if err := ds.active.f.Sync(); err != nil {
-			first = err
-		} else {
-			ds.fsyncs.Add(1)
-		}
-	}
+	first := ds.log.close()
 	for _, s := range ds.segs {
 		if err := s.f.Close(); err != nil && first == nil {
 			first = err
@@ -870,12 +663,12 @@ func (ds *DiskStore) DiskStats() DiskStats {
 	ds.mu.RLock()
 	st := DiskStats{
 		Segments:    len(ds.segs),
-		Fsyncs:      ds.fsyncs.Load(),
+		Fsyncs:      ds.log.fsyncs.Load(),
 		WriteOuts:   ds.writeOuts.Load(),
 		Compactions: ds.compactions.Load(),
 		StreamReads: ds.streamReads.Load(),
 		Recovery:    ds.recovery,
-		Truncated:   ds.truncated,
+		Truncated:   ds.log.truncated,
 	}
 	for _, s := range ds.segs {
 		st.LiveBytes += s.live

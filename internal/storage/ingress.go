@@ -271,7 +271,7 @@ func (g *syncGroup) wait(ctx context.Context) error {
 func syncOwed(ctx context.Context, owed map[*DiskStore]int64) error {
 	for ds, lsn := range owed {
 		sp := tracing.ChildFromContext(ctx, tracing.CompDisk, tracing.SpanDiskFsync)
-		err := ds.syncTo(lsn)
+		err := ds.log.syncTo(lsn)
 		sp.EndErr(err)
 		if err != nil {
 			return err

@@ -234,8 +234,14 @@ func TestMetaLeaseExpiryDuringFsyncStall(t *testing.T) {
 
 	// Stall the primary's next fsync and start a write into the stall.
 	release := make(chan struct{})
-	metaFsyncDelay = func() { <-release }
-	defer func() { metaFsyncDelay = nil }()
+	hook := func(l *segLog) error {
+		if l == primary.wal.log {
+			<-release
+		}
+		return nil
+	}
+	fsyncFault.Store(&hook)
+	defer fsyncFault.Store(nil)
 	type res struct {
 		url string
 		err error

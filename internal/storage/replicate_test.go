@@ -690,11 +690,11 @@ func TestFanoutFaultMatrix(t *testing.T) {
 func TestNothingAckedEarly(t *testing.T) {
 	nodes, meta, newClient := newDiskRing(t, 3, 2, -1, nil)
 	var mu sync.Mutex
-	gates := map[*DiskStore]chan struct{}{}
-	failing := map[*DiskStore]bool{}
-	hook := func(ds *DiskStore) error {
+	gates := map[*segLog]chan struct{}{}
+	failing := map[*segLog]bool{}
+	hook := func(l *segLog) error {
 		mu.Lock()
-		gate, bad := gates[ds], failing[ds]
+		gate, bad := gates[l], failing[l]
 		mu.Unlock()
 		if bad {
 			return errors.New("fsync: input/output error")
@@ -709,18 +709,18 @@ func TestNothingAckedEarly(t *testing.T) {
 	stall := func(i int) (release func()) {
 		gate := make(chan struct{})
 		mu.Lock()
-		gates[nodes[i].disk] = gate
+		gates[nodes[i].disk.log] = gate
 		mu.Unlock()
 		return func() {
 			mu.Lock()
-			delete(gates, nodes[i].disk)
+			delete(gates, nodes[i].disk.log)
 			mu.Unlock()
 			close(gate)
 		}
 	}
 	fail := func(i int, on bool) {
 		mu.Lock()
-		failing[nodes[i].disk] = on
+		failing[nodes[i].disk.log] = on
 		mu.Unlock()
 	}
 	put := func(seed uint64) (Sum, chan error) {
