@@ -74,9 +74,6 @@ type ReplicatedConfig struct {
 	// WriteQuorum is W, the owner acks required before a PUT is
 	// acknowledged (default 2, clamped to Replicas).
 	WriteQuorum int
-	// VNodes is the virtual nodes per member on the ring (default
-	// cluster.DefaultVNodes).
-	VNodes int
 	// Local is this node's own chunk store.
 	Local ChunkStore
 	// HTTP is the peer transport; nil selects a shared default with
@@ -101,7 +98,7 @@ func NewReplicatedStore(cfg ReplicatedConfig) (*ReplicatedStore, error) {
 	if cfg.Local == nil {
 		return nil, fmt.Errorf("storage: replicated store needs a local store")
 	}
-	ring, err := cluster.NewRing(cfg.Peers, cfg.VNodes)
+	ring, err := cluster.NewRing(cfg.Peers, 0)
 	if err != nil {
 		return nil, err
 	}
