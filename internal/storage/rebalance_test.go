@@ -89,3 +89,43 @@ func TestRebalanceDryRunMovesNothing(t *testing.T) {
 		t.Error("dry run moved bytes")
 	}
 }
+
+// TestRebalanceMixedDialect: on a ring where node 2 withholds
+// mcsbin/1, the rebalancer moves every chunk in the dialect each end
+// speaks — JSON chunk routes to and from the legacy node, /v1/bin/get
+// and /v1/bin/put between the others — learned from its census.
+func TestRebalanceMixedDialect(t *testing.T) {
+	nodes, _, _ := newDiskRing(t, 3, 2, 2, nil)
+	legacySum, legacyData := replChunk(80, 4<<10)
+	binSum, binData := replChunk(81, 4<<10)
+	if err := nodes[2].disk.PutCtx(bg, legacySum, legacyData); err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[1].disk.PutCtx(bg, binSum, binData); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := (&Rebalancer{Seed: nodes[0].url, Logf: t.Logf}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Replicated != 4 || rep.Errors != 0 {
+		t.Fatalf("report %+v, want 4 copies and no errors", rep)
+	}
+	for i, nd := range nodes {
+		if !nd.disk.Has(legacySum) || !nd.disk.Has(binSum) {
+			t.Errorf("node %d lacks a chunk after the rebalance", i)
+		}
+	}
+	for i, want := range []map[string]int{
+		{"POST /bin/put (replica)": 2},
+		{"POST /bin/put (replica)": 1, "POST /bin/get (replica)": 1},
+		{"PUT /chunk (replica)": 1, "GET /chunk (replica)": 1},
+	} {
+		for _, route := range []string{"POST /bin/put (replica)", "POST /bin/get (replica)", "PUT /chunk (replica)", "GET /chunk (replica)"} {
+			if got := nodes[i].served(route); got != want[route] {
+				t.Errorf("node %d served %d %q, want %d", i, got, route, want[route])
+			}
+		}
+	}
+}
