@@ -151,6 +151,7 @@ func OpenDiskStore(dir string, opts DiskStoreOptions) (*DiskStore, error) {
 	ds.log = newSegLog(dir, segPattern, recHeaderSize, ChunkSize, 0)
 	start := time.Now()
 	if err := ds.recover(); err != nil {
+		ds.Close() // the segments recovered before the failure are open
 		return nil, fmt.Errorf("storage: diskstore: %w", err)
 	}
 	ds.recovery = time.Since(start)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -243,14 +244,17 @@ func TestDiskStoreCorruptSealedSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := ds.DiskStats(); st.Segments < 2 {
-		t.Fatalf("Segments = %d, want a sealed segment", st.Segments)
+	st := ds.DiskStats()
+	if st.Segments < 3 {
+		t.Fatalf("Segments = %d, want two sealed segments", st.Segments)
 	}
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	f, err := os.OpenFile(filepath.Join(dir, segName(0)), os.O_RDWR, 0)
+	// Damage the last sealed segment, so the open fails with the
+	// segments before it already open.
+	f, err := os.OpenFile(filepath.Join(dir, segName(uint32(st.Segments-2))), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,9 +268,42 @@ func TestDiskStoreCorruptSealedSegment(t *testing.T) {
 	}
 	f.Close()
 
-	if ds2, err := OpenDiskStore(dir, DiskStoreOptions{SegmentSize: 4 << 10}); err == nil {
-		ds2.Close()
-		t.Fatal("open succeeded over a corrupt sealed segment")
+	checkFailedOpensCloseFiles(t, func() error {
+		ds2, err := OpenDiskStore(dir, DiskStoreOptions{SegmentSize: 4 << 10})
+		if err == nil {
+			ds2.Close()
+		}
+		return err
+	})
+}
+
+// checkFailedOpensCloseFiles runs open, which must fail, five times,
+// and then checks the process holds no more open files than before.
+// The count is skipped where /proc/self/fd does not list them.
+func checkFailedOpensCloseFiles(t *testing.T, open func() error) {
+	t.Helper()
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	linux := runtime.GOOS == "linux"
+	before := 0
+	if linux {
+		before = fds()
+	}
+	for i := 0; i < 5; i++ {
+		if open() == nil {
+			t.Fatal("open succeeded over a damaged log")
+		}
+	}
+	if !linux {
+		t.Skip("open files are counted from /proc/self/fd")
+	}
+	if after := fds(); after > before {
+		t.Errorf("5 failed opens left %d more files open", after-before)
 	}
 }
 

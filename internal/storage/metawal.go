@@ -147,7 +147,7 @@ type checkpointFile struct {
 // of every WAL record past it, with a torn final record truncated
 // away. Every subsequent mutation is disk-covered before it is
 // acknowledged.
-func OpenDurableMetadata(dir string) (*Metadata, error) {
+func OpenDurableMetadata(dir string) (_ *Metadata, err error) {
 	start := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: metawal: %w", err)
@@ -170,6 +170,11 @@ func OpenDurableMetadata(dir string) (*Metadata, error) {
 	if cp != nil {
 		w.cpSeq = cp.Seq
 	}
+	defer func() {
+		if err != nil {
+			w.Close() // recover may have left the final segment open
+		}
+	}()
 	replay, err := w.recover()
 	if err != nil {
 		return nil, fmt.Errorf("storage: metawal: %w", err)
