@@ -43,19 +43,13 @@ type cacheEntry struct {
 
 // NewCachedStore wraps backing with an LRU cache of capacity bytes,
 // sharded when the capacity is large enough that the split cannot
-// distort eviction (>= 64 chunks per shard).
+// distort eviction (>= 64 chunks per shard; the count is rounded up to
+// a power of two). A smaller cache is one exact LRU.
 func NewCachedStore(backing ChunkStore, capacity int64) *CachedStore {
 	n := int(capacity / (64 * ChunkSize))
 	if d := defaultShards(); n > d {
 		n = d
 	}
-	return NewCachedStoreShards(backing, capacity, n)
-}
-
-// NewCachedStoreShards is NewCachedStore with an explicit shard count
-// (rounded up to a power of two; values < 1 mean one shard, the exact
-// single-LRU behaviour).
-func NewCachedStoreShards(backing ChunkStore, capacity int64, n int) *CachedStore {
 	if n < 1 {
 		n = 1
 	}

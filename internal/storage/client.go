@@ -282,22 +282,6 @@ func (c *Client) chunkTarget(ctx context.Context, frontend string, sum Sum) stri
 	return ring.Primary(cluster.Key(sum))
 }
 
-// StatChunks asks a front-end which of the given chunks it already
-// holds, in one batched /v1/op/stat round trip (the check the
-// resumable-upload path runs server-side). Legacy servers do not
-// speak it; the caller falls back to per-chunk behavior.
-func (c *Client) StatChunks(frontend string, chunkMD5s []string) (*StatResponse, error) {
-	if !c.useV1(frontend) {
-		return nil, fmt.Errorf("storage: %s does not speak /v1/op/stat", frontend)
-	}
-	var resp StatResponse
-	budget := c.newBudget(context.TODO())
-	if err := c.postJSON(frontend, "/op/stat", StatRequest{ChunkMD5s: chunkMD5s}, &resp, budget); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 func (c *Client) httpClient() *http.Client {
 	if c.cfg.HTTP != nil {
 		return c.cfg.HTTP

@@ -101,12 +101,6 @@ func (m *RemoteMeta) SetRetry(pol RetryPolicy, seed uint64) {
 	m.rngMu.Unlock()
 }
 
-// ShardMap returns the map this router was configured with (nil when
-// unsharded).
-func (m *RemoteMeta) ShardMap() *cluster.MetaShardMap {
-	return m.router.shardMap(context.Background())
-}
-
 // Discover probes a shard's endpoints via /v1/meta/wal/status and
 // prefers that shard's current primary: the non-standby, non-fenced
 // node with the highest (epoch, last_seq). Throttled per shard, so a

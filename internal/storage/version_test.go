@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -198,8 +199,8 @@ func TestLegacyErrorBodyStillMapsNotFound(t *testing.T) {
 	}
 }
 
-// TestStatChunksBatch exercises the client-facing batched stat: one
-// request resolves many digests.
+// TestStatChunksBatch exercises the front-end's batched stat: one
+// /v1/op/stat request resolves many digests.
 func TestStatChunksBatch(t *testing.T) {
 	store := NewMemStore()
 	meta := NewMetadata()
@@ -219,8 +220,26 @@ func TestStatChunksBatch(t *testing.T) {
 	missing, _ := replChunk(77, 4<<10)
 	query := append(sumStrings(sums), missing.String())
 
-	sr, err := client.StatChunks(feSrv.URL, query)
+	body, err := json.Marshal(StatRequest{ChunkMD5s: query})
 	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, feSrv.URL+"/v1/op/stat", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(APIHeader, APIV1)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/op/stat: %v", decodeError(resp))
+	}
+	var sr StatResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
 	if len(sr.MissingMD5s) != 1 || sr.MissingMD5s[0] != missing.String() {
