@@ -603,26 +603,30 @@ func (s *MetaStandby) rivalWon() (winner string, ok bool) {
 // fetchWALStatus reads a metadata node's /v1/meta/wal/status within
 // timeout.
 func fetchWALStatus(ctx context.Context, httpc *http.Client, base string, timeout time.Duration) (MetaWALStatus, error) {
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/meta/wal/status", nil)
+	var st MetaWALStatus
+	err := getJSON(ctx, httpc, base+"/v1/meta/wal/status", timeout, &st)
+	return st, err
+}
+
+// getJSON is one /v1 GET within timeout, without retries, its 200
+// answer decoded into out.
+func getJSON(ctx context.Context, httpc *http.Client, url string, timeout time.Duration, out interface{}) error {
+	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
-		return MetaWALStatus{}, err
+		return err
 	}
 	req.Header.Set(APIHeader, APIV1)
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	resp, err := httpc.Do(req.WithContext(ctx))
 	if err != nil {
-		return MetaWALStatus{}, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return MetaWALStatus{}, decodeError(resp)
+		return decodeError(resp)
 	}
-	var st MetaWALStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return MetaWALStatus{}, err
-	}
-	return st, nil
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // Close stops the pull loop and waits for it to exit (idempotent).

@@ -3,9 +3,7 @@ package storage
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 
@@ -26,8 +24,6 @@ type Rebalancer struct {
 	// Seed is any live node's base URL; membership and the replication
 	// factor are discovered from its /v1/cluster/info.
 	Seed string
-	// HTTP is the transport; nil uses the shared replica client.
-	HTTP *http.Client
 	// Prune deletes copies from nodes the ring does not assign — only
 	// after a batched stat confirms every owner holds the chunk.
 	Prune bool
@@ -36,21 +32,13 @@ type Rebalancer struct {
 	// Logf, when set, receives per-action progress lines.
 	Logf func(format string, args ...interface{})
 
-	// binNodes remembers which nodes advertised the binary chunk
-	// dialect during the census, so the re-streaming pass moves bytes
-	// over mcsbin/1 frames where both ends speak it.
-	binNodes map[string]bool
+	// peers is the pass's replica client, the one ring members use. It
+	// learns each node's dialect from the census answers, so the
+	// re-streaming moves bytes over mcsbin/1 frames where both ends
+	// speak it. It carries no peer stamp: the rebalancer is no ring
+	// member, so every node MD5-checks what it receives.
+	peers *peerClient
 }
-
-// noteBin records node's advertised dialect set from a response.
-func (rb *Rebalancer) noteBin(node string, h http.Header) {
-	if rb.binNodes == nil {
-		rb.binNodes = make(map[string]bool)
-	}
-	rb.binNodes[node] = binAdvertised(h)
-}
-
-func (rb *Rebalancer) binNode(node string) bool { return rb.binNodes[node] }
 
 // RebalanceReport summarizes one pass.
 type RebalanceReport struct {
@@ -71,18 +59,12 @@ func (rb *Rebalancer) logf(format string, args ...interface{}) {
 	}
 }
 
-func (rb *Rebalancer) client() *http.Client {
-	if rb.HTTP != nil {
-		return rb.HTTP
-	}
-	return replicaHTTPClient
-}
-
 // Run executes one rebalance pass.
 func (rb *Rebalancer) Run() (RebalanceReport, error) {
 	var rep RebalanceReport
-	info, err := rb.clusterInfo(rb.Seed)
-	if err != nil {
+	rb.peers = &peerClient{http: replicaHTTPClient, health: cluster.NewHealth(0, 0)}
+	var info ClusterInfo
+	if err := rb.census(rb.Seed, "/v1/cluster/info", &info); err != nil {
 		return rep, fmt.Errorf("storage: rebalance: cluster info from %s: %w", rb.Seed, err)
 	}
 	if len(info.Peers) < 2 {
@@ -97,8 +79,8 @@ func (rb *Rebalancer) Run() (RebalanceReport, error) {
 	// 1. Census: which node holds which chunks.
 	holders := make(map[Sum]map[string]bool)
 	for _, node := range info.Peers {
-		chunks, err := rb.listChunks(node)
-		if err != nil {
+		var chunks []ChunkInfo
+		if err := rb.census(node, "/v1/cluster/chunks", &chunks); err != nil {
 			rb.logf("rebalance: list %s: %v", node, err)
 			rep.Unlistable++
 			continue
@@ -159,7 +141,7 @@ func (rb *Rebalancer) Run() (RebalanceReport, error) {
 					break
 				}
 			}
-			if err := rb.putTo(o, fr); err != nil {
+			if err := rb.peers.sendFrames(context.Background(), o, newFrameQueue(fr)); err != nil {
 				rb.logf("rebalance: copy %s -> %s: %v", sum, o, err)
 				rep.Errors++
 				ok = false
@@ -198,7 +180,7 @@ func (rb *Rebalancer) Run() (RebalanceReport, error) {
 					rep.Pruned++
 					continue
 				}
-				if err := rb.deleteFrom(node, pc.sum); err != nil {
+				if err := rb.peers.deleteReplica(node, pc.sum); err != nil {
 					rb.logf("rebalance: prune %s from %s: %v", pc.sum, node, err)
 					rep.Errors++
 					continue
@@ -233,65 +215,24 @@ func (rb *Rebalancer) confirmOwners(ring *cluster.Ring, n int, cands []pruneCand
 		confirmed[pc.sum] = true
 	}
 	for owner, sums := range byOwner {
-		missing, err := rb.statNode(owner, sums)
-		if err != nil {
-			// Can't verify this owner: fail safe, confirm none of its chunks.
-			for _, s := range sums {
+		// An owner that cannot be asked confirms none of its chunks.
+		present, err := rb.peers.statReplica(owner, sums)
+		for i, s := range sums {
+			if err != nil || !present[i] {
 				confirmed[s] = false
-			}
-			continue
-		}
-		for _, m := range missing {
-			if sum, err := ParseSum(m); err == nil {
-				confirmed[sum] = false
 			}
 		}
 	}
 	return confirmed
 }
 
-// --- wire calls (replica dialect: local-store semantics) ---------------
-
-func (rb *Rebalancer) clusterInfo(node string) (*ClusterInfo, error) {
-	req, err := replicaReq(http.MethodGet, node, "/v1/cluster/info", nil)
+// census reads one node's JSON answer to a cluster-internal GET.
+func (rb *Rebalancer) census(node, path string, out interface{}) error {
+	req, err := replicaReq(http.MethodGet, node, path, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	resp, err := rb.client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	rb.noteBin(node, resp.Header)
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var info ClusterInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return nil, err
-	}
-	return &info, nil
-}
-
-func (rb *Rebalancer) listChunks(node string) ([]ChunkInfo, error) {
-	req, err := replicaReq(http.MethodGet, node, "/v1/cluster/chunks", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := rb.client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	rb.noteBin(node, resp.Header)
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var chunks []ChunkInfo
-	if err := json.NewDecoder(resp.Body).Decode(&chunks); err != nil {
-		return nil, err
-	}
-	return chunks, nil
+	return rb.peers.call(node, req, out)
 }
 
 // fetchFrom is the rebalancer's ingress: it reads the chunk from any
@@ -305,91 +246,11 @@ func (rb *Rebalancer) fetchFrom(have map[string]bool, sum Sum) *frame {
 	}
 	sort.Strings(nodes)
 	for _, node := range nodes {
-		bin := rb.binNode(node)
-		req, err := replicaGetReq(node, sum, bin)
-		if err != nil {
-			continue
+		fr, err := rb.peers.getReplica(context.Background(), node, sum)
+		if err == nil {
+			return fr
 		}
-		resp, err := rb.client().Do(req)
-		if err != nil {
-			continue
-		}
-		fr, err := readReplicaFrame(resp, sum, bin)
-		if err != nil {
-			rb.logf("rebalance: fetch of %s from %s failed: %v", sum, node, err)
-			continue
-		}
-		return fr
+		rb.logf("rebalance: fetch of %s from %s failed: %v", sum, node, err)
 	}
 	return nil
-}
-
-// putTo re-streams a verified frame to node as it stands; the node is
-// its own ingress and verifies once. The rebalancer is no ring member
-// and carries no peer stamp, so that check is always the MD5.
-func (rb *Rebalancer) putTo(node string, fr *frame) error {
-	ctx := context.Background()
-	var req *http.Request
-	var err error
-	if rb.binNode(node) {
-		req, err = replicaPutReq(ctx, node, newFrameQueue(fr), "")
-	} else {
-		req, err = replicaChunkReq(ctx, node, fr)
-	}
-	if err != nil {
-		return err
-	}
-	resp, err := rb.client().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
-}
-
-func (rb *Rebalancer) deleteFrom(node string, sum Sum) error {
-	req, err := replicaReq(http.MethodDelete, node, "/v1/chunk/"+sum.String(), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := rb.client().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
-}
-
-// statNode asks one node which of the given chunks it is missing.
-func (rb *Rebalancer) statNode(node string, sums []Sum) ([]string, error) {
-	body, err := json.Marshal(StatRequest{ChunkMD5s: sumStrings(sums)})
-	if err != nil {
-		return nil, err
-	}
-	req, err := replicaReq(http.MethodPost, node, "/v1/op/stat", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rb.client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var sr StatResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, err
-	}
-	return sr.MissingMD5s, nil
 }

@@ -38,20 +38,15 @@ import (
 // the local shard only; cluster-wide occupancy is the ring-weighted
 // sum over nodes.
 type ReplicatedStore struct {
-	self   string
-	ring   *cluster.Ring
-	n, w   int
-	local  ChunkStore
-	http   *http.Client
-	health *cluster.Health
-	met    *cluster.Metrics // nil until Instrument; nil-safe
+	peerClient // the replica wire, stamped with this node's peer token
+
+	self  string
+	ring  *cluster.Ring
+	n, w  int
+	local ChunkStore
 
 	repairMu sync.Mutex
 	repairQ  map[Sum]map[string]bool // chunk -> owners known to be missing it
-
-	binMu      sync.Mutex
-	binPeers   map[string]bool // peer -> last-seen X-MCS-Bin capability
-	disableBin bool
 
 	auth *peerAuth // this node's peer token and the ones peers proved (vouch.go)
 
@@ -132,18 +127,21 @@ func NewReplicatedStore(cfg ReplicatedConfig) (*ReplicatedStore, error) {
 		return nil, err
 	}
 	rs := &ReplicatedStore{
-		self:       cfg.Self,
-		ring:       ring,
-		n:          n,
-		w:          w,
-		local:      cfg.Local,
-		http:       httpc,
-		health:     health,
-		disableBin: cfg.DisableBin,
-		auth:       auth,
-		repairQ:    make(map[Sum]map[string]bool),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		peerClient: peerClient{
+			http:       httpc,
+			health:     health,
+			stamp:      cfg.Self + " " + auth.token,
+			disableBin: cfg.DisableBin,
+		},
+		self:    cfg.Self,
+		ring:    ring,
+		n:       n,
+		w:       w,
+		local:   cfg.Local,
+		auth:    auth,
+		repairQ: make(map[Sum]map[string]bool),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	every := cfg.RepairEvery
 	if every == 0 {
@@ -727,52 +725,6 @@ var replicaHTTPClient = &http.Client{
 	},
 }
 
-// do runs one replica sub-request with health accounting. Every
-// response also refreshes the peer's advertised dialect set, so bin
-// capability is learned (and un-learned, after a downgrade restart)
-// without any extra probe traffic.
-func (rs *ReplicatedStore) do(node string, req *http.Request) (*http.Response, error) {
-	resp, err := rs.http.Do(req)
-	if err != nil && req.Context().Err() != nil {
-		return nil, err // cut short by this node, not the peer's failure
-	}
-	if err != nil {
-		rs.health.ReportFailure(node)
-		rs.met.ReplicaError()
-		return nil, err
-	}
-	rs.noteBinPeer(node, resp.Header)
-	// A 404 is a healthy node answering "I don't have it" — only
-	// transport errors and 5xx count against liveness.
-	if resp.StatusCode >= 500 {
-		rs.health.ReportFailure(node)
-		rs.met.ReplicaError()
-	} else {
-		rs.health.ReportSuccess(node)
-	}
-	return resp, nil
-}
-
-func (rs *ReplicatedStore) noteBinPeer(node string, h http.Header) {
-	v := binAdvertised(h)
-	rs.binMu.Lock()
-	if rs.binPeers == nil {
-		rs.binPeers = make(map[string]bool)
-	}
-	rs.binPeers[node] = v
-	rs.binMu.Unlock()
-}
-
-func (rs *ReplicatedStore) binPeer(node string) bool {
-	if rs.disableBin {
-		return false
-	}
-	rs.binMu.Lock()
-	ok := rs.binPeers[node]
-	rs.binMu.Unlock()
-	return ok
-}
-
 // putReplica writes one verified frame to one owner (repair); ctx
 // carries its proof.
 func (rs *ReplicatedStore) putReplica(ctx context.Context, node string, fr *frame) error {
@@ -780,6 +732,71 @@ func (rs *ReplicatedStore) putReplica(ctx context.Context, node string, fr *fram
 		return rs.local.PutCtx(ctx, fr.digest(), fr.payload)
 	}
 	return rs.sendFrames(ctx, node, newFrameQueue(fr))
+}
+
+// peerClient is the replica wire: the requests that act on one node's
+// local store and are never forwarded again. A ring member's
+// ReplicatedStore embeds one for its fan-out, repair and read
+// failover; the rebalancer holds one for its census, copies and
+// prunes. They differ only in their values: the rebalancer's carries
+// no peer stamp, its own breaker and no metrics.
+type peerClient struct {
+	http   *http.Client
+	health *cluster.Health
+	met    *cluster.Metrics // nil until Instrument; nil-safe
+	// stamp is the PeerHeader value its mcsbin/1 batches carry (see
+	// vouch.go); "" sends none, so every frame is MD5-checked.
+	stamp string
+
+	binMu      sync.Mutex
+	binPeers   map[string]bool // peer -> last-seen X-MCS-Bin capability
+	disableBin bool
+}
+
+// do runs one replica sub-request with health accounting. Every
+// response also refreshes the peer's advertised dialect set, so bin
+// capability is learned (and un-learned, after a downgrade restart)
+// without any extra probe traffic.
+func (pc *peerClient) do(node string, req *http.Request) (*http.Response, error) {
+	resp, err := pc.http.Do(req)
+	if err != nil && req.Context().Err() != nil {
+		return nil, err // cut short by this node, not the peer's failure
+	}
+	if err != nil {
+		pc.health.ReportFailure(node)
+		pc.met.ReplicaError()
+		return nil, err
+	}
+	pc.noteBinPeer(node, resp.Header)
+	// A 404 is a healthy node answering "I don't have it" — only
+	// transport errors and 5xx count against liveness.
+	if resp.StatusCode >= 500 {
+		pc.health.ReportFailure(node)
+		pc.met.ReplicaError()
+	} else {
+		pc.health.ReportSuccess(node)
+	}
+	return resp, nil
+}
+
+func (pc *peerClient) noteBinPeer(node string, h http.Header) {
+	v := binAdvertised(h)
+	pc.binMu.Lock()
+	if pc.binPeers == nil {
+		pc.binPeers = make(map[string]bool)
+	}
+	pc.binPeers[node] = v
+	pc.binMu.Unlock()
+}
+
+func (pc *peerClient) binPeer(node string) bool {
+	if pc.disableBin {
+		return false
+	}
+	pc.binMu.Lock()
+	ok := pc.binPeers[node]
+	pc.binMu.Unlock()
+	return ok
 }
 
 // sendFrames delivers q to one remote owner under a replica-put span
@@ -791,18 +808,18 @@ func (rs *ReplicatedStore) putReplica(ctx context.Context, node string, fr *fram
 // when it has proven this node's peer stamp, since every frame queued
 // here was MD5-verified at this node's ingress or read back from its
 // own store.
-func (rs *ReplicatedStore) sendFrames(ctx context.Context, node string, q *frameQueue) (err error) {
+func (pc *peerClient) sendFrames(ctx context.Context, node string, q *frameQueue) (err error) {
 	sp := tracing.ChildFromContext(ctx, tracing.CompReplicate, tracing.SpanReplicaPut)
 	sp.Annotate("node", node)
 	sp.AnnotateInt("count", int64(q.count))
 	defer func() { sp.EndErr(err) }()
-	if rs.binPeer(node) {
+	if pc.binPeer(node) {
 		sp.Annotate("dialect", BinV1)
-		req, err := replicaPutReq(ctx, node, q, rs.peerStamp())
+		req, err := replicaPutReq(ctx, node, q, pc.stamp)
 		if err != nil {
 			return err
 		}
-		return rs.send(sp, node, req)
+		return pc.send(sp, node, req)
 	}
 	for k := 0; k < q.count; k++ {
 		fr, err := q.at(k)
@@ -813,7 +830,7 @@ func (rs *ReplicatedStore) sendFrames(ctx context.Context, node string, q *frame
 		if err != nil {
 			return err
 		}
-		if err := rs.send(sp, node, req); err != nil {
+		if err := pc.send(sp, node, req); err != nil {
 			return err
 		}
 	}
@@ -821,10 +838,16 @@ func (rs *ReplicatedStore) sendFrames(ctx context.Context, node string, q *frame
 }
 
 // send runs one replica write request and reads its ack.
-func (rs *ReplicatedStore) send(sp *tracing.Span, node string, req *http.Request) error {
+func (pc *peerClient) send(sp *tracing.Span, node string, req *http.Request) error {
 	sp.Inject(req.Header)
-	rs.met.ForwardPut()
-	resp, err := rs.do(node, req)
+	pc.met.ForwardPut()
+	return pc.call(node, req, nil)
+}
+
+// call runs one replica request and decodes its 200 answer into out,
+// or discards it when out is nil.
+func (pc *peerClient) call(node string, req *http.Request, out interface{}) error {
+	resp, err := pc.do(node, req)
 	if err != nil {
 		return err
 	}
@@ -832,18 +855,30 @@ func (rs *ReplicatedStore) send(sp *tracing.Span, node string, req *http.Request
 	if resp.StatusCode != http.StatusOK {
 		return decodeError(resp)
 	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
+	if out == nil {
+		io.Copy(io.Discard, resp.Body)
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// deleteReplica drops one chunk from node's local store.
+func (pc *peerClient) deleteReplica(node string, sum Sum) error {
+	req, err := replicaReq(http.MethodDelete, node, "/v1/chunk/"+sum.String(), nil)
+	if err != nil {
+		return err
+	}
+	return pc.call(node, req, nil)
 }
 
 // getReplica is the ingress for a chunk read from one remote owner: it
 // verifies the bytes once, as they come off the socket, so a corrupt
 // replica is never propagated, and returns them as a verified frame.
-func (rs *ReplicatedStore) getReplica(ctx context.Context, node string, sum Sum) (_ *frame, err error) {
+func (pc *peerClient) getReplica(ctx context.Context, node string, sum Sum) (_ *frame, err error) {
 	sp := tracing.ChildFromContext(ctx, tracing.CompReplicate, tracing.SpanReplicaGet)
 	sp.Annotate("node", node)
 	defer func() { sp.EndErr(err) }()
-	bin := rs.binPeer(node)
+	bin := pc.binPeer(node)
 	if bin {
 		sp.Annotate("dialect", BinV1)
 	}
@@ -852,21 +887,21 @@ func (rs *ReplicatedStore) getReplica(ctx context.Context, node string, sum Sum)
 		return nil, err
 	}
 	sp.Inject(req.Header)
-	rs.met.ForwardGet()
-	resp, err := rs.do(node, req)
+	pc.met.ForwardGet()
+	resp, err := pc.do(node, req)
 	if err != nil {
 		return nil, err
 	}
 	fr, err := readReplicaFrame(resp, sum, bin)
 	if errors.Is(err, ErrBadDigest) || errors.Is(err, ErrTooLarge) {
-		rs.health.ReportFailure(node)
+		pc.health.ReportFailure(node)
 		err = fmt.Errorf("%w: replica %s returned corrupt bytes for %s: %v", ErrBadDigest, node, sum, err)
 	}
 	return fr, err
 }
 
 // statReplica asks one owner which of the queried chunks it holds.
-func (rs *ReplicatedStore) statReplica(node string, sums []Sum) ([]bool, error) {
+func (pc *peerClient) statReplica(node string, sums []Sum) ([]bool, error) {
 	body, err := json.Marshal(StatRequest{ChunkMD5s: sumStrings(sums)})
 	if err != nil {
 		return nil, err
@@ -876,16 +911,8 @@ func (rs *ReplicatedStore) statReplica(node string, sums []Sum) ([]bool, error) 
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := rs.do(node, req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
 	var sr StatResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	if err := pc.call(node, req, &sr); err != nil {
 		return nil, err
 	}
 	missing := make(map[string]bool, len(sr.MissingMD5s))

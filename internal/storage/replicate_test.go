@@ -426,7 +426,7 @@ func relayGoroutines() int {
 	n := 0
 	for _, g := range bytes.Split(buf, []byte("\n\n")) {
 		if bytes.Contains(g, []byte("(*relay)")) || bytes.Contains(g, []byte("(*frameReader)")) ||
-			bytes.Contains(g, []byte("(*ReplicatedStore).sendFrames")) {
+			bytes.Contains(g, []byte("(*peerClient).sendFrames")) {
 			n++
 		}
 	}

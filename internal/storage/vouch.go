@@ -71,9 +71,6 @@ func newPeerAuth() (*peerAuth, error) {
 	}, nil
 }
 
-// peerStamp is the PeerHeader value this node's replica batches carry.
-func (rs *ReplicatedStore) peerStamp() string { return rs.self + " " + rs.auth.token }
-
 // ownsToken reports whether tok is this node's token.
 func (rs *ReplicatedStore) ownsToken(tok string) bool {
 	return subtle.ConstantTimeCompare([]byte(tok), []byte(rs.auth.token)) == 1

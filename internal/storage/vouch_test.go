@@ -20,7 +20,7 @@ func vouchAll(t *testing.T, nodes []*clusterNode) {
 	deadline := time.Now().Add(5 * time.Second)
 	for _, nd := range nodes {
 		for _, peer := range nodes {
-			for peer != nd && !nd.rs.trustedPeer(peer.rs.peerStamp()) {
+			for peer != nd && !nd.rs.trustedPeer(peer.rs.stamp) {
 				if time.Now().After(deadline) {
 					t.Fatalf("%s never proved %s's stamp", nd.url, peer.url)
 				}
@@ -165,7 +165,7 @@ func TestClusterPeerStampForgeryRefused(t *testing.T) {
 		{"client-replica-header", func(_, _ *clusterNode) string { return "" }},
 		{"guessed-token", func(_, other *clusterNode) string { return other.url + " " + strings.Repeat("0f", tokenBytes) }},
 		{"non-member", func(_, _ *clusterNode) string { return rogue.URL + " " + strings.Repeat("0f", tokenBytes) }},
-		{"self", func(to, _ *clusterNode) string { return to.rs.peerStamp() }},
+		{"self", func(to, _ *clusterNode) string { return to.rs.stamp }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for i, to := range nodes {
@@ -195,7 +195,7 @@ func TestClusterPeerStampForgeryRefused(t *testing.T) {
 	}
 
 	body, claimed, _ := forged()
-	if err := send(t, nodes[0], body, nodes[1].rs.peerStamp()); err != nil {
+	if err := send(t, nodes[0], body, nodes[1].rs.stamp); err != nil {
 		t.Fatalf("a member's stamp: %v", err)
 	}
 	if !nodes[0].local.Has(claimed) {
@@ -254,7 +254,7 @@ func TestClusterVouchEndpoint(t *testing.T) {
 	}
 
 	vouchAll(t, nodes)
-	oldStamp := nodes[0].rs.peerStamp()
+	oldStamp := nodes[0].rs.stamp
 	peers := make([]string, len(nodes))
 	for i, nd := range nodes {
 		peers[i] = nd.url
