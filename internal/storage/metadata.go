@@ -958,10 +958,13 @@ type MetaEvictResponse struct {
 
 // UsersCensus lists every user namespace this shard holds, flagging
 // the ones the current map assigns elsewhere. The rebalancer's
-// discovery step.
-func (m *Metadata) UsersCensus() MetaUsersResponse {
+// discovery step; like ExportUser, answered by the primary only.
+func (m *Metadata) UsersCensus() (MetaUsersResponse, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	if err := m.writeGuardLocked(); err != nil {
+		return MetaUsersResponse{}, err
+	}
 	resp := MetaUsersResponse{Shard: m.shardID, Users: []MetaUserInfo{}}
 	if m.shardMap != nil {
 		resp.MapVersion = m.shardMap.Version
@@ -973,15 +976,21 @@ func (m *Metadata) UsersCensus() MetaUsersResponse {
 		}
 		resp.Users = append(resp.Users, info)
 	}
-	return resp
+	return resp, nil
 }
 
 // ExportUser dumps one user's namespace for a shard move. Read-only
-// and deliberately unguarded: the source of a move is by definition
-// no longer the owner.
+// and deliberately shard-unguarded: the source of a move is by
+// definition no longer the owner. It is write-guarded all the same: a
+// move evicts what its export listed, so a lagging standby's or fenced
+// ex-primary's subset must never stand in for the primary's namespace.
+// They answer not_primary or fenced, and the router re-elects.
 func (m *Metadata) ExportUser(user uint64) (MetaExportResponse, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	if err := m.writeGuardLocked(); err != nil {
+		return MetaExportResponse{}, err
+	}
 	ns, ok := m.users[user]
 	if !ok {
 		return MetaExportResponse{}, ErrNotFound
@@ -1246,7 +1255,12 @@ func (m *Metadata) Handler() http.Handler {
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		writeJSON(w, m.UsersCensus())
+		resp, err := m.UsersCensus()
+		if err != nil {
+			writeAPIError(w, r, metaErrStatus(err, http.StatusInternalServerError), err)
+			return
+		}
+		writeJSON(w, resp)
 	})
 	mux.HandleFunc("/v1/meta/export", func(w http.ResponseWriter, r *http.Request) {
 		var req MetaExportRequest

@@ -43,6 +43,7 @@ type metaRouter struct {
 	// Nil keeps the map the router was built with.
 	fetch func(ctx context.Context, boot []string) *cluster.MetaShardMap
 	boot  []string
+	probe time.Duration // bound on each discover probe of /v1/meta/wal/status
 
 	mu      sync.Mutex
 	smap    *cluster.MetaShardMap // nil: unsharded, every shard routes through boot
@@ -67,7 +68,7 @@ func newMetaRouter(boot []string, smap *cluster.MetaShardMap, fetch func(context
 	if len(boot) == 0 {
 		boot = []string{""}
 	}
-	return &metaRouter{fetch: fetch, boot: boot, smap: smap, shards: make(map[int]*shardRoute)}
+	return &metaRouter{fetch: fetch, boot: boot, probe: time.Second, smap: smap, shards: make(map[int]*shardRoute)}
 }
 
 // shardMap returns the shard map, running the fetch first when one is
@@ -233,7 +234,7 @@ func (r *metaRouter) discover(ctx context.Context, hc *http.Client, shard int) s
 	best := ""
 	var bestEpoch, bestSeq uint64
 	for _, ep := range eps {
-		st, err := fetchWALStatus(ctx, hc, ep, time.Second)
+		st, err := fetchWALStatus(ctx, hc, ep, r.probe)
 		if err != nil {
 			continue
 		}
