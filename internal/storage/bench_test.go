@@ -410,4 +410,37 @@ func BenchmarkMD5Lanes(b *testing.B) {
 	}
 }
 
+// BenchmarkRetrieveVerify runs a retrieve's verifier over a 4 MB file
+// whose chunks have all landed: folded in one chain (no chain values,
+// as before a store recorded them) and chained, where the full chunks
+// share one lane pass and the last resumes beside it. It locates the
+// work; only the service benchmark may claim a gain.
+func BenchmarkRetrieveVerify(b *testing.B) {
+	_, chunks := benchChunks(8, ChunkSize)
+	data := bytes.Join(chunks, nil)
+	file, chain := sumChained(data)
+	b.Logf("16-lane AVX-512 kernel in use: %v", md5lanes.Accelerated())
+	for _, tc := range []struct {
+		name  string
+		chain []Sum
+	}{{"fold", nil}, {"chained", chain}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			p := &retrievePlan{file: file, size: int64(len(data)), sums: SplitSums(data), chain: tc.chain}
+			for i := 0; i < b.N; i++ {
+				r := &retrieval{p: p, buf: data, landed: make(chan int, len(p.sums))}
+				for k := range p.sums {
+					r.landed <- k
+				}
+				close(r.landed)
+				verdict := make(chan error, 1)
+				r.verify(verdict)
+				if err := <-verdict; err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 var benchSink Sum

@@ -1092,16 +1092,55 @@ func checkNoOpGoroutines(t *testing.T) {
 	}
 }
 
+// editChain rewrites the chain values metadata holds for the file
+// behind url, as an older client (none) or a lying one would have left
+// them.
+func (rig *retrieveRig) editChain(t *testing.T, url string, edit func([]Sum) []Sum) {
+	t.Helper()
+	rig.meta.mu.Lock()
+	defer rig.meta.mu.Unlock()
+	f, ok := rig.meta.byURL[url]
+	if !ok {
+		t.Fatalf("no file at %s", url)
+	}
+	f.Chain = edit(f.Chain)
+}
+
+// chainShapes are the file sizes the chain rows cover: no chain (0
+// bytes, one chunk), an exact multiple of ChunkSize, and more chunks
+// than one lane pass holds.
+var chainShapes = []int{0, ChunkSize - 999, 4 * ChunkSize, 16*ChunkSize + 777}
+
+// numChunks is the chunk count of a size-byte file.
+func numChunks(size int) int { return (size + ChunkSize - 1) / ChunkSize }
+
+// binBatches is how many bin/get batches a retrieve of n chunks sends
+// at the given window.
+func binBatches(n, parallel int) int {
+	if n == 0 {
+		return 0
+	}
+	per := batchSize(n, min(parallel, n))
+	return (n + per - 1) / per
+}
+
 // TestRetrieveCorruptionMatrix damages retrieves in every way the read
 // path must survive, at windows 1 and 2, over the binary dialect and
 // the JSON fallback. A damaged chunk is caught where it arrives (frame
 // CRC, or chunk MD5 on JSON) and re-fetched; a forged frame that the
-// transport cannot tell from a good one is caught by the file digest,
-// located, and re-fetched; metadata whose chunk list disagrees with
-// its file digest fails with no bytes. No retrieve goroutine outlives
-// its call on any of these paths (run under -race).
+// transport cannot tell from a good one breaks the hash chain or the
+// file digest, and is located and re-fetched; metadata whose chunk
+// list disagrees with its file digest fails with no bytes, with a
+// chain or without. A wrong chain value over right bytes costs one
+// whole-file pass and no fetch, and a file without a chain is folded
+// in one pass. No retrieve goroutine outlives its call on any of these
+// paths (run under -race).
 func TestRetrieveCorruptionMatrix(t *testing.T) {
 	const size = 5*ChunkSize + 4321
+	files := make(map[int][]byte)
+	for i, n := range chainShapes {
+		files[n] = chunkedData(t, 700+uint64(i), n)
+	}
 	seed := uint64(0)
 	for _, parallel := range []int{1, 2} {
 		for _, dialect := range []string{"bin", "json"} {
@@ -1110,6 +1149,12 @@ func TestRetrieveCorruptionMatrix(t *testing.T) {
 				return newRetrieveRig(t, parallel, dialect == "json")
 			}
 			name := fmt.Sprintf("parallel=%d/%s/", parallel, dialect)
+			// passes is what a clean retrieve hashes per byte: the
+			// verifier, plus each chunk's own MD5 check on JSON.
+			passes := int64(1)
+			if dialect == "json" {
+				passes = 2
+			}
 
 			t.Run(name+"flipped-bit", func(t *testing.T) {
 				rig := rig(t)
@@ -1132,51 +1177,125 @@ func TestRetrieveCorruptionMatrix(t *testing.T) {
 			})
 
 			if dialect == "bin" {
+				// The forged frame is the first of whichever batch is
+				// served first: under a right chain its link (or, for
+				// the last chunk or a one-chunk file, the file digest)
+				// breaks.
 				t.Run(name+"forged-frame", func(t *testing.T) {
-					rig := rig(t)
-					data := chunkedData(t, 500+seed, size)
-					url := rig.upload(t, data)
-					rig.damage = forgeFirstFrame
-					got, err := rig.client.RetrieveFile(url)
-					if err != nil || !bytes.Equal(got, data) {
-						t.Fatalf("retrieve after a forged frame: %v (equal %v)", err, bytes.Equal(got, data))
+					for _, n := range append([]int{size}, chainShapes[1:]...) {
+						rig := rig(t)
+						data := files[n]
+						if data == nil {
+							data = chunkedData(t, 500+seed, n)
+						}
+						url := rig.upload(t, data)
+						rig.damage = forgeFirstFrame
+						got, err := rig.client.RetrieveFile(url)
+						if err != nil || !bytes.Equal(got, data) {
+							t.Fatalf("%d bytes: retrieve after a forged frame: %v (equal %v)", n, err, bytes.Equal(got, data))
+						}
+						if !rig.damaged.Load() || rig.client.cfg.Metrics.Stats().Refetches != 1 {
+							t.Fatalf("%d bytes: damaged %v, refetches %d", n, rig.damaged.Load(), rig.client.cfg.Metrics.Stats().Refetches)
+						}
+						// The CRC passed, so no batch retried; the chain
+						// or the file digest caught it and exactly the
+						// forged chunk was re-fetched.
+						if asked, jsonGot := rig.requests(); len(asked) != binBatches(numChunks(n), parallel) || len(jsonGot) != 1 {
+							t.Fatalf("%d bytes: bin/get %d, JSON GET %d; want %d and 1", n, len(asked), len(jsonGot), binBatches(numChunks(n), parallel))
+						}
+						checkNoOpGoroutines(t)
 					}
-					if !rig.damaged.Load() || rig.client.cfg.Metrics.Stats().Refetches < 1 {
-						t.Fatalf("damaged %v, refetches %d", rig.damaged.Load(), rig.client.cfg.Metrics.Stats().Refetches)
-					}
-					// The CRC passed, so no batch retried; the file digest
-					// caught it and exactly the forged chunk was re-fetched.
-					if asked, jsonGot := rig.requests(); len(asked) != parallel || len(jsonGot) != 1 {
-						t.Fatalf("bin/get %d, JSON GET %d; want %d and 1", len(asked), len(jsonGot), parallel)
-					}
-					checkNoOpGoroutines(t)
 				})
 			}
 
 			t.Run(name+"chunk-list-disagrees", func(t *testing.T) {
 				rig := rig(t)
-				for _, chunks := range []int{1, 3} {
-					data := chunkedData(t, 900+seed+uint64(chunks), (chunks-1)*ChunkSize+777)
-					claimed := append([]byte(nil), data...)
-					claimed[0] ^= 0xFF
-					chk, err := rig.meta.StoreCheckCtx(bg, StoreCheckRequest{
-						UserID: 5, Name: "liar.bin", Size: int64(len(data)), FileMD5: SumBytes(claimed).String(),
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					sums := SplitSums(data)
-					for i, sum := range sums {
-						if err := rig.store.PutCtx(bg, sum, data[i*ChunkSize:min((i+1)*ChunkSize, len(data))]); err != nil {
+				for _, n := range []int{777, 2*ChunkSize + 777, 4 * ChunkSize, 16*ChunkSize + 777} {
+					for _, chained := range []bool{false, true} {
+						data := chunkedData(t, 900+seed+uint64(n), n)
+						claimed := append([]byte(nil), data...)
+						claimed[0] ^= 0xFF
+						req := StoreCheckRequest{UserID: 5, Name: "liar.bin", Size: int64(n), FileMD5: SumBytes(claimed).String()}
+						if chained {
+							// The chain is the true bytes' own: every link
+							// holds and only the last chunk's check fails.
+							_, chain := sumChained(data)
+							req.ChainMD5s = sumStrings(chain)
+						}
+						chk, err := rig.meta.StoreCheckCtx(bg, req)
+						if err != nil {
 							t.Fatal(err)
 						}
+						sums := SplitSums(data)
+						for i, sum := range sums {
+							if err := rig.store.PutCtx(bg, sum, data[i*ChunkSize:min((i+1)*ChunkSize, len(data))]); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if err := rig.meta.CommitCtx(bg, 0, chk.URL, sums); err != nil {
+							t.Fatal(err)
+						}
+						got, err := rig.client.RetrieveFile(chk.URL)
+						if !errors.Is(err, errFileDigest) || got != nil {
+							t.Fatalf("%d bytes, chained %v: RetrieveFile = %d bytes, %v; want no bytes and a digest error", n, chained, len(got), err)
+						}
+						checkNoOpGoroutines(t)
 					}
-					if err := rig.meta.CommitCtx(bg, 0, chk.URL, sums); err != nil {
-						t.Fatal(err)
+				}
+			})
+
+			t.Run(name+"wrong-chain", func(t *testing.T) {
+				for _, n := range chainShapes {
+					if numChunks(n) < 2 {
+						continue // no chain to be wrong
 					}
-					got, err := rig.client.RetrieveFile(chk.URL)
-					if !errors.Is(err, errFileDigest) || got != nil {
-						t.Fatalf("%d chunks: RetrieveFile = %d bytes, %v; want no bytes and a digest error", chunks, len(got), err)
+					for _, at := range []int{0, numChunks(n) - 2} {
+						rig := rig(t)
+						data := files[n]
+						url := rig.upload(t, data)
+						rig.editChain(t, url, func(chain []Sum) []Sum {
+							if len(chain) != numChunks(n)-1 {
+								t.Fatalf("%d bytes: stored chain has %d values, want %d", n, len(chain), numChunks(n)-1)
+							}
+							chain[at][3] ^= 0x40
+							return chain
+						})
+						before := hashPasses.Load()
+						got, err := rig.client.RetrieveFile(url)
+						if err != nil || !bytes.Equal(got, data) {
+							t.Fatalf("%d bytes, value %d wrong: %v (equal %v)", n, at, err, bytes.Equal(got, data))
+						}
+						if h := hashPasses.Load() - before; h != (passes+1)*int64(n) {
+							t.Errorf("%d bytes, value %d wrong: hashed %.2f passes, want %d", n, at, float64(h)/float64(n), passes+1)
+						}
+						asked, jsonGot := rig.requests()
+						if refetches := rig.client.cfg.Metrics.Stats().Refetches; refetches != 0 {
+							t.Errorf("%d bytes, value %d wrong: %d refetches, want none", n, at, refetches)
+						}
+						if dialect == "bin" && (len(asked) != binBatches(numChunks(n), parallel) || len(jsonGot) != 0) {
+							t.Errorf("%d bytes: bin/get %d, JSON GET %d; want %d and 0", n, len(asked), len(jsonGot), binBatches(numChunks(n), parallel))
+						}
+						if dialect == "json" && len(jsonGot) != numChunks(n) {
+							t.Errorf("%d bytes: JSON GET %d, want %d", n, len(jsonGot), numChunks(n))
+						}
+						checkNoOpGoroutines(t)
+					}
+				}
+			})
+
+			t.Run(name+"no-chain", func(t *testing.T) {
+				for _, n := range chainShapes {
+					rig := rig(t)
+					data := files[n]
+					url := rig.upload(t, data)
+					rig.editChain(t, url, func([]Sum) []Sum { return nil })
+					before := hashPasses.Load()
+					got, err := rig.client.RetrieveFile(url)
+					if err != nil || !bytes.Equal(got, data) {
+						t.Fatalf("%d bytes without a chain: %v (equal %v)", n, err, bytes.Equal(got, data))
+					}
+					if h := hashPasses.Load() - before; h != passes*int64(n) {
+						t.Errorf("%d bytes without a chain: hashed %d bytes, want %d", n, h, passes*int64(n))
 					}
 					checkNoOpGoroutines(t)
 				}
@@ -1187,32 +1306,41 @@ func TestRetrieveCorruptionMatrix(t *testing.T) {
 
 // TestRetrieveHashesEachByteOnce pins the read path's pass count with
 // the always-on counter: a retrieve of N bytes over mcsbin/1 hashes
-// exactly N (the fold into the file digest; frames are CRC-checked
-// only), at any window and any chunk count. Over the per-chunk JSON
-// fallback each chunk is MD5-checked as it arrives and then folded, so
-// that path hashes 2N.
+// exactly N (the verifier's; frames are CRC-checked only), at any
+// window and any chunk count, whether the file's chain values are
+// there to check each chunk on its own or it is folded in one chain.
+// Over the per-chunk JSON fallback each chunk is MD5-checked as it
+// arrives and then verified, so that path hashes 2N.
 func TestRetrieveHashesEachByteOnce(t *testing.T) {
 	for _, parallel := range []int{1, 2} {
 		for _, json := range []bool{false, true} {
-			client := ingressService(t, FrontEndConfig{Store: NewMemStore(), DisableBin: json}, parallel)
-			passes := int64(1)
-			if json {
-				passes = 2
-			}
-			for _, size := range []int{4 << 20, ChunkSize + 12345, 40000} {
-				data := chunkedData(t, uint64(size+parallel), size)
-				res, err := client.StoreFile(fmt.Sprintf("p%d.bin", size), data)
-				if err != nil {
-					t.Fatal(err)
+			for _, chained := range []bool{true, false} {
+				rig := newRetrieveRig(t, parallel, json)
+				passes := int64(1)
+				if json {
+					passes = 2
 				}
-				before := hashPasses.Load()
-				got, err := client.RetrieveFile(res.URL)
-				if err != nil || !bytes.Equal(got, data) {
-					t.Fatalf("retrieve: %v", err)
-				}
-				if n := hashPasses.Load() - before; n != passes*int64(size) {
-					t.Errorf("parallel=%d json=%v: a %d-byte retrieve hashed %d bytes (%.2f passes), want %d",
-						parallel, json, size, n, float64(n)/float64(size), passes)
+				for _, size := range []int{4 << 20, ChunkSize + 12345, 40000} {
+					data := chunkedData(t, uint64(size+parallel), size)
+					url := rig.upload(t, data)
+					rig.editChain(t, url, func(chain []Sum) []Sum {
+						if len(chain) != numChunks(size)-1 {
+							t.Fatalf("%d bytes: stored chain has %d values, want %d", size, len(chain), numChunks(size)-1)
+						}
+						if !chained {
+							return nil
+						}
+						return chain
+					})
+					before := hashPasses.Load()
+					got, err := rig.client.RetrieveFile(url)
+					if err != nil || !bytes.Equal(got, data) {
+						t.Fatalf("retrieve: %v", err)
+					}
+					if n := hashPasses.Load() - before; n != passes*int64(size) {
+						t.Errorf("parallel=%d json=%v chained=%v: a %d-byte retrieve hashed %d bytes (%.2f passes), want %d",
+							parallel, json, chained, size, n, float64(n)/float64(size), passes)
+					}
 				}
 			}
 		}

@@ -22,7 +22,12 @@ type FileMeta struct {
 	Size      int64
 	FileMD5   Sum
 	ChunkMD5s []Sum
-	URL       string
+	// Chain holds the file hash's chaining value at every chunk
+	// boundary, as the storing client sent them (nil when it sent
+	// none). Retrieves check chunks against it; a wrong value costs
+	// them one more pass, never a wrong byte.
+	Chain []Sum
+	URL   string
 }
 
 // MetaService is the slice of the metadata plane a storage front-end
@@ -431,7 +436,8 @@ func (m *Metadata) StoreCheckCtx(ctx context.Context, req StoreCheckRequest) (St
 		rec = MetaWALRecord{
 			Op: walOpReserve, User: req.UserID, URL: url,
 			Name: req.Name, Size: req.Size, FileMD5: req.FileMD5,
-			URLSeq: m.urlSeq + 1,
+			ChainMD5s: sumStrings(parseChain(req.ChainMD5s, req.Size)),
+			URLSeq:    m.urlSeq + 1,
 		}
 		resp.FrontEnd, resp.URL = m.pickFrontEnd(), url
 	}
@@ -632,7 +638,7 @@ func (m *Metadata) applyRecordLocked(rec *MetaWALRecord) error {
 		if err != nil {
 			return fmt.Errorf("storage: meta apply reserve: %w", err)
 		}
-		f := &FileMeta{Name: rec.Name, Size: rec.Size, FileMD5: sum, URL: rec.URL}
+		f := &FileMeta{Name: rec.Name, Size: rec.Size, FileMD5: sum, Chain: parseChain(rec.ChainMD5s, rec.Size), URL: rec.URL}
 		m.byURL[rec.URL] = f
 		m.linkLocked(rec.User, f)
 		if rec.URLSeq > m.urlSeq {
@@ -785,7 +791,7 @@ func (m *Metadata) waitReplicated(ctx context.Context, seq uint64) error {
 // comes from the catalog entry LookupCtx returns for the file digest,
 // so a reserved URL whose content is not committed yet resolves with
 // none, and its retrieve still ends in the operation request's
-// not_found.
+// not_found. The chain values come from the same entry.
 func (m *Metadata) Resolve(req ResolveRequest) (ResolveResponse, error) {
 	if met := m.met; met != nil {
 		defer met.resolve.ObserveSince(time.Now())
@@ -804,6 +810,7 @@ func (m *Metadata) Resolve(req ResolveRequest) (ResolveResponse, error) {
 	}
 	if cat, ok := m.byMD5[f.FileMD5]; ok {
 		resp.ChunkMD5s = sumStrings(cat.ChunkMD5s)
+		resp.ChainMD5s = sumStrings(cat.Chain)
 	}
 	return resp, nil
 }
@@ -916,6 +923,7 @@ type MetaExportFile struct {
 	Size      int64    `json:"size"`
 	FileMD5   string   `json:"file_md5"`
 	ChunkMD5s []string `json:"chunk_md5s,omitempty"`
+	ChainMD5s []string `json:"chain_md5s,omitempty"`
 	URL       string   `json:"url"`
 	Committed bool     `json:"committed"`
 }
@@ -999,6 +1007,7 @@ func (m *Metadata) ExportUser(user uint64) (MetaExportResponse, error) {
 	for _, f := range ns {
 		ef := MetaExportFile{
 			Name: f.Name, Size: f.Size, FileMD5: f.FileMD5.String(), URL: f.URL,
+			ChainMD5s: sumStrings(f.Chain),
 		}
 		if cat, committed := m.byMD5[f.FileMD5]; committed && cat == f {
 			ef.Committed = true
@@ -1053,6 +1062,7 @@ func (m *Metadata) ImportUser(ctx context.Context, req MetaImportRequest) (MetaI
 		rec := MetaWALRecord{
 			Op: walOpReserve, User: req.User, URL: f.URL,
 			Name: f.Name, Size: f.Size, FileMD5: f.FileMD5,
+			ChainMD5s: sumStrings(parseChain(f.ChainMD5s, f.Size)),
 		}
 		l, err := m.logApplyLocked(&rec)
 		if err != nil {
@@ -1361,6 +1371,21 @@ func parseSums(strs []string) ([]Sum, error) {
 }
 
 // sumStrings renders digests as hex.
+// parseChain decodes a file's chaining values, or returns nil when the
+// list does not parse or does not hold one value per chunk boundary,
+// ceil(size/ChunkSize)-1: a chain is an optional hint, so a bad one is
+// dropped rather than refused.
+func parseChain(strs []string, size int64) []Sum {
+	if len(strs) == 0 || int64(len(strs)) != (size+ChunkSize-1)/ChunkSize-1 {
+		return nil
+	}
+	chain, err := parseSums(strs)
+	if err != nil {
+		return nil
+	}
+	return chain
+}
+
 func sumStrings(sums []Sum) []string {
 	strs := make([]string, len(sums))
 	for i, s := range sums {

@@ -107,6 +107,9 @@ type MetaWALRecord struct {
 	Size      int64    `json:"size,omitempty"`
 	FileMD5   string   `json:"file_md5,omitempty"`
 	ChunkMD5s []string `json:"chunk_md5s,omitempty"`
+	// ChainMD5s rides a reserve: the file's chaining values, when the
+	// store-check carried a well-formed list (see parseChain).
+	ChainMD5s []string `json:"chain_md5s,omitempty"`
 	URLSeq    int64    `json:"url_seq,omitempty"`
 }
 

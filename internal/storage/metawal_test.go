@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -802,4 +803,133 @@ func TestMetaWALReseedCheckpoints(t *testing.T) {
 	}
 	m2 := openDurableMeta(t, dir)
 	requireSameState(t, primary, m2, "reopen after a reseed at the checkpoint's sequence")
+}
+
+// TestMetaChainRoundTrip: a store-check's chain values ride the
+// reserve record into the catalog, and resolve returns them once the
+// file is committed. They survive standby apply, WAL replay after a
+// reopen, a checkpoint followed by a reopen, and a namespace move. A
+// malformed or mis-sized chain is dropped at the store-check, so the
+// WAL never holds one, and records and checkpoints without chain_md5s
+// resolve with no chain.
+func TestMetaChainRoundTrip(t *testing.T) {
+	const user = 1
+	dir := t.TempDir()
+	primary := openDurableMeta(t, dir)
+	srv := httptest.NewServer(primary.Handler())
+	defer srv.Close()
+	standby := openDurableMeta(t, t.TempDir())
+	puller := NewMetaStandby(standby, srv.URL, nil, 5*time.Millisecond)
+	puller.Start()
+	defer puller.Close()
+
+	// store runs reserve -> commit for a 4-chunk file of its own
+	// content with the chain values edit makes of the true ones.
+	seed := uint64(60)
+	store := func(edit func([]string) []string) string {
+		t.Helper()
+		seed++
+		data := chunkedData(t, seed, 3*ChunkSize+100)
+		sum, chain := sumChained(data)
+		resp, err := primary.StoreCheckCtx(bg, StoreCheckRequest{
+			UserID: user, Name: fmt.Sprintf("c%d", seed), Size: int64(len(data)),
+			FileMD5: sum.String(), ChainMD5s: edit(sumStrings(chain)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := primary.CommitCtx(bg, 0, resp.URL, SplitSums(data)); err != nil {
+			t.Fatal(err)
+		}
+		return resp.URL
+	}
+	var want []string
+	good := store(func(c []string) []string { want = c; return c })
+	dropped := []string{
+		store(func([]string) []string { return nil }),                   // an older client
+		store(func(c []string) []string { return c[:2] }),               // one short
+		store(func(c []string) []string { return append(c, c[0]) }),     // one long
+		store(func(c []string) []string { c[1] = "not-hex"; return c }), // malformed
+		store(func(c []string) []string { c[2] = c[2][:30]; return c }), // short value
+	}
+	check := func(m *Metadata, label string) {
+		t.Helper()
+		if res, err := m.Resolve(ResolveRequest{UserID: user, URL: good}); err != nil || !reflect.DeepEqual(res.ChainMD5s, want) {
+			t.Fatalf("%s: resolve = %v, %v; want chain %v", label, res.ChainMD5s, err, want)
+		}
+		for _, url := range dropped {
+			if res, err := m.Resolve(ResolveRequest{UserID: user, URL: url}); err != nil || len(res.ChainMD5s) != 0 {
+				t.Fatalf("%s: %s resolves with chain %v (%v), want none", label, url, res.ChainMD5s, err)
+			}
+		}
+	}
+	check(primary, "live")
+
+	waitFor(t, "standby catch-up", func() bool { return standby.LastSeq() == primary.LastSeq() })
+	check(standby, "standby apply")
+
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.mwal"))
+	var held int
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held += bytes.Count(b, []byte(`"chain_md5s"`))
+	}
+	if held != 1 {
+		t.Fatalf("the WAL holds %d chain lists, want only the well-formed one", held)
+	}
+
+	puller.Close()
+	if err := primary.WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed := openDurableMeta(t, dir)
+	check(replayed, "WAL replay")
+	if err := replayed.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := replayed.WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+	restored := openDurableMeta(t, dir)
+	check(restored, "checkpoint")
+
+	exp, err := restored.ExportUser(user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := NewMetadata()
+	if _, err := moved.ImportUser(bg, MetaImportRequest{User: user, Files: exp.Files}); err != nil {
+		t.Fatal(err)
+	}
+	check(moved, "namespace move")
+
+	// A checkpoint written before chains existed has no chain_md5s.
+	if err := restored.WAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+	cpPath := filepath.Join(dir, checkpointName)
+	cp, err := loadCheckpoint(cpPath)
+	if err != nil || cp == nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	for i := range cp.Meta.Files {
+		cp.Meta.Files[i].ChainMD5s = nil
+	}
+	b, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(b, []byte("chain_md5s")) {
+		t.Fatal("a checkpoint without chains still names chain_md5s")
+	}
+	if err := os.WriteFile(cpPath, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := openDurableMeta(t, dir)
+	if res, err := old.Resolve(ResolveRequest{UserID: user, URL: good}); err != nil || len(res.ChainMD5s) != 0 || len(res.ChunkMD5s) != 4 {
+		t.Fatalf("old checkpoint: resolve = %+v, %v; want 4 chunks and no chain", res, err)
+	}
 }

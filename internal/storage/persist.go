@@ -23,6 +23,7 @@ type fileSnapshot struct {
 	Size      int64    `json:"size"`
 	FileMD5   string   `json:"file_md5"`
 	ChunkMD5s []string `json:"chunk_md5s"`
+	ChainMD5s []string `json:"chain_md5s,omitempty"`
 	Committed bool     `json:"committed"`
 }
 
@@ -46,6 +47,7 @@ func (m *Metadata) snapshotLocked() metaSnapshot {
 			Name:      f.Name,
 			Size:      f.Size,
 			FileMD5:   f.FileMD5.String(),
+			ChainMD5s: sumStrings(f.Chain),
 			Committed: committed,
 		}
 		for _, c := range f.ChunkMD5s {
@@ -75,7 +77,7 @@ func (m *Metadata) restoreLocked(snap metaSnapshot) error {
 		if err != nil {
 			return fmt.Errorf("storage: restore file %q: %w", fs.URL, err)
 		}
-		f := &FileMeta{Name: fs.Name, Size: fs.Size, FileMD5: sum, URL: fs.URL}
+		f := &FileMeta{Name: fs.Name, Size: fs.Size, FileMD5: sum, Chain: parseChain(fs.ChainMD5s, fs.Size), URL: fs.URL}
 		for _, c := range fs.ChunkMD5s {
 			cs, err := ParseSum(c)
 			if err != nil {

@@ -37,6 +37,24 @@ func SumBytes(b []byte) Sum {
 	return md5.Sum(b)
 }
 
+// sumChained hashes data chunk by chunk in one crypto/md5 pass and
+// returns its digest and its chaining values: the hash state after
+// every chunk but the last (md5lanes.State), which let a retrieve
+// check each chunk on its own (see retrieval.verify).
+func sumChained(data []byte) (Sum, []Sum) {
+	hashPasses.Add(int64(len(data)))
+	h := md5.New()
+	var chain []Sum
+	for off := ChunkSize; off < len(data); off += ChunkSize {
+		h.Write(data[off-ChunkSize : off])
+		chain = append(chain, md5lanes.State(h))
+	}
+	h.Write(data[len(chain)*ChunkSize:])
+	var sum Sum
+	h.Sum(sum[:0])
+	return sum, chain
+}
+
 // sumChunks hashes chunks into sums[i]: those of ChunkSize side by
 // side, up to md5lanes.MaxLanes per lane pass, so independent
 // full-size chunks cost about what one costs; any shorter chunk
@@ -108,6 +126,11 @@ type StoreCheckRequest struct {
 	Name    string `json:"name"`
 	Size    int64  `json:"size"`
 	FileMD5 string `json:"file_md5"`
+	// ChainMD5s are the file's chaining values, one per chunk boundary
+	// (see sumChained). The metadata server keeps them for retrieves and
+	// drops a list that does not parse or does not have
+	// ceil(Size/ChunkSize)-1 values.
+	ChainMD5s []string `json:"chain_md5s,omitempty"`
 }
 
 // StoreCheckResponse carries the dedup verdict and, when an upload is
@@ -131,13 +154,16 @@ type ResolveRequest struct {
 // client that has them can skip the file retrieval operation request
 // and let the operation ride its first chunk batch (see
 // FileRetrieveHeader). Reserved, uncommitted files and empty files
-// carry no list.
+// carry no list. ChainMD5s are the committed file's chaining values,
+// when its store sent them: the retrieve then checks each chunk on its
+// own.
 type ResolveResponse struct {
 	FileMD5   string   `json:"file_md5"`
 	Size      int64    `json:"size"`
 	FrontEnd  string   `json:"frontend"`
 	Shard     int      `json:"shard"` // metadata shard that resolved (and will commit) this file
 	ChunkMD5s []string `json:"chunk_md5s,omitempty"`
+	ChainMD5s []string `json:"chain_md5s,omitempty"`
 }
 
 // FileOpRequest is the file storage/retrieval operation request sent

@@ -226,12 +226,14 @@ var errBatchShort = errors.New("storage: batch put fewer frames than it declared
 // group) and queued at once to every remote owner over one stream per
 // owner: a single /v1/bin/put carrying all of that owner's frames, or
 // per-frame JSON PUTs to a peer that does not speak mcsbin/1. A stream
-// goes out when its length is known — at the owner's first frame when
-// every node owns every chunk (N equals the membership, so each owner
-// gets the whole batch), else when the request waits — and the owner
-// acknowledges it all or nothing, after its own group fsync. The local
-// group fsync is one more such stream: it runs beside the peers' and
-// acks every frame the local store took.
+// is launched when its length is known — at the owner's first frame
+// when every node owns every chunk (N equals the membership, so each
+// owner gets the whole batch), else when the request waits. A launched
+// stream is runnable from then on but mostly gets a core only once the
+// handler blocks, so its first hop often starts late in the handler's
+// local puts. The owner acknowledges it all or nothing, after its own
+// group fsync. The local group fsync is one more such stream: it runs
+// beside the peers' and acks every frame the local store took.
 //
 // The quorum is still counted per frame: finish returns once every
 // frame has W acks or once some frame can no longer reach W. A failed

@@ -5,12 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"net/http"
 	"sort"
 	"sync"
 
+	"mcloud/internal/md5lanes"
 	"mcloud/internal/tracing"
 )
 
@@ -18,15 +18,23 @@ import (
 // digest metadata holds.
 var errFileDigest = errors.New("storage: retrieved content hash mismatch")
 
+// errChainLink reports a chunk that does not carry the file hash from
+// the chaining value at its start to the one at its end: either its
+// bytes or the chain metadata holds are wrong, and only the whole
+// file's digest can tell which.
+var errChainLink = errors.New("storage: retrieved chunk breaks the file's hash chain")
+
 // retrievePlan is what a retrieve learns before the first chunk moves:
-// the front-end serving the file, the file's digest and size, and its
+// the front-end serving the file, the file's digest and size, its
 // ordered chunk digests, already checked against the fixed-offset
-// layout the chunks assemble into.
+// layout the chunks assemble into, and the file hash's chaining value
+// at every chunk boundary when the store recorded them.
 type retrievePlan struct {
 	frontend string
 	file     Sum
 	size     int64
 	sums     []Sum
+	chain    []Sum // len(sums)-1 values, or nil
 	// op is the file retrieval operation request while it is unsent.
 	// It rides every attempt of the mcsbin/1 batch that carries chunk 0
 	// (see FileRetrieveHeader) until one gets a 200, which clears it;
@@ -81,7 +89,7 @@ func (c *Client) openRetrieve(url string, budget *retryBudget) (*retrievePlan, e
 	if err != nil {
 		return nil, err
 	}
-	p := &retrievePlan{frontend: res.FrontEnd, file: file, size: res.Size}
+	p := &retrievePlan{frontend: res.FrontEnd, file: file, size: res.Size, chain: parseChain(res.ChainMD5s, res.Size)}
 	if p.sums, err = parseSums(res.ChunkMD5s); err != nil {
 		return nil, err
 	}
@@ -148,18 +156,18 @@ func (c *Client) RetrieveFileCtx(ctx context.Context, url string) (out []byte, e
 // runs side by side. Each frame is checked as it comes off the socket
 // — its carried CRC (written at ingress, stored in the segment file),
 // a header naming the requested digest, the length its slot expects —
-// and lands in its slot of the file. A fold goroutine hashes landed
-// slots into the file MD5 in file order while later chunks are still
-// arriving. The file MD5 compared against metadata is the retrieve's
-// identity check (see repair); the CRC is only the per-chunk transport
-// check. So a chunk that arrives over mcsbin/1 is hashed once; one the
+// and lands in its slot of the file. A verifier goroutine hashes
+// landed slots while later chunks are still arriving (see verify).
+// The file MD5 compared against metadata is the retrieve's identity
+// check (see repair); the CRC is only the per-chunk transport check.
+// So a chunk that arrives over mcsbin/1 is hashed once; one the
 // per-chunk JSON path fetches is hashed twice, by its own MD5 check
-// and by the fold.
+// and by the verifier.
 //
-// Once a slot has landed nothing writes it while the fold runs (only
-// repair, after the fold, rewrites slots): that is what lets the fold
-// read it without a lock, and why a batch retry asks only for the
-// chunks that have not landed.
+// Once a slot has landed nothing writes it while the verifier runs
+// (only repair, after it, rewrites slots): that is what lets the
+// verifier read it without a lock, and why a batch retry asks only for
+// the chunks that have not landed.
 type retrieval struct {
 	c      *Client
 	p      *retrievePlan
@@ -170,9 +178,12 @@ type retrieval struct {
 
 func (r *retrieval) slot(i int) []byte { return r.p.slot(r.buf, i) }
 
-// retrieveChunks runs a retrieval: the fold starts before the first
-// request, every chunk lands, and the folded digest is checked against
-// the file digest. No goroutine it starts outlives it.
+// retrieveChunks runs a retrieval: the verifier starts before the
+// first request and every chunk lands. A chunk that broke the hash
+// chain leaves the verdict open, since the chain value may be the
+// wrong one, and one whole-file pass decides it: a wrong chain costs
+// time, never a byte. Bytes that do not hash to the file digest go to
+// repair. No goroutine it starts outlives it.
 func (c *Client) retrieveChunks(p *retrievePlan, budget *retryBudget) ([]byte, error) {
 	r := &retrieval{
 		c:      c,
@@ -181,15 +192,18 @@ func (c *Client) retrieveChunks(p *retrievePlan, budget *retryBudget) ([]byte, e
 		budget: budget,
 		landed: make(chan int, len(p.sums)),
 	}
-	folded := make(chan Sum, 1)
-	go r.fold(folded)
+	verdict := make(chan error, 1)
+	go r.verify(verdict)
 	err := r.fetch()
 	close(r.landed) // every sender has returned
-	sum := <-folded
+	verr := <-verdict
 	if err != nil {
 		return nil, err
 	}
-	if sum != p.file {
+	if errors.Is(verr, errChainLink) && SumBytes(r.buf) == p.file {
+		verr = nil
+	}
+	if verr != nil {
 		if err := r.repair(); err != nil {
 			return nil, err
 		}
@@ -197,27 +211,120 @@ func (c *Client) retrieveChunks(p *retrievePlan, budget *retryBudget) ([]byte, e
 	return r.buf, nil
 }
 
-// fold hashes slots into the file digest in file order, each as soon
-// as it and every slot before it have landed, and sends the digest once
-// the landings stop. When fetch failed the digest covers a prefix and
-// is never compared.
-func (r *retrieval) fold(out chan<- Sum) {
-	h := md5Pool.Get().(hash.Hash)
-	h.Reset()
-	defer md5Pool.Put(h)
-	have := make([]bool, len(r.p.sums))
-	next := 0
-	for i := range r.landed {
-		have[i] = true
-		for ; next < len(have) && have[next]; next++ {
-			s := r.slot(next)
-			h.Write(s)
-			hashPasses.Add(int64(len(s)))
+// verify hashes slots as they land and, once every slot has or the
+// landings stop, sends its verdict: nil when the slots hash to the
+// file digest, errFileDigest when they do not, errChainLink when a
+// chunk disagrees with a chain value. When fetch failed the verdict
+// covers a prefix and is never read.
+//
+// A segment is a run of chunks that starts at a known chaining value:
+// chunk 0 at MD5's initial value, and every chunk of a chained file at
+// its chain value. Each segment is hashed in order as its chunks land.
+// Without a chain the file is one segment, and verify is a fold of the
+// file in file order. With one, every chunk is a segment of its own:
+// full chunk i must carry chain[i-1] to chain[i], and the last chunk,
+// resumed at its chain value and padded for the whole file's length,
+// must end in the file digest. The first check ties chunk 0's bytes to
+// chain[0] from the initial value, and each next one extends the
+// proven prefix by a chunk, so all of them hold exactly when the file's
+// MD5 is the file digest. One-chunk segments that are ready together
+// share one md5lanes.Advance pass of up to md5lanes.MaxLanes lanes,
+// and the last chunk's crypto/md5 pass runs beside it.
+func (r *retrieval) verify(out chan<- error) {
+	n := len(r.p.sums)
+	start := make([]Sum, n) // chunk i's chaining value, once known[i]
+	known := make([]bool, n)
+	for i, v := range r.p.chain {
+		start[i+1], known[i+1] = v, true
+	}
+	if n > 0 {
+		start[0], known[0] = md5lanes.IV(), true
+	}
+	unhashed := make([]bool, n) // landed, not yet hashed
+	left := n                   // chunks not yet hashed
+	broken, wrong := false, n == 0 && SumBytes(nil) != r.p.file
+	for left > 0 {
+		i, ok := <-r.landed
+		if !ok {
+			break
+		}
+		unhashed[i] = true
+	drain:
+		for {
+			select {
+			case i, ok := <-r.landed:
+				if !ok {
+					break drain
+				}
+				unhashed[i] = true
+			default:
+				break drain
+			}
+		}
+		for {
+			var lanes [md5lanes.MaxLanes][]byte
+			var ids [md5lanes.MaxLanes]int
+			var states [md5lanes.MaxLanes][md5lanes.Size]byte
+			k, last := 0, false
+			for i := 0; i < n && k < len(ids); i++ {
+				if !unhashed[i] || !known[i] {
+					continue
+				}
+				unhashed[i] = false
+				if i == n-1 {
+					last = true
+					continue
+				}
+				lanes[k], ids[k], states[k] = r.slot(i), i, start[i]
+				k++
+			}
+			if k == 0 && !last {
+				break
+			}
+			lastOK := make(chan bool, 1)
+			if last {
+				go func() { lastOK <- r.verifyLast(start[n-1]) }()
+			}
+			if k > 0 {
+				md5lanes.Advance(states[:k], lanes[:k])
+				hashPasses.Add(int64(k) * ChunkSize)
+			}
+			for j, i := range ids[:k] {
+				if r.p.chain == nil {
+					start[i+1], known[i+1] = states[j], true
+				} else if states[j] != start[i+1] {
+					broken = true
+				}
+			}
+			left -= k
+			if last {
+				wrong = wrong || !<-lastOK
+				left--
+			}
 		}
 	}
+	switch {
+	case broken:
+		out <- errChainLink
+	case wrong || left > 0:
+		out <- errFileDigest
+	default:
+		out <- nil
+	}
+}
+
+// verifyLast checks the last chunk: resumed at from, the chaining
+// value at its start, and padded for the whole file's length, it must
+// end in the file digest.
+func (r *retrieval) verifyLast(from Sum) bool {
+	last := len(r.p.sums) - 1
+	h := md5lanes.Resume(from, uint64(last)*ChunkSize)
+	s := r.slot(last)
+	h.Write(s)
+	hashPasses.Add(int64(len(s)))
 	var sum Sum
 	h.Sum(sum[:0])
-	out <- sum
+	return sum == r.p.file
 }
 
 // fetch lands every chunk: batched mcsbin/1 fetches first, then the
@@ -391,7 +498,7 @@ func (r *retrieval) getBatch(host string, ids []int) []int {
 	return append(missed, pending...)
 }
 
-// repair runs when the folded digest disagrees with metadata. The
+// repair runs when the retrieved bytes disagree with the file digest. The
 // frame CRC guards the transport, not the content's identity: a frame
 // forged with a valid CRC and the requested digest in its header
 // passes it. So every chunk is now checked against its own digest, the
