@@ -442,11 +442,11 @@ func (c *Client) StoreFileCtx(ctx context.Context, name string, data []byte) (re
 	// "upload", but with a transfer window above one a second core is
 	// the client's to use until then: one goroutine hashes the chunks
 	// while this one hashes the file, keeping its chaining value at
-	// every chunk boundary for the retrieves, and asks. A window of one hashes
-	// on this goroutine alone, after the check: a hasher beside it only
-	// competes with the other devices and the servers for the cores
-	// (measured: +20% store p50 on a loaded 2-core box); its chunks
-	// still go out in one mcsbin/1 batch.
+	// every chunk boundary for the retrieves, and asks. A window of one
+	// hashes on this goroutine alone, after the check: a hasher beside
+	// it only competes with the other devices and the servers for the
+	// cores (measured: +20% store p50 on a loaded 2-core box); its
+	// chunks still go out in one mcsbin/1 batch.
 	up := newUpload(data)
 	var fileSum Sum
 	var chain []Sum

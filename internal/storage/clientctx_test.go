@@ -28,7 +28,7 @@ func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error)
 //   - an already-cancelled context sends no request and returns its
 //     error;
 //   - a deadline that runs out against a stalled front-end returns
-//     within the deadline plus slack, with no hasher, fold or window
+//     within the deadline plus slack, with no hasher, verifier or window
 //     goroutine left behind;
 //   - so does one that runs out while the front-end's ring is on its
 //     way, and the next operation asks for the ring again;

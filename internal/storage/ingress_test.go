@@ -1064,7 +1064,7 @@ func forgeFirstFrame(_ bool, body []byte) {
 }
 
 // opGoroutines counts the goroutines still running file-operation
-// code: a retrieve's fold, an upload's hasher, either's window.
+// code: a retrieve's verifier, an upload's hasher, either's window.
 func opGoroutines() int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
@@ -1352,7 +1352,7 @@ func TestRetrieveHashesEachByteOnce(t *testing.T) {
 // chunks; every retry asks for exactly the chunks that have not landed,
 // and a batch that runs out of attempts hands only those to the JSON
 // fallback. Run under -race: a re-requested landed slot would be
-// rewritten while the fold reads it.
+// rewritten while the verifier reads it.
 func TestBatchRetryFetchesOnlyMissing(t *testing.T) {
 	const frames = 3
 	for _, attempts := range []int{4, 2} {

@@ -1370,7 +1370,6 @@ func parseSums(strs []string) ([]Sum, error) {
 	return sums, nil
 }
 
-// sumStrings renders digests as hex.
 // parseChain decodes a file's chaining values, or returns nil when the
 // list does not parse or does not hold one value per chunk boundary,
 // ceil(size/ChunkSize)-1: a chain is an optional hint, so a bad one is
@@ -1386,6 +1385,7 @@ func parseChain(strs []string, size int64) []Sum {
 	return chain
 }
 
+// sumStrings renders digests as hex.
 func sumStrings(sums []Sum) []string {
 	strs := make([]string, len(sums))
 	for i, s := range sums {

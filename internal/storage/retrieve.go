@@ -249,17 +249,8 @@ func (r *retrieval) verify(out chan<- error) {
 			break
 		}
 		unhashed[i] = true
-	drain:
-		for {
-			select {
-			case i, ok := <-r.landed:
-				if !ok {
-					break drain
-				}
-				unhashed[i] = true
-			default:
-				break drain
-			}
+		for len(r.landed) > 0 { // this goroutine is the only receiver
+			unhashed[<-r.landed] = true
 		}
 		for {
 			var lanes [md5lanes.MaxLanes][]byte
@@ -282,8 +273,11 @@ func (r *retrieval) verify(out chan<- error) {
 				break
 			}
 			lastOK := make(chan bool, 1)
-			if last {
+			switch {
+			case last && k > 0:
 				go func() { lastOK <- r.verifyLast(start[n-1]) }()
+			case last:
+				lastOK <- r.verifyLast(start[n-1])
 			}
 			if k > 0 {
 				md5lanes.Advance(states[:k], lanes[:k])
